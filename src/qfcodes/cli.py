@@ -48,7 +48,13 @@ from .descent import (
     orbit_check,
     psi_weight_table,
 )
-from .errors import BudgetError, ConfigError, DEFAULT_BUDGET, ParameterError
+from .errors import (
+    BudgetError,
+    ConfigError,
+    DEFAULT_BUDGET,
+    MixedFieldError,
+    ParameterError,
+)
 from .fields import Elem, build_tower, elem_from_data, elem_to_data
 from .ghw import hierarchy
 from .presets import get_preset, PRESETS
@@ -84,7 +90,6 @@ def validate_config(data: dict) -> dict:
             "budget",
             "audit",
             "ghw_r_max",
-            "threads",
         },
         "",
     )
@@ -177,10 +182,6 @@ def validate_config(data: dict) -> dict:
     if r_max is not None and (not isinstance(r_max, int) or r_max < 1):
         raise ConfigError("ghw_r_max", "must be a positive integer")
     out["ghw_r_max"] = r_max
-    threads = data.get("threads", 1)
-    if not isinstance(threads, int) or threads < 1:
-        raise ConfigError("threads", "must be a positive integer")
-    out["threads"] = threads
     return out
 
 
@@ -314,7 +315,6 @@ def _run_ghw(spec: CodeSpec, cfg: dict, reference: dict, disagreements: list) ->
         r_max=cfg["ghw_r_max"],
         budget=cfg["budget"],
         reference_values=ref_vals,
-        threads=cfg["threads"],
     )
     rows = []
     for row in rep.rows:
@@ -346,7 +346,10 @@ def _run_descend(spec: CodeSpec, cfg: dict, disagreements: list) -> dict:
         raise ConfigError("descent", "task 'descend' needs a descent object")
     tower = spec.tower
     theta = dcfg.get("theta")
-    theta_elem = elem_from_data(tower.Fq, theta) if theta is not None else None
+    try:
+        theta_elem = elem_from_data(tower.Fq, theta) if theta is not None else None
+    except (MixedFieldError, ValueError) as e:
+        raise ConfigError("descent.theta", str(e)) from e
     params = make_descent(tower, dcfg["N"], theta=theta_elem)
     code = descend(spec, params)
     wts = psi_weight_table(params)
@@ -691,7 +694,13 @@ def _add_source_args(sp):
     sp.add_argument("--budget", type=int, default=None)
     sp.add_argument("--audit", action="store_true",
                     help="enumerate every message instead of stratum representatives")
-    sp.add_argument("--threads", type=int, default=1)
+
+
+def _theta_token(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ConfigError("descent.theta", f"invalid JSON: {e.msg}") from e
 
 
 def _load(args, tasks: list[str] | None) -> tuple[dict, dict]:
@@ -708,31 +717,31 @@ def _load(args, tasks: list[str] | None) -> tuple[dict, dict]:
         except json.JSONDecodeError as e:
             raise ConfigError("", f"invalid JSON at line {e.lineno}: {e.msg}") from e
         cfg, reference = validate_config(raw), {}
-    if tasks is not None:
-        cfg["tasks"] = tasks
     if args.budget is not None:
         cfg["budget"] = args.budget
     if args.audit:
         cfg["audit"] = True
-    if getattr(args, "threads", 1) and args.threads > 1:
-        cfg["threads"] = args.threads
     if getattr(args, "r_max", None):
         cfg["ghw_r_max"] = args.r_max
     if cfg["descent"] is not None:
         if getattr(args, "N", None):
             cfg["descent"]["N"] = args.N
         if getattr(args, "theta_override", None):
-            cfg["descent"]["theta"] = json.loads(args.theta_override)
+            cfg["descent"]["theta"] = _theta_token(args.theta_override)
         if getattr(args, "ghw_r_max", None):
             cfg["descent"]["r_max"] = args.ghw_r_max
     elif getattr(args, "N", None):
         cfg["descent"] = {
             "N": args.N,
-            "theta": json.loads(args.theta_override)
+            "theta": _theta_token(args.theta_override)
             if getattr(args, "theta_override", None)
             else None,
             "r_max": getattr(args, "ghw_r_max", None),
         }
+    # flags obey the same rules as the config fields they override
+    cfg = validate_config(cfg)
+    if tasks is not None:
+        cfg["tasks"] = tasks
     return cfg, reference
 
 
@@ -777,7 +786,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--format", choices=_FORMATS, default="text")
     sp.add_argument("--budget", type=int, default=None)
     sp.add_argument("--audit", action="store_true")
-    sp.add_argument("--threads", type=int, default=1)
     return ap
 
 
@@ -803,9 +811,7 @@ def main(argv=None) -> int:
                 cfg["budget"] = args.budget
             if args.audit:
                 cfg["audit"] = True
-            if args.threads > 1:
-                cfg["threads"] = args.threads
-            bundle, code = run_config(cfg, reference)
+            bundle, code = run_config(validate_config(cfg), reference)
             print(_render(bundle, args.format), end="")
             return code
         if args.command == "verify":

@@ -14,7 +14,6 @@ every downstream weight and hierarchy formula.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -27,8 +26,7 @@ from .codes import CodeSpec, Variant, WeightDistribution, cwe_brute, codeword, \
 from .cyclotomic import CycInt, cyc_from_trace_counts, eta_twisted_sum_brute
 from .errors import BudgetError, DEFAULT_BUDGET, ParameterError
 from .fields import Elem, FieldTower
-from .ghw import GhwReport, GhwRow, gaussian_binomial, subspace_bases
-from .quadform import _nullspace
+from .ghw import GhwReport, GhwRow, _ScanEngine, row_to_message
 
 __all__ = [
     "DescentParams",
@@ -200,22 +198,6 @@ def _message_space_dim(spec: CodeSpec) -> int:
     return spec.dimension * spec.tower.m
 
 
-def _row_to_message(spec: CodeSpec, row) -> tuple[int, int, int]:
-    """F_p digit row -> (a, b, c) message indices over (F_q, F_{q^m2}, F_q)."""
-    tower = spec.tower
-    Fq, Fq2 = tower.Fq, tower.Fq2
-    m, m2 = tower.m, tower.m2
-
-    def fq_of(digs):
-        return digs[0] if Fq is tower.Fp else Fq.from_coeffs(digs)
-
-    a = fq_of(row[0:m])
-    chunks = [fq_of(row[m + k * m : m + (k + 1) * m]) for k in range(m2)]
-    b = chunks[0] if Fq2 is Fq else Fq2.from_coeffs(chunks)
-    c = fq_of(row[m + m2 * m : m + m2 * m + m]) if spec.variant is Variant.AFFINE else 0
-    return a, b, c
-
-
 def descend(spec: CodeSpec, params: DescentParams) -> DescendedCode:
     """Map the source code through psi; the F_p dimension is certified by the
     rank of the images of an F_p-basis of the message space."""
@@ -228,7 +210,7 @@ def descend(spec: CodeSpec, params: DescentParams) -> DescendedCode:
     for k in range(n_p):
         digits = [0] * n_p
         digits[k] = 1
-        a, b, c = _row_to_message(spec, digits)
+        a, b, c = row_to_message(spec, digits, tower.m)
         src = codeword(
             spec,
             Elem(tower.Fq, a),
@@ -397,76 +379,10 @@ def char_identity_check(params: DescentParams, c: Elem, a: Elem) -> IdentityChec
 # ---------------------------------------------------------------------------
 
 
-class _DescentGhwEngine:
-    """Point counting for F_p-subspaces of the message space, with the
-    extra trace-column axis."""
-
-    def __init__(self, spec: CodeSpec, params: DescentParams):
-        self.spec = spec
-        self.params = params
-        tower = spec.tower
-        Fq, Fq2 = tower.Fq, tower.Fq2
-        self.Fq, self.Fq2 = Fq, Fq2
-        self.q = Fq.order
-        self.hq = np.asarray(spec.analysis.form.value_histogram, dtype=np.int64)
-        self.addq = np.asarray(Fq.add_np, dtype=np.int64)
-        self.mulq = np.asarray(Fq.mul_np, dtype=np.int64)
-        if Fq2 is Fq:
-            self.trmat = self.mulq
-        else:
-            tr = np.asarray(Fq2.trace_table(Fq), dtype=np.int64)
-            self.trmat = tr[np.asarray(Fq2.mul_np, dtype=np.int64)]
-        _, _, zmask = _psi_tables(params)
-        self.zmask = zmask  # (q, L) True where Tr(w * theta^i) = 0
-
-    def defect(self, rows) -> int:
-        """N(V): triples (x, y, i) killed by every basis functional."""
-        mask = None
-        for row in rows:
-            a, b, c = _row_to_message(self.spec, row)
-            av = self.mulq[a]
-            bv = self.addq[self.trmat[b], c]
-            grid = self.addq[av[:, None], bv[None, :]]
-            m = self.zmask[grid]  # (q, q2size, L)
-            mask = m if mask is None else (mask & m)
-        if mask is None:
-            total = int(self.hq.sum()) * self.trmat.shape[0] * self.params.L
-        else:
-            total = int((self.hq[:, None, None] * mask).sum())
-        if self.spec.variant is Variant.HOMOGENEOUS:
-            total -= self.params.L
-        return total
-
-    def b_part_zero_span(self, rows):
-        """Elements (a_idx, c_idx) of the F_p-span whose b-block vanishes."""
-        tower = self.spec.tower
-        Fp = tower.Fp
-        m, m2 = tower.m, tower.m2
-        if not rows:
-            return [(0, 0)]
-        bcols = [[row[m + k] for row in rows] for k in range(m2 * m)]
-        lam_basis = _nullspace(Fp, bcols)
-        out = []
-        r = len(rows)
-        for coeffs in itertools.product(range(tower.p), repeat=len(lam_basis)):
-            lam = [0] * r
-            for cc, vec in zip(coeffs, lam_basis):
-                if cc:
-                    for i in range(r):
-                        lam[i] = Fp.add(lam[i], Fp.mul(cc, vec[i]))
-            digits = [0] * len(rows[0])
-            for li, row in zip(lam, rows):
-                if li:
-                    for k in range(len(digits)):
-                        digits[k] = Fp.add(digits[k], Fp.mul(li, row[k]))
-            a, _, c = _row_to_message(self.spec, digits)
-            out.append((a, c))
-        return out
-
-
 @lru_cache(maxsize=None)
-def _descent_engine(spec: CodeSpec, params: DescentParams) -> _DescentGhwEngine:
-    return _DescentGhwEngine(spec, params)
+def _descent_engine(spec: CodeSpec, params: DescentParams) -> _ScanEngine:
+    """The subspace scan over F_p digit rows, with the trace-column axis."""
+    return _ScanEngine(spec, spec.tower.m, _psi_tables(params)[2])
 
 
 def descended_support_defect(spec: CodeSpec, params: DescentParams, rows) -> int:
@@ -477,14 +393,13 @@ def descended_support_defect_closed(
     spec: CodeSpec, params: DescentParams, rows
 ) -> int:
     """Per-subspace closed form for N(V), from the stratified proof sums."""
-    eng = _descent_engine(spec, params)
     tower = spec.tower
-    Fq = eng.Fq
+    Fq = tower.Fq
     q, M, p, N = tower.q, tower.M, tower.p, params.N
     an = spec.analysis
     r_q, eps = an.r_q, an.eps
     r = len(rows)
-    W = eng.b_part_zero_span(rows)
+    W = _descent_engine(spec, params).b_part_zero_span(rows)
     if spec.variant is Variant.HOMOGENEOUS:
         L = Fraction(q - 1, N)
         base = L * Fraction(q**M, p**r)
@@ -518,23 +433,7 @@ def descended_ghw_brute(
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[int, tuple]:
     """(d_r, witness) over all F_p-subspaces of the message space."""
-    tower = spec.tower
-    n_p = _message_space_dim(spec)
-    if not 1 <= r <= n_p:
-        raise ParameterError(f"need 1 <= r <= {n_p}")
-    count = gaussian_binomial(n_p, r, tower.p)
-    if count > budget:
-        raise BudgetError(
-            count, budget, f"subspace enumeration [{n_p} choose {r}]_{tower.p}"
-        )
-    eng = _descent_engine(spec, params)
-    length = spec.length * params.L
-    best, witness = -1, None
-    for rows in subspace_bases(n_p, r, tower.Fp):
-        n = eng.defect(rows)
-        if n > best:
-            best, witness = n, rows
-    return length - best, witness
+    return _descent_engine(spec, params).scan(r, budget)
 
 
 def descended_ghw_closed(spec: CodeSpec, params: DescentParams, r: int) -> int:

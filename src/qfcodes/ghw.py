@@ -6,6 +6,8 @@ matrix per subspace, ordered lexicographically by pivot-column set and then
 by the free entries.  The support defect N(H) of a subspace counts the
 evaluation points annihilated by every basis functional; the r-th
 generalized Hamming weight is the code length minus the maximum defect.
+One scan engine serves the F_q code and its F_p descent (``descent``),
+whose subspaces have rows of F_p digits and whose symbols are trace columns.
 
 Three routes coexist and are cross-checked:
 * a histogram/vectorized point count (``support_defect``),
@@ -17,10 +19,9 @@ Three routes coexist and are cross-checked:
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -84,17 +85,21 @@ def subspace_bases(n: int, r: int, field: FiniteField):
             yield tuple(tuple(row) for row in rows)
 
 
-def _in_rowspace(Fq: FiniteField, rows, target) -> bool:
-    """Membership test against an RREF basis."""
-    v = list(target)
-    for row in rows:
-        # rows are RREF: the pivot is the first nonzero entry and equals 1
-        piv = next(i for i, x in enumerate(row) if x != 0)
-        c = v[piv]
-        if c:
-            for k in range(len(v)):
-                v[k] = Fq.sub(v[k], Fq.mul(c, row[k]))
-    return all(x == 0 for x in v)
+def row_to_message(spec: CodeSpec, row, width: int = 1) -> tuple[int, int, int]:
+    """Digit row -> message (a, b, c) indices over (F_q, F_{q^m2}, F_q).
+
+    Each F_q symbol takes ``width`` digits: one F_q index (width 1), or m
+    F_p digits for the descended code.
+    """
+    tower = spec.tower
+    Fq, Fq2, m2 = tower.Fq, tower.Fq2, tower.m2
+    if width == 1:
+        syms = row
+    else:
+        syms = [Fq.from_coeffs(row[i : i + width]) for i in range(0, len(row), width)]
+    b = syms[1] if Fq2 is Fq else Fq2.from_coeffs(syms[1 : 1 + m2])
+    c = syms[1 + m2] if spec.variant is Variant.AFFINE else 0
+    return syms[0], b, c
 
 
 # ---------------------------------------------------------------------------
@@ -102,84 +107,116 @@ def _in_rowspace(Fq: FiniteField, rows, target) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class _GhwEngine:
-    """Cached tables for counting annihilated points of message subspaces."""
+class _ScanEngine:
+    """Counts annihilated points of message subspaces and scans them.
 
-    def __init__(self, spec: CodeSpec):
+    Rows are digit vectors over F_q (width 1) or over F_p (width m, the
+    descended code).  ``zmask[w, i]`` is True when coordinate i of the
+    symbol w is zero: the symbol itself for the F_q code (one coordinate),
+    its trace column for the descent.  Tables are built on first use, so a
+    refused scan builds none.
+    """
+
+    def __init__(self, spec: CodeSpec, width: int, zmask: np.ndarray):
         self.spec = spec
+        self.width = width
+        self.zmask = zmask
+        self.L = zmask.shape[1]
         tower = spec.tower
-        Fq, Fq2 = tower.Fq, tower.Fq2
-        self.Fq, self.Fq2 = Fq, Fq2
-        self.q = Fq.order
-        self.hq = np.asarray(spec.analysis.form.value_histogram, dtype=np.int64)
-        self.addq = np.asarray(Fq.add_np, dtype=np.int64)
-        self.mulq = np.asarray(Fq.mul_np, dtype=np.int64)
-        if Fq2 is Fq:
-            trmat = self.mulq
-        else:
-            tr = np.asarray(Fq2.trace_table(Fq), dtype=np.int64)
-            mul2 = np.asarray(Fq2.mul_np, dtype=np.int64)
-            trmat = tr[mul2]
-        self.trmat = trmat  # trmat[b, y] = Tr(b*y) as an F_q index
+        self.field = tower.Fq if width == 1 else tower.Fp
+        self.n = spec.dimension * width
+        self._messages: dict[tuple, tuple[int, int, int]] = {}
 
-    def split_row(self, row) -> tuple[int, int, int]:
-        """RREF row -> message (a_idx, b_idx, c_idx)."""
+    @cached_property
+    def hq(self) -> np.ndarray:
+        return np.asarray(self.spec.analysis.form.value_histogram, dtype=np.int64)
+
+    @cached_property
+    def addq(self) -> np.ndarray:
+        return np.asarray(self.spec.tower.Fq.add_np, dtype=np.int64)
+
+    @cached_property
+    def mulq(self) -> np.ndarray:
+        return np.asarray(self.spec.tower.Fq.mul_np, dtype=np.int64)
+
+    @cached_property
+    def trmat(self) -> np.ndarray:
+        """trmat[b, y] = Tr(b*y) as an F_q index."""
         tower = self.spec.tower
-        m2 = tower.m2
-        a = row[0]
-        bcoords = row[1 : 1 + m2]
-        b = bcoords[0] if self.Fq2 is self.Fq else self.Fq2.from_coeffs(bcoords)
-        c = row[1 + m2] if self.spec.variant is Variant.AFFINE else 0
-        return a, b, c
+        Fq, Fq2 = tower.Fq, tower.Fq2
+        if Fq2 is Fq:
+            return self.mulq
+        tr = np.asarray(Fq2.trace_table(Fq), dtype=np.int64)
+        return tr[np.asarray(Fq2.mul_np, dtype=np.int64)]
+
+    def message(self, row) -> tuple[int, int, int]:
+        """Memoised ``row_to_message``: rows recur across many subspaces."""
+        row = tuple(row)
+        msg = self._messages.get(row)
+        if msg is None:
+            msg = self._messages[row] = row_to_message(self.spec, row, self.width)
+        return msg
 
     def defect(self, rows) -> int:
-        """Number of points where every basis functional vanishes."""
+        """Points (x, y, i) where every basis functional vanishes."""
+        # ndarray.take is several times faster than fancy indexing here
         mask = None
         for row in rows:
-            a, b, c = self.split_row(row)
-            av = self.mulq[a]
+            a, b, c = self.message(row)
             bv = self.addq[self.trmat[b], c]
-            grid = self.addq[av[:, None], bv[None, :]]
-            m = grid == 0
+            grid = self.addq.take(self.mulq[a], axis=0).take(bv, axis=1)
+            m = self.zmask.take(grid, axis=0)  # (value of Q, y, column index)
             mask = m if mask is None else (mask & m)
         if mask is None:  # r = 0: every point vanishes trivially
-            total = int(self.hq.sum()) * self.trmat.shape[0]
+            total = int(self.hq.sum()) * self.trmat.shape[0] * self.L
         else:
-            total = int((self.hq[:, None] * mask).sum())
+            total = int(self.hq @ mask.reshape(len(self.hq), -1).sum(axis=1))
         if self.spec.variant is Variant.HOMOGENEOUS:
-            total -= 1
+            total -= self.L
         return total
 
-    def b_part_zero_span(self, rows):
-        """Elements (a, c) of the subspace whose b-part vanishes."""
-        Fq = self.Fq
-        m2 = self.spec.tower.m2
-        bcols = [[row[1 + k] for row in rows] for k in range(m2)]  # m2 x r
-        lam_basis = _nullspace(Fq, bcols) if rows else []
-        r = len(rows)
+    def b_part_zero_span(self, rows) -> list[tuple[int, int]]:
+        """Elements (a, c) of the span of ``rows`` whose b-part vanishes."""
         if not rows:
             return [(0, 0)]
+        F, w = self.field, self.width
+        bcols = [[row[k] for row in rows] for k in range(w, w + self.spec.tower.m2 * w)]
+        lam_basis = _nullspace(F, bcols)
         out = []
-        for coeffs in itertools.product(range(Fq.order), repeat=len(lam_basis)):
-            lam = [0] * r
-            for c, vec in zip(coeffs, lam_basis):
-                if c:
-                    for i in range(r):
-                        lam[i] = Fq.add(lam[i], Fq.mul(c, vec[i]))
-            a = 0
-            cc = 0
-            for li, row in zip(lam, rows):
-                if li:
-                    a = Fq.add(a, Fq.mul(li, row[0]))
-                    if self.spec.variant is Variant.AFFINE:
-                        cc = Fq.add(cc, Fq.mul(li, row[-1]))
-            out.append((a, cc))
+        for coeffs in itertools.product(range(F.order), repeat=len(lam_basis)):
+            digits = [0] * len(rows[0])
+            for cc, vec in zip(coeffs, lam_basis):
+                for li, row in zip(vec, rows):
+                    s = F.mul(cc, li)
+                    if s:
+                        for k in range(len(digits)):
+                            digits[k] = F.add(digits[k], F.mul(s, row[k]))
+            a, _, c = self.message(digits)
+            out.append((a, c))
         return out
+
+    def scan(self, r: int, budget: int) -> tuple[int, tuple]:
+        """(d_r, witness): exhaustive maximum of the defect over r-dim
+        subspaces; the first maximiser in enumeration order is the witness."""
+        n, order = self.n, self.field.order
+        if not 1 <= r <= n:
+            raise ParameterError(f"need 1 <= r <= {n}")
+        count = gaussian_binomial(n, r, order)
+        if count > budget:
+            raise BudgetError(
+                count, budget, f"subspace enumeration [{n} choose {r}]_{order}"
+            )
+        best, witness = -1, None
+        for rows in subspace_bases(n, r, self.field):
+            d = self.defect(rows)
+            if d > best:
+                best, witness = d, rows
+        return self.spec.length * self.L - best, witness
 
 
 @lru_cache(maxsize=None)
-def _engine_cache(spec: CodeSpec) -> _GhwEngine:
-    return _GhwEngine(spec)
+def _engine_cache(spec: CodeSpec) -> _ScanEngine:
+    return _ScanEngine(spec, 1, (np.arange(spec.tower.q) == 0)[:, None])
 
 
 def support_defect(spec: CodeSpec, rows) -> int:
@@ -191,8 +228,8 @@ def support_defect_char(spec: CodeSpec, rows) -> int:
     """Audit route: recompute N(H) from the additive-character identity
     q**r * (N + [homogeneous]) = sum over H and all points of zeta**Tr(...)."""
     eng = _engine_cache(spec)
-    Fq, Fq2 = eng.Fq, eng.Fq2
     tower = spec.tower
+    Fq, Fq2 = tower.Fq, tower.Fq2
     p = tower.p
     prime = Fq.subfield_chain()[-1]
     trp = Fq.trace_table(prime)
@@ -202,7 +239,7 @@ def support_defect_char(spec: CodeSpec, rows) -> int:
         a = b = c = 0
         for li, row in zip(coeffs, rows):
             if li:
-                ai, bi, ci = eng.split_row(row)
+                ai, bi, ci = eng.message(row)
                 a = Fq.add(a, Fq.mul(li, ai))
                 b = Fq2.add(b, Fq2.mul(Fq2.embed_from(Fq, li), bi))
                 c = Fq.add(c, Fq.mul(li, ci))
@@ -230,24 +267,22 @@ def support_defect_closed(spec: CodeSpec, rows) -> int:
     t1 = #(a,0,0), t2 = #(a,0,c): ac != 0, t3 = #(0,0,c): c != 0, and the
     character-weighted sum over the t2 stratum for odd rank.
     """
-    eng = _engine_cache(spec)
     tower = spec.tower
-    Fq = eng.Fq
+    Fq = tower.Fq
     q, M = tower.q, tower.M
     an = spec.analysis
     r_q, eps = an.r_q, an.eps
     r = len(rows)
     qMr = Fraction(q) ** (M - r)
+    if spec.variant is Variant.HOMOGENEOUS and r_q % 2 != 0:
+        return int(qMr) - 1
+    W = _engine_cache(spec).b_part_zero_span(rows)
     if spec.variant is Variant.HOMOGENEOUS:
-        if r_q % 2 != 0:
-            return int(qMr) - 1
-        one_zero = (1,) + (0,) * (tower.m2)
-        t = (q - 1) if _in_rowspace(Fq, rows, one_zero) else 0
+        # W holds the elements (a, 0) of H: all q of them when (1, 0) is in H
+        t = sum(1 for a, _ in W if a != 0)
         val = qMr * (1 + Fraction(eps * t, q ** (r_q // 2)))
         assert val.denominator == 1
         return int(val) - 1
-    # affine: enumerate the b-part-zero elements
-    W = eng.b_part_zero_span(rows)
     t1 = sum(1 for a, c in W if a != 0 and c == 0)
     t2 = sum(1 for a, c in W if a != 0 and c != 0)
     t3 = sum(1 for a, c in W if a == 0 and c != 0)
@@ -273,46 +308,9 @@ def ghw_brute(
     spec: CodeSpec,
     r: int,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> tuple[int, tuple]:
     """(d_r, witness): exhaustive maximum of N(H) over canonical subspaces."""
-    k = spec.dimension
-    if not 1 <= r <= k:
-        raise ParameterError(f"need 1 <= r <= {k}")
-    q = spec.tower.q
-    count = gaussian_binomial(k, r, q)
-    if count > budget:
-        raise BudgetError(count, budget, f"subspace enumeration [{k} choose {r}]_{q}")
-    eng = _engine_cache(spec)
-    if threads <= 1:
-        best = -1
-        witness = None
-        for rows in subspace_bases(k, r, spec.tower.Fq):
-            n = eng.defect(rows)
-            if n > best:
-                best, witness = n, rows
-        return spec.length - best, witness
-
-    bases = list(subspace_bases(k, r, spec.tower.Fq))
-    chunks = [bases[i::threads] for i in range(threads)]
-
-    def scan(chunk):
-        best, wit, pos = -1, None, -1
-        for j, rows in enumerate(chunk):
-            n = eng.defect(rows)
-            if n > best:
-                best, wit, pos = n, rows, j
-        return best, wit, pos
-
-    results = []
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        for i, res in enumerate(ex.map(scan, chunks)):
-            best, wit, pos = res
-            # global index of the witness inside the interleaved split
-            results.append((best, pos * threads + i if pos >= 0 else -1, wit))
-    best = max(r[0] for r in results)
-    _, _, witness = min((r for r in results if r[0] == best), key=lambda r: r[1])
-    return spec.length - best, witness
+    return _engine_cache(spec).scan(r, budget)
 
 
 def ghw_closed(spec: CodeSpec, r: int) -> int:
@@ -398,7 +396,6 @@ def hierarchy(
     r_max: int | None = None,
     budget: int = DEFAULT_BUDGET,
     reference_values: dict[int, int] | None = None,
-    threads: int = 1,
 ) -> GhwReport:
     """Full table r = 1..k of closed vs brute values; never reconciles."""
     k = spec.dimension
@@ -409,7 +406,7 @@ def hierarchy(
         d_closed = ghw_closed(spec, r)
         note = ""
         try:
-            d_brute, witness = ghw_brute(spec, r, budget=budget, threads=threads)
+            d_brute, witness = ghw_brute(spec, r, budget=budget)
         except BudgetError as e:
             d_brute, witness = None, None
             note = str(e)

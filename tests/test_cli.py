@@ -202,3 +202,30 @@ def test_theta_override_flag(capsys):
     )
     assert code == 0
     assert "column weight=14" in out
+
+
+@pytest.mark.parametrize(
+    "argv,field",
+    [
+        (["ghw", "--preset", "example-3.1", "--budget", "0"], "budget"),
+        (["preset", "example-3.1", "--budget", "-5"], "budget"),
+        (["descend", "--preset", "descent-7-2-1-1-3", "--theta-override", "notjson"],
+         "descent.theta"),
+        (["descend", "--preset", "descent-7-2-1-1-3", "--theta-override", "[1,2,3]"],
+         "descent.theta"),
+        (["ghw", "--config", "{threads_config}"], "threads"),
+    ],
+)
+def test_malformed_inputs_exit_one(tmp_path, capsys, argv, field):
+    """Bad flag values and config keys end in exit 1 with a one-line message."""
+    path = tmp_path / "threads.json"
+    cfg = {
+        "tower": {"p": 3, "m": 1, "m1": 2, "m2": 1},
+        "form": {"frobenius": [{"coeff": 1, "i": 0}]},
+        "threads": 2,
+    }
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    argv = [a.replace("{threads_config}", str(path)) for a in argv]
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and f"config field '{field}'" in err

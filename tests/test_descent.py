@@ -16,17 +16,21 @@ from qfcodes import (
     descended_ghw_brute,
     descended_hierarchy,
     descended_wd,
+    ghw_brute,
     make_descent,
     orbit_check,
     psi,
     psi_weight_table,
     primitive_element,
+    support_defect,
 )
 from qfcodes.descent import (
     descended_support_defect,
     descended_support_defect_closed,
 )
 from qfcodes.ghw import subspace_bases
+
+from conftest import spec_for
 
 
 def _spec(p, m, m1, m2, variant=Variant.HOMOGENEOUS, coeff_token=1):
@@ -276,3 +280,23 @@ def test_descended_budget():
     params = make_descent(spec.tower, 3)
     with pytest.raises(BudgetError):
         descended_ghw_brute(spec, params, 2, budget=10)
+
+
+@pytest.mark.parametrize("name", ["example-3.1", "example-3.2"])
+def test_prime_field_descent_is_the_source_scan(name):
+    """m = 1 and N = p - 1: psi is the identity (L = 1, theta = 1), so the
+    descended scan is the F_q scan, witnesses included."""
+    spec = spec_for(name)
+    tw = spec.tower
+    params = make_descent(tw, tw.p - 1)
+    assert tw.m == 1 and params.L == 1
+    assert [psi(params, Elem(tw.Fq, g)) for g in range(tw.q)] == [
+        (g,) for g in range(tw.q)
+    ]
+    for r in (1, 2, 3):
+        assert descended_ghw_brute(spec, params, r) == ghw_brute(spec, r)
+    # rows given as lists still work: the message memo keys on tuples
+    d2, witness = ghw_brute(spec, 2)
+    as_lists = [list(row) for row in witness]
+    assert support_defect(spec, as_lists) == spec.length - d2
+    assert descended_support_defect(spec, params, as_lists) == spec.length - d2

@@ -171,9 +171,3 @@ def test_witness_attains_maximum(ex31):
     d2, witness = ghw_brute(ex31, 2)
     assert support_defect(ex31, witness) == ex31.length - d2
 
-
-def test_threads_deterministic(ex31):
-    rep1 = hierarchy(ex31, threads=1)
-    rep2 = hierarchy(ex31, threads=3)
-    assert [r.d_brute for r in rep1.rows] == [r.d_brute for r in rep2.rows]
-    assert [r.witness for r in rep1.rows] == [r.witness for r in rep2.rows]
