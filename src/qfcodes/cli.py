@@ -88,7 +88,6 @@ def validate_config(data: dict) -> dict:
             "descent",
             "tasks",
             "budget",
-            "audit",
             "ghw_r_max",
         },
         "",
@@ -152,12 +151,12 @@ def validate_config(data: dict) -> dict:
         if not isinstance(descent, dict):
             raise ConfigError("descent", "must be an object")
         _expect_keys(descent, {"N", "theta", "r_max"}, "descent.")
-        if not isinstance(descent.get("N"), int):
-            raise ConfigError("descent.N", "required integer")
+        if not isinstance(descent.get("N"), int) or descent["N"] < 1:
+            raise ConfigError("descent.N", "must be a positive integer")
         out["descent"] = {
             "N": descent["N"],
             "theta": descent.get("theta"),
-            "r_max": descent.get("r_max"),
+            "r_max": _r_max(descent.get("r_max"), "descent.r_max"),
         }
     else:
         out["descent"] = None
@@ -174,15 +173,14 @@ def validate_config(data: dict) -> dict:
     if not isinstance(budget, int) or budget < 1:
         raise ConfigError("budget", "must be a positive integer")
     out["budget"] = budget
-    audit = data.get("audit", False)
-    if not isinstance(audit, bool):
-        raise ConfigError("audit", "must be a boolean")
-    out["audit"] = audit
-    r_max = data.get("ghw_r_max")
-    if r_max is not None and (not isinstance(r_max, int) or r_max < 1):
-        raise ConfigError("ghw_r_max", "must be a positive integer")
-    out["ghw_r_max"] = r_max
+    out["ghw_r_max"] = _r_max(data.get("ghw_r_max"), "ghw_r_max")
     return out
+
+
+def _r_max(value, path: str):
+    if value is not None and (not isinstance(value, int) or value < 1):
+        raise ConfigError(path, "must be a positive integer")
+    return value
 
 
 def preset_config(name: str) -> tuple[dict, dict]:
@@ -251,7 +249,7 @@ def _cyc_to_str(v: CycInt) -> str:
 
 
 def _run_wd(spec: CodeSpec, cfg: dict, disagreements: list) -> dict:
-    wd_b = weight_distribution_brute(spec, audit=cfg["audit"], budget=cfg["budget"])
+    wd_b = weight_distribution_brute(spec, budget=cfg["budget"])
     wd_p = weight_distribution_predicted(spec)
     agree = wd_b == wd_p
     if not agree:
@@ -274,12 +272,11 @@ def _run_wd(spec: CodeSpec, cfg: dict, disagreements: list) -> dict:
             "w_max": ab.w_max,
             "verdict": ab.verdict,
         },
-        "mode": "audit" if cfg["audit"] else "stratum",
     }
 
 
 def _run_cwe(spec: CodeSpec, cfg: dict, reference: dict, disagreements: list) -> dict:
-    cw_b = cwe_brute(spec, audit=cfg["audit"], budget=cfg["budget"])
+    cw_b = cwe_brute(spec, budget=cfg["budget"])
     cw_p = cwe_predicted(spec)
     agree = cw_b == cw_p
     if not agree:
@@ -359,7 +356,7 @@ def _run_descend(spec: CodeSpec, cfg: dict, disagreements: list) -> dict:
         disagreements.append(
             f"psi weights {nonzero_wts} != constant {params.column_weight}"
         )
-    wd_b = descended_wd(spec, params, "brute", audit=cfg["audit"], budget=cfg["budget"])
+    wd_b = descended_wd(spec, params, "brute", budget=cfg["budget"])
     wd_p = descended_wd(spec, params, "predicted")
     wd_ok = wd_b == wd_p
     if not wd_ok:
@@ -578,7 +575,7 @@ def render_text(bundle: dict) -> str:
     wd = bundle.get("wd")
     if wd:
         n, k, d, q = wd["params"]
-        out.append(f"code [{n}, {k}, {d}]_{q}  ({wd['mode']} mode)")
+        out.append(f"code [{n}, {k}, {d}]_{q}")
         out.append("  weight distribution (brute == predicted: %s)" % wd["agree"])
         for w, f in sorted(wd["brute"].items(), key=lambda t: int(t[0])):
             out.append(f"    w={w:>8}  A_w={f}")
@@ -692,8 +689,6 @@ def _add_source_args(sp):
     sp.add_argument("--config", help="path to a JSON experiment config")
     sp.add_argument("--format", choices=_FORMATS, default="text")
     sp.add_argument("--budget", type=int, default=None)
-    sp.add_argument("--audit", action="store_true",
-                    help="enumerate every message instead of stratum representatives")
 
 
 def _theta_token(text: str):
@@ -719,23 +714,20 @@ def _load(args, tasks: list[str] | None) -> tuple[dict, dict]:
         cfg, reference = validate_config(raw), {}
     if args.budget is not None:
         cfg["budget"] = args.budget
-    if args.audit:
-        cfg["audit"] = True
-    if getattr(args, "r_max", None):
+    if getattr(args, "r_max", None) is not None:
         cfg["ghw_r_max"] = args.r_max
+    theta = getattr(args, "theta_override", None)
     if cfg["descent"] is not None:
-        if getattr(args, "N", None):
+        if getattr(args, "N", None) is not None:
             cfg["descent"]["N"] = args.N
-        if getattr(args, "theta_override", None):
-            cfg["descent"]["theta"] = _theta_token(args.theta_override)
-        if getattr(args, "ghw_r_max", None):
+        if theta is not None:
+            cfg["descent"]["theta"] = _theta_token(theta)
+        if getattr(args, "ghw_r_max", None) is not None:
             cfg["descent"]["r_max"] = args.ghw_r_max
-    elif getattr(args, "N", None):
+    elif getattr(args, "N", None) is not None:
         cfg["descent"] = {
             "N": args.N,
-            "theta": _theta_token(args.theta_override)
-            if getattr(args, "theta_override", None)
-            else None,
+            "theta": _theta_token(theta) if theta is not None else None,
             "r_max": getattr(args, "ghw_r_max", None),
         }
     # flags obey the same rules as the config fields they override
@@ -785,7 +777,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--list", action="store_true", dest="list_presets")
     sp.add_argument("--format", choices=_FORMATS, default="text")
     sp.add_argument("--budget", type=int, default=None)
-    sp.add_argument("--audit", action="store_true")
     return ap
 
 
@@ -809,8 +800,6 @@ def main(argv=None) -> int:
             cfg, reference = preset_config(args.name)
             if args.budget is not None:
                 cfg["budget"] = args.budget
-            if args.audit:
-                cfg["audit"] = True
             bundle, code = run_config(validate_config(cfg), reference)
             print(_render(bundle, args.format), end="")
             return code
@@ -839,7 +828,7 @@ def main(argv=None) -> int:
         bundle, code = run_config(cfg, reference)
         print(_render(bundle, args.format), end="")
         return code
-    except (ConfigError, ParameterError, KeyError) as e:
+    except (ConfigError, ParameterError) as e:
         print(f"qfcodes: error: {e}", file=sys.stderr)
         return 1
     except BudgetError as e:

@@ -4,13 +4,11 @@ A homogeneous code evaluates a*Q(x) + Tr(b*y) over all points (x, y) except
 the origin; the affine variant appends a constant c and keeps the origin.
 Weight distributions and complete weight enumerators are computed two ways:
 
-* ``brute``: exact enumeration.  Per message, the composition vector comes
-  from histogram counts of a*Q(x) and Tr(b*y) (every point is counted
-  exactly once; no codeword vector is materialized).  ``audit=True`` visits
-  every message; the default visits one representative per stratum
-  (origin / b nonzero / a nonzero split by the character of a, and by c),
-  scales by the stratum size, and spot-checks constancy and injectivity on
-  random members.
+* ``brute``: exhaustive enumeration.  One numpy kernel computes the
+  composition of every message (a, b, c) from the histograms of a*Q(x) and
+  Tr(b*y) (every point is counted exactly once; no codeword vector is
+  materialized), checks that no nonzero message has weight 0, and counts the
+  compositions.  It refuses beyond the budget before building any table.
 * ``predicted``: direct instantiation of the closed-form tables, exact
   rational arithmetic with an integrality assertion.
 
@@ -20,9 +18,10 @@ Disagreement between the two routes is surfaced, never reconciled.
 from __future__ import annotations
 
 import enum
-import random
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import BudgetError, DEFAULT_BUDGET, ParameterError
 from .fields import Elem
@@ -216,173 +215,102 @@ def codeword(spec: CodeSpec, a: Elem, b: Elem, c: Elem | None = None) -> list[in
 
 
 # ---------------------------------------------------------------------------
-# brute-force enumeration engine
+# exhaustive enumeration kernel
 # ---------------------------------------------------------------------------
 
 
-class _Enumerator:
-    """Shared histogram machinery for per-message compositions."""
-
-    def __init__(self, spec: CodeSpec):
-        self.spec = spec
-        tower = spec.tower
-        self.Fq, self.Fq1, self.Fq2 = tower.Fq, tower.Fq1, tower.Fq2
-        self.q = tower.q
-        self.hist_q = [int(v) for v in spec.analysis.form.value_histogram]
-        tr = self.Fq2.trace_table(self.Fq) if self.Fq2 is not self.Fq else None
-        self._tr = tr
-        # per-b histograms of Tr(b*y), built lazily
-        self._hist_t: dict[int, list[int]] = {}
-
-    def hist_trace(self, b_idx: int) -> list[int]:
-        h = self._hist_t.get(b_idx)
-        if h is None:
-            Fq2, q = self.Fq2, self.q
-            h = [0] * q
-            if self._tr is None:
-                for y in range(Fq2.order):
-                    h[Fq2.mul(b_idx, y)] += 1
-            else:
-                tr = self._tr
-                for y in range(Fq2.order):
-                    h[int(tr[Fq2.mul(b_idx, y)])] += 1
-            self._hist_t[b_idx] = h
-        return h
-
-    def value_profile(self, a_idx: int, b_idx: int) -> list[int]:
-        """Count of points where a*Q(x) + Tr(b*y) takes each F_q value."""
-        Fq, q = self.Fq, self.q
-        ha = [0] * q
-        for v, cnt in enumerate(self.hist_q):
-            if cnt:
-                ha[Fq.mul(a_idx, v)] += cnt
-        hb = self.hist_trace(b_idx)
-        by_value = [0] * q
-        for v in range(q):
-            av = ha[v]
-            if av:
-                for w in range(q):
-                    bw = hb[w]
-                    if bw:
-                        by_value[Fq.add(v, w)] += av * bw
-        return by_value
-
-    def comp_from_profile(self, by_value, c_idx: int) -> tuple[int, ...]:
-        """Adding the constant c permutes symbol counts; reindex by omega."""
-        Fq, q = self.Fq, self.q
-        comp = [by_value[Fq.sub(Fq.omega[j], c_idx)] for j in range(q)]
-        if self.spec.variant is Variant.HOMOGENEOUS:
-            comp[0] -= 1  # the excluded origin always evaluates to zero
-        return tuple(comp)
-
-    def composition(self, a_idx: int, b_idx: int, c_idx: int = 0) -> tuple[int, ...]:
-        """Counts of each symbol (in omega order) over the evaluation points."""
-        return self.comp_from_profile(self.value_profile(a_idx, b_idx), c_idx)
-
-    # message streams ------------------------------------------------------
-
-    def all_compositions(self):
-        """(message, composition) over the whole space; one profile per (a, b)."""
-        q2 = self.Fq2.order
-        affine = self.spec.variant is Variant.AFFINE
-        for a in range(self.q):
-            for b in range(q2):
-                prof = self.value_profile(a, b)
-                for c in range(self.q) if affine else (0,):
-                    yield (a, b, c), self.comp_from_profile(prof, c)
-
-    def strata(self):
-        """(representative message, exact stratum size) covering the space."""
-        q, q2 = self.q, self.Fq2.order
-        Fq = self.Fq
-        a_sq = 1
-        a_ns = Fq.gen  # the generator is never a square (q odd)
-        half = (q - 1) // 2
-        first_b = next(b for b in range(1, q2))
-        if self.spec.variant is Variant.HOMOGENEOUS:
-            yield (0, 0, 0), 1
-            yield (0, first_b, 0), q * (q2 - 1)
-            yield (a_sq, 0, 0), half
-            yield (a_ns, 0, 0), half
-        else:
-            for c in range(q):
-                yield (0, 0, c), 1
-            yield (0, first_b, 0), q * q * (q2 - 1)
-            for c in range(q):
-                yield (a_sq, 0, c), half
-                yield (a_ns, 0, c), half
-
-    def stratum_members(self, rep, rng, k=2):
-        """Random messages from the same stratum as ``rep`` (for spot checks)."""
-        a, b, c = rep
-        q, q2 = self.q, self.Fq2.order
-        Fq = self.Fq
-        out = []
-        for _ in range(k):
-            if b != 0:
-                out.append(
-                    (rng.randrange(q), rng.randrange(1, q2),
-                     c if self.spec.variant is Variant.HOMOGENEOUS else rng.randrange(q))
-                )
-            elif a != 0:
-                sign = Fq.eta(a)
-                while True:
-                    a2 = rng.randrange(1, q)
-                    if Fq.eta(a2) == sign:
-                        break
-                out.append((a2, 0, c))
-            else:
-                out.append(rep)
-        return out
-
-
-def _check_budget(spec: CodeSpec, audit: bool, budget: int):
+def _check_budget(spec: CodeSpec, budget: int):
+    """Refuse before any table is built.  The kernel gathers |F_{q^m2}|
+    traces per b, multiplies q**3 histogram cells per b and writes q**2
+    composition cells per (b, c); each step writes at most one int64 cell,
+    so the same count bounds its memory."""
     q, q2 = spec.tower.q, spec.tower.Fq2.order
-    if audit:
-        cost = q * q2 * (q + q2) + spec.num_messages * q
-    else:
-        cost = 12 * q * (q + q2)
+    n_c = q if spec.variant is Variant.AFFINE else 1
+    cost = q2 * (q2 + q**3 + n_c * q * q)
     if cost > budget:
         raise BudgetError(cost, budget, "message-space enumeration")
 
 
-def _accumulate(spec: CodeSpec, audit: bool, budget: int, seed: int = 1701):
-    _check_budget(spec, audit, budget)
-    eng = _Enumerator(spec)
+def _compositions(spec: CodeSpec, budget: int = DEFAULT_BUDGET):
+    """Yield ``(c, comp)`` for each constant c of the variant (only c = 0 for
+    the homogeneous code); ``comp[a, b]`` is the composition of message
+    (a, b, c): the count of each symbol, in omega order, over the points.
+
+    Each message's composition comes from its own histograms,
+    ``Ha[a, u] = #{x : a Q(x) = u}`` and ``Hb[b, w] = #{y : Tr(b y) = w}``,
+    through the value profile ``P[a, b, v] = sum_u Ha[a, u] Hb[b, v - u]``.
+    Adding c permutes the columns of P.
+    """
+    _check_budget(spec, budget)
+    tower = spec.tower
+    Fq, Fq2 = tower.Fq, tower.Fq2
+    q, q2 = Fq.order, Fq2.order
+    ha = np.zeros((q, q), dtype=np.int64)
+    hist = spec.analysis.form.value_histogram.astype(np.int64)
+    np.add.at(ha, (np.arange(q)[:, None], Fq.mul_np), hist)
+    # Tr(b y) for y = g**k is tr_log[(log b + k) mod (q2 - 1)]; y = 0 adds Tr(0)
+    tr_log = Fq2.trace_table(Fq)[np.asarray(Fq2.omega[1:])]
+    hb = np.zeros((q2, q), dtype=np.int64)
+    hb[0, 0] = q2
+    for b in range(1, q2):
+        hb[b] = np.bincount(np.roll(tr_log, -Fq2.log(b)), minlength=q)
+        hb[b, 0] += 1
+    neg = np.array([Fq.neg(u) for u in range(q)])
+    sub = Fq.add_np[:, neg].astype(np.intp)  # sub[v, u] = v - u
+    profile = np.einsum("au,buv->abv", ha, hb[:, sub.T])
+    omega = np.asarray(Fq.omega)
+    for c in range(q) if spec.variant is Variant.AFFINE else (0,):
+        comp = profile[:, :, sub[omega, c]]
+        if spec.variant is Variant.HOMOGENEOUS:
+            comp[:, :, 0] -= 1  # the excluded origin always evaluates to zero
+        yield c, comp
+
+
+def _count_rows(rows: np.ndarray):
+    """The distinct rows of a 2-d array and how often each occurs."""
+    rows = rows[np.lexsort(rows.T)]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    return rows[starts], np.diff(starts, append=len(rows))
+
+
+def _accumulate(spec: CodeSpec, budget: int) -> dict[tuple[int, ...], int]:
     counts: dict[tuple[int, ...], int] = {}
-    if audit:
-        zero_weight_msgs = 0
-        for msg, comp in eng.all_compositions():
-            counts[comp] = counts.get(comp, 0) + 1
-            if msg != (0, 0, 0) and sum(comp[1:]) == 0:
-                zero_weight_msgs += 1
-        if zero_weight_msgs:
-            raise ArithmeticError(
-                f"{zero_weight_msgs} nonzero messages map to the zero codeword"
-            )
-        return counts
-    rng = random.Random(seed)
-    for rep, size in eng.strata():
-        comp = eng.composition(*rep)
-        if rep != (0, 0, 0) and sum(comp[1:]) == 0:
-            raise ArithmeticError("nonzero stratum representative has weight 0")
-        for member in eng.stratum_members(rep, rng):
-            if eng.composition(*member) != comp:
-                raise ArithmeticError(
-                    f"stratum of {rep} is not composition-constant at {member}"
-                )
-        counts[comp] = counts.get(comp, 0) + size
+    zero_weight_msgs = -1  # the zero message is allowed its zero codeword
+    for _, comp in _compositions(spec, budget):
+        zero_weight_msgs += int(np.count_nonzero(comp[:, :, 0] == spec.length))
+        rows, mults = _count_rows(comp.reshape(-1, spec.tower.q))
+        for row, mult in zip(rows.tolist(), mults.tolist()):
+            key = tuple(row)
+            counts[key] = counts.get(key, 0) + mult
+    if zero_weight_msgs:
+        raise ArithmeticError(
+            f"{zero_weight_msgs} nonzero messages map to the zero codeword"
+        )
     return counts
 
 
-def cwe_brute(spec: CodeSpec, audit: bool = False, budget: int = DEFAULT_BUDGET) -> CWE:
-    return CWE(_accumulate(spec, audit, budget))
+def cwe_brute(
+    spec: CodeSpec, *, audit: bool = True, budget: int = DEFAULT_BUDGET
+) -> CWE:
+    """Complete weight enumerator over every message.
+
+    ``audit`` remains only for its one caller, ``perfbench/api.py``, which
+    passes ``audit=True``; ``audit=False`` is refused.
+    """
+    if not audit:
+        raise ParameterError(
+            "stratum mode was removed; weight data is always exhaustive"
+        )
+    return CWE(_accumulate(spec, budget))
 
 
 def weight_distribution_brute(
-    spec: CodeSpec, audit: bool = False, budget: int = DEFAULT_BUDGET
+    spec: CodeSpec, *, audit: bool = True, budget: int = DEFAULT_BUDGET
 ) -> WeightDistribution:
-    return cwe_brute(spec, audit, budget).weight_marginal()
+    """Weight distribution over every message; ``audit`` as in :func:`cwe_brute`."""
+    return cwe_brute(spec, audit=audit, budget=budget).weight_marginal()
 
 
 # ---------------------------------------------------------------------------

@@ -230,7 +230,6 @@ def descended_wd(
     spec: CodeSpec,
     params: DescentParams,
     mode: str = "brute",
-    audit: bool = False,
     budget: int = DEFAULT_BUDGET,
 ) -> WeightDistribution:
     """Weight distribution of the descended code.
@@ -248,7 +247,7 @@ def descended_wd(
     wts = psi_weight_table(params)
     omega = spec.tower.Fq.omega
     out: dict[int, int] = {}
-    for comp, mult in cwe_brute(spec, audit=audit, budget=budget).items():
+    for comp, mult in cwe_brute(spec, budget=budget).items():
         w = sum(comp[j] * wts[omega[j]] for j in range(len(comp)))
         out[w] = out.get(w, 0) + mult
     return WeightDistribution(out)

@@ -13,7 +13,7 @@ Three routes coexist and are cross-checked:
 * a histogram/vectorized point count (``support_defect``),
 * the per-subspace closed form from the character-sum analysis
   (``support_defect_closed``),
-* a cyclotomic-sum recomputation (``support_defect_char``), used in audits.
+* a cyclotomic-sum recomputation (``support_defect_char``) as a cross-check.
 """
 
 from __future__ import annotations

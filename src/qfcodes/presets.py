@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .codes import CodeSpec, Variant
+from .errors import ConfigError
 from .fields import build_tower, elem_from_data
 from .quadform import FrobeniusTerm, QuadraticForm, TraceSquareTerm
 
@@ -210,8 +211,8 @@ def get_preset(name: str) -> Preset:
     try:
         return PRESETS[name]
     except KeyError:
-        raise KeyError(
-            f"unknown preset {name!r}; available: {', '.join(preset_names())}"
+        raise ConfigError(
+            "preset", f"unknown preset {name!r}; available: {', '.join(preset_names())}"
         ) from None
 
 

@@ -85,10 +85,10 @@ def test_criterion_1_example_31():
     with _criterion("1", 10.0):
         spec = spec_for("example-3.1")
         ref = get_preset("example-3.1").reference
-        wd = weight_distribution_brute(spec, audit=True)
+        wd = weight_distribution_brute(spec)
         assert (spec.length, spec.dimension, wd.min_nonzero()) == (2186, 4, 1458)
         assert wd.as_dict() == {0: 1, 1458: 78, 1620: 2}
-        assert cwe_brute(spec, audit=True).as_dict() == {
+        assert cwe_brute(spec).as_dict() == {
             tuple(c): m for c, m in ref["cwe"].items()
         }
         rep = hierarchy(spec, reference_values=ref["hierarchy"])
@@ -100,9 +100,9 @@ def test_criterion_2_example_32():
     with _criterion("2", 30.0):
         spec = spec_for("example-3.2")
         ref = get_preset("example-3.2").reference
-        wd = weight_distribution_brute(spec, audit=True)
+        wd = weight_distribution_brute(spec)
         assert (spec.length, spec.dimension, wd.min_nonzero()) == (3124, 3, 2500)
-        cw = cwe_brute(spec, audit=True)
+        cw = cwe_brute(spec)
         assert cw[(124, 750, 750, 750, 750)] == 4
         assert cw.as_dict() == {tuple(c): m for c, m in ref["cwe"].items()}
         rep = hierarchy(spec, reference_values=ref["hierarchy"])
@@ -114,7 +114,7 @@ def test_criterion_3_example_34():
     with _criterion("3", 60.0):
         spec = spec_for("example-3.4")
         ref = get_preset("example-3.4").reference
-        wd = weight_distribution_brute(spec, audit=True)
+        wd = weight_distribution_brute(spec)
         assert (spec.length, spec.dimension, wd.min_nonzero()) == (3124, 4, 2500)
         rep = hierarchy(spec, reference_values=ref["hierarchy"])
         assert rep.all_agree
@@ -122,7 +122,7 @@ def test_criterion_3_example_34():
         Fq = spec.tower.Fq
         ours = [Fq.eta(Fq.neg(Fq.omega[i])) for i in range(1, Fq.order)]
         perm = eta_matching_permutation(ours, list(ref["cwe_eta_pattern"]))
-        relabeled = apply_symbol_permutation(cwe_brute(spec, audit=True), perm)
+        relabeled = apply_symbol_permutation(cwe_brute(spec), perm)
         assert relabeled.as_dict() == {tuple(c): m for c, m in ref["cwe"].items()}
 
 
@@ -130,7 +130,7 @@ def test_criterion_4_example_35():
     with _criterion("4", 60.0):
         spec = spec_for("example-3.5")
         ref = get_preset("example-3.5").reference
-        wd = weight_distribution_brute(spec, audit=True)
+        wd = weight_distribution_brute(spec)
         assert (spec.length, spec.dimension, wd.min_nonzero()) == (6561, 5, 4131)
         rep = hierarchy(spec, reference_values=ref["hierarchy"])
         rows = {row.r: row for row in rep.rows}
@@ -146,9 +146,9 @@ def test_criterion_5_example_36():
     with _criterion("5", 120.0):
         spec = spec_for("example-3.6")
         ref = get_preset("example-3.6").reference
-        wd = weight_distribution_brute(spec, audit=True)
+        wd = weight_distribution_brute(spec)
         assert (spec.length, spec.dimension, wd.min_nonzero()) == (2187, 6, 1215)
-        assert cwe_brute(spec, audit=True).as_dict() == {
+        assert cwe_brute(spec).as_dict() == {
             tuple(c): m for c, m in ref["cwe"].items()
         }
         rep = hierarchy(spec, reference_values=ref["hierarchy"])
@@ -160,7 +160,7 @@ def test_criterion_6_example_33():
     with _criterion("6", 120.0):
         spec = spec_for("example-3.3")
         ref = get_preset("example-3.3").reference
-        wd = weight_distribution_brute(spec, audit=True)
+        wd = weight_distribution_brute(spec)
         assert (spec.length, spec.dimension, wd.min_nonzero()) == (59048, 3, 52488)
         assert wd.as_dict() == {0: 1, 52488: 728}
         rep = hierarchy(spec, reference_values=ref["hierarchy"])
@@ -294,7 +294,7 @@ def test_criterion_10_admissible_counterpart():
         assert set(wts[1:]) == {params.column_weight} == {14}
         code = descend(spec, params)
         assert (code.length, code.dimension) == (38400, 4)
-        assert descended_wd(spec, params, "brute", audit=True) == descended_wd(
+        assert descended_wd(spec, params, "brute") == descended_wd(
             spec, params, "predicted"
         )
         Fq = tower.Fq

@@ -213,19 +213,52 @@ def test_theta_override_flag(capsys):
          "descent.theta"),
         (["descend", "--preset", "descent-7-2-1-1-3", "--theta-override", "[1,2,3]"],
          "descent.theta"),
-        (["ghw", "--config", "{threads_config}"], "threads"),
+        (["ghw", "--config", '{"threads": 2}'], "threads"),
+        (["ghw", "--preset", "example-3.1", "--r-max", "0"], "ghw_r_max"),
+        (["descend", "--preset", "descent-7-2-1-1-3", "--ghw-r-max", "0"], "descent.r_max"),
+        (["descend", "--preset", "descent-7-2-1-1-3", "--N", "0"], "descent.N"),
+        (["descend", "--preset", "example-3.1", "--N", "0"], "descent.N"),
+        (["descend", "--config", '{"descent": {"N": 3, "r_max": "x"}}'], "descent.r_max"),
+        (["descend", "--config", '{"descent": {"N": 3, "r_max": 0}}'], "descent.r_max"),
+        (["descend", "--config", '{"descent": {"N": 3, "r_max": -1}}'], "descent.r_max"),
+        (["code", "--config", '{"audit": true}'], "audit"),
+        (["code", "--preset", "nosuch"], "preset"),
     ],
 )
 def test_malformed_inputs_exit_one(tmp_path, capsys, argv, field):
-    """Bad flag values and config keys end in exit 1 with a one-line message."""
-    path = tmp_path / "threads.json"
-    cfg = {
-        "tower": {"p": 3, "m": 1, "m1": 2, "m2": 1},
-        "form": {"frobenius": [{"coeff": 1, "i": 0}]},
-        "threads": 2,
-    }
-    path.write_text(json.dumps(cfg), encoding="utf-8")
-    argv = [a.replace("{threads_config}", str(path)) for a in argv]
+    """Bad flag values and config keys end in exit 1 with a one-line message.
+
+    A ``--config`` argument given as JSON names the keys that a small valid
+    config gains before it is written to a file."""
+    if "--config" in argv:
+        i = argv.index("--config") + 1
+        cfg = {
+            "tower": {"p": 3, "m": 1, "m1": 2, "m2": 1},
+            "form": {"frobenius": [{"coeff": 1, "i": 0}]},
+            **json.loads(argv[i]),
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        argv = [*argv[:i], str(path), *argv[i + 1:]]
     code, out, err = _run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and f"config field '{field}'" in err
+    assert '"' not in err
+
+
+def test_internal_key_error_propagates(monkeypatch):
+    """A KeyError is a bug, not a usage error: main must not swallow it."""
+
+    def broken(cfg, reference=None):
+        raise KeyError("missing")
+
+    monkeypatch.setattr("qfcodes.cli.run_config", broken)
+    with pytest.raises(KeyError, match="missing"):
+        main(["code", "--preset", "example-3.1"])
+
+
+def test_weight_data_budget_exits_one(capsys):
+    code, out, err = _run(capsys, "code", "--preset", "example-3.1", "--budget", "10")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("qfcodes: resource error: message-space enumeration")

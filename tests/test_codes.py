@@ -16,6 +16,7 @@ from qfcodes import (
     weight_distribution_predicted,
 )
 from qfcodes.codes import apply_symbol_permutation, eta_matching_permutation
+from qfcodes.errors import BudgetError
 
 from conftest import spec_for, EXAMPLE_NAMES
 
@@ -41,7 +42,7 @@ def test_reference_params_and_wd(name):
     ref = _reference(name)
     n, k, d = ref["params"]
     assert (spec.length, spec.dimension) == (n, k)
-    wd = weight_distribution_brute(spec, audit=True)
+    wd = weight_distribution_brute(spec)
     assert wd.min_nonzero() == d
     assert wd.as_dict() == {0: 1, **ref["wd"]}
     assert wd == weight_distribution_predicted(spec)
@@ -50,14 +51,14 @@ def test_reference_params_and_wd(name):
 @pytest.mark.parametrize("name", EXAMPLE_NAMES)
 def test_cwe_brute_equals_predicted_exactly(name):
     spec = spec_for(name)
-    assert cwe_brute(spec, audit=True) == cwe_predicted(spec)
+    assert cwe_brute(spec) == cwe_predicted(spec)
 
 
 @pytest.mark.parametrize("name", ["example-3.1", "example-3.2", "example-3.5", "example-3.6"])
 def test_cwe_matches_printed_reference_directly(name):
     spec = spec_for(name)
     ref = _reference(name)["cwe"]
-    assert cwe_brute(spec, audit=True).as_dict() == {tuple(c): m for c, m in ref.items()}
+    assert cwe_brute(spec).as_dict() == {tuple(c): m for c, m in ref.items()}
 
 
 @pytest.mark.parametrize("name", ["example-3.3", "example-3.4"])
@@ -69,19 +70,15 @@ def test_cwe_matches_reference_after_relabeling(name):
     Fq = spec.tower.Fq
     ours = [Fq.eta(Fq.neg(Fq.omega[i])) for i in range(1, Fq.order)]
     perm = eta_matching_permutation(ours, list(ref["cwe_eta_pattern"]))
-    relabeled = apply_symbol_permutation(cwe_brute(spec, audit=True), perm)
+    relabeled = apply_symbol_permutation(cwe_brute(spec), perm)
     assert relabeled.as_dict() == {tuple(c): m for c, m in ref["cwe"].items()}
 
 
-def test_stratum_mode_agrees_with_audit(example_spec):
-    assert cwe_brute(example_spec) == cwe_brute(example_spec, audit=True)
-
-
 def test_cwe_totals_and_marginal(example_spec):
-    cw = cwe_brute(example_spec, audit=True)
+    cw = cwe_brute(example_spec)
     assert cw.total() == example_spec.num_messages
     wd = cw.weight_marginal()
-    assert wd == weight_distribution_brute(example_spec, audit=True)
+    assert wd == weight_distribution_brute(example_spec)
     assert wd.total() == example_spec.num_messages
     assert wd[0] == 1
     for comp, _ in cw.items():
@@ -121,23 +118,66 @@ def test_codeword_variant_arity(ex31, ex35):
         codeword(ex35, tw.Fq.zero, tw.Fq2.zero)
 
 
-def test_codeword_composition_consistency(ex36):
-    """Counting symbols of a materialized codeword reproduces the histogram
-    composition used everywhere else."""
-    tw = ex36.tower
-    rng = random.Random(9)
-    from qfcodes.codes import _Enumerator
+def test_codeword_composition_consistency(ex31, ex35):
+    """Counting symbols of every materialized codeword reproduces the
+    kernel's per-message composition."""
+    from qfcodes.codes import _compositions
 
-    eng = _Enumerator(ex36)
-    for _ in range(6):
-        a = rng.randrange(tw.q)
-        b = rng.randrange(tw.Fq2.order)
-        c = rng.randrange(tw.q)
-        vec = codeword(ex36, Elem(tw.Fq, a), Elem(tw.Fq2, b), Elem(tw.Fq, c))
-        counts = [0] * tw.q
-        for v in vec:
-            counts[tw.Fq.omega_pos(v)] += 1
-        assert tuple(counts) == eng.composition(a, b, c)
+    for spec in (ex31, ex35):
+        tw = spec.tower
+        seen = 0
+        for c, comp in _compositions(spec):
+            const = Elem(tw.Fq, c) if spec.variant is Variant.AFFINE else None
+            for a in range(tw.q):
+                for b in range(tw.Fq2.order):
+                    vec = codeword(spec, Elem(tw.Fq, a), Elem(tw.Fq2, b), const)
+                    counts = [0] * tw.q
+                    for v in vec:
+                        counts[tw.Fq.omega_pos(v)] += 1
+                    assert counts == comp[a, b].tolist()
+                    seen += 1
+        assert seen == spec.num_messages
+
+
+def test_exhaustive_cwe_affine_390625_messages():
+    """Every message of an affine (5,2,1,2) code, against the closed form."""
+    from qfcodes import CodeSpec, FrobeniusTerm, QuadraticForm, build_tower
+
+    tw = build_tower(5, 2, 1, 2)
+    form = QuadraticForm(tw, frobenius_terms=(FrobeniusTerm(tw.Fq1.one, 0),))
+    spec = CodeSpec(analysis=form.analysis, variant=Variant.AFFINE)
+    assert spec.num_messages == 390625
+    cw = cwe_brute(spec)
+    assert cw.total() == spec.num_messages
+    assert cw == cwe_predicted(spec)
+
+
+def test_weight_data_budget_refusal(ex31):
+    with pytest.raises(BudgetError, match="message-space enumeration"):
+        cwe_brute(ex31, budget=10)
+
+
+def test_zero_weight_message_is_refused(ex31, monkeypatch):
+    """Injectivity: a nonzero message with the zero codeword is an error."""
+    from qfcodes import codes
+
+    real = codes._compositions
+
+    def forged(spec, budget):
+        for c, comp in real(spec, budget):
+            comp[1, 1] = [spec.length] + [0] * (spec.tower.q - 1)
+            yield c, comp
+
+    monkeypatch.setattr(codes, "_compositions", forged)
+    with pytest.raises(ArithmeticError, match="1 nonzero messages"):
+        cwe_brute(ex31)
+
+
+def test_stratum_mode_is_refused(ex31):
+    with pytest.raises(ParameterError, match="always exhaustive"):
+        cwe_brute(ex31, audit=False)
+    with pytest.raises(ParameterError, match="always exhaustive"):
+        weight_distribution_brute(ex31, audit=False)
 
 
 def test_weight_equals_length_minus_zero_count(example_spec):
@@ -215,8 +255,8 @@ def test_minimality_corollary_on_fixtures(example_spec):
 
 
 def test_dimension_injectivity_audit(example_spec):
-    # audit mode certifies injectivity: every nonzero message has weight > 0
-    wd = weight_distribution_brute(example_spec, audit=True)
+    # enumeration certifies injectivity: every nonzero message has weight > 0
+    wd = weight_distribution_brute(example_spec)
     assert wd.total() == example_spec.num_messages
     assert wd[0] == 1
 

@@ -140,7 +140,7 @@ def test_descend_small_prime_tower():
 
 def test_descended_wd_agrees(fix7):
     spec, params = fix7
-    wb = descended_wd(spec, params, "brute", audit=True)
+    wb = descended_wd(spec, params, "brute")
     wp = descended_wd(spec, params, "predicted")
     assert wb == wp
     # single-weight source stays single-weight
@@ -151,7 +151,7 @@ def test_descended_wd_agrees(fix7):
 def test_descended_wd_affine():
     spec = _spec(5, 1, 2, 1, variant=Variant.AFFINE)
     params = make_descent(spec.tower, 2)
-    assert descended_wd(spec, params, "brute", audit=True) == descended_wd(
+    assert descended_wd(spec, params, "brute") == descended_wd(
         spec, params, "predicted"
     )
 
@@ -166,7 +166,7 @@ def test_descended_wd_even_rank_table_row():
     p, q, M, N = 7, 49, 3, 3
     big = (p - 1) * (q - 1) * q**M // (p * N)
     assert wd[big] == q * (q - 1)
-    assert wd == descended_wd(spec, params, "brute")  # stratum-mode cross-check
+    assert wd == descended_wd(spec, params, "brute")  # enumeration cross-check
 
 
 def test_orbit_checks():
