@@ -135,11 +135,12 @@ def validate_config(data: dict) -> dict:
             raise ConfigError(f"form.trace_squares[{i}]", "must be an object")
         _expect_keys(term, {"c", "b"}, f"form.trace_squares[{i}].")
         trsqs.append({"c": term.get("c", 1), "b": term.get("b", 1)})
-    out["form"] = {
-        "frobenius": frobs,
-        "trace_squares": trsqs,
-        "gram": form.get("gram"),
-    }
+    gram = form.get("gram")
+    if gram is not None and not (
+        isinstance(gram, list) and all(isinstance(row, list) for row in gram)
+    ):
+        raise ConfigError("form.gram", "must be a list of lists")
+    out["form"] = {"frobenius": frobs, "trace_squares": trsqs, "gram": gram}
 
     variant = data.get("variant", "homogeneous")
     if variant not in ("homogeneous", "affine"):
@@ -226,9 +227,10 @@ def spec_from_config(cfg: dict) -> CodeSpec:
             form = QuadraticForm(
                 tower, frobenius_terms=frobs, trace_square_terms=trsqs
             )
-    except Exception as e:
+        analysis = form.analysis
+    except (MixedFieldError, ValueError) as e:  # ParameterError, ZeroFormError
         raise ConfigError("form", str(e)) from e
-    return CodeSpec(analysis=form.analysis, variant=Variant(cfg["variant"]))
+    return CodeSpec(analysis=analysis, variant=Variant(cfg["variant"]))
 
 
 # ---------------------------------------------------------------------------

@@ -247,16 +247,9 @@ def _compositions(spec: CodeSpec, budget: int = DEFAULT_BUDGET):
     q, q2 = Fq.order, Fq2.order
     ha = np.zeros((q, q), dtype=np.int64)
     hist = spec.analysis.form.value_histogram.astype(np.int64)
-    np.add.at(ha, (np.arange(q)[:, None], Fq.mul_np), hist)
-    # Tr(b y) for y = g**k is tr_log[(log b + k) mod (q2 - 1)]; y = 0 adds Tr(0)
-    tr_log = Fq2.trace_table(Fq)[np.asarray(Fq2.omega[1:])]
-    hb = np.zeros((q2, q), dtype=np.int64)
-    hb[0, 0] = q2
-    for b in range(1, q2):
-        hb[b] = np.bincount(np.roll(tr_log, -Fq2.log(b)), minlength=q)
-        hb[b, 0] += 1
-    neg = np.array([Fq.neg(u) for u in range(q)])
-    sub = Fq.add_np[:, neg].astype(np.intp)  # sub[v, u] = v - u
+    np.add.at(ha, (np.arange(q)[:, None], Fq.op_table("mul")), hist)
+    hb = np.array([np.bincount(Fq2.trace_row(b, Fq), minlength=q) for b in range(q2)])
+    sub = Fq.op_table("sub")  # sub[v, u] = v - u
     profile = np.einsum("au,buv->abv", ha, hb[:, sub.T])
     omega = np.asarray(Fq.omega)
     for c in range(q) if spec.variant is Variant.AFFINE else (0,):

@@ -6,10 +6,17 @@ extension of degree d over a base of order B indexes the coefficient vector
 (c_0, ..., c_{d-1}) (lowest degree first) as sum(idx(c_i) * B**i), so index 0
 is always zero and index 1 is always one, in every field of the tower.
 
+Because the digits nest, the base-p digits of any index are the element's
+F_p coordinates, and addition is digitwise mod p in every field of the tower.
+
 Multiplication, inversion and powering run through discrete log/exp tables
-for the canonical generator; addition uses a digitwise table built once at
-construction.  All tables are immutable after ``__init__``, so field handles
-are safe to share across threads.
+for the canonical generator.  An extension field adds through Zech
+logarithms, 1 + g**k = g**Z(k): one more table of |F| entries beside log/exp
+(K. Huber, "Some comments on Zech's logarithms", IEEE Trans. IT 36(4), 1990),
+and no |F| x |F| addition table.  A prime field keeps residue arithmetic.
+The exp and trace tables are built in numpy from F_p-linear maps acting on
+base-p digits.  Every table a field holds has |F| entries and is never
+written after it is built, so field handles are safe to share across threads.
 
 Two element orders coexist:
 
@@ -23,6 +30,7 @@ Two element orders coexist:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -78,6 +86,19 @@ def _min_dtype(order: int):
     return np.int16 if order < 2**15 else np.int32
 
 
+def _digit_count(order: int, base: int) -> int:
+    """d with base**d == order."""
+    d, size = 0, 1
+    while size < order:
+        d, size = d + 1, size * base
+    return d
+
+
+def _p_digits(indices, p: int, d: int) -> np.ndarray:
+    """The d base-p digits of each index, lowest first."""
+    return np.asarray(indices, dtype=np.int64)[:, None] // p ** np.arange(d) % p
+
+
 class FiniteField:
     """Common interface of :class:`PrimeField` and :class:`ExtField`.
 
@@ -95,10 +116,22 @@ class FiniteField:
     # -- scalar index arithmetic ---------------------------------------
 
     def add(self, i: int, j: int) -> int:
-        raise NotImplementedError
+        """g**a + g**b = g**(a + Z(b - a)) by the Zech table."""
+        if i == 0:
+            return j
+        if j == 0:
+            return i
+        n1 = self.order - 1
+        li = self._log[i]
+        z = self._zech[(self._log[j] - li) % n1]
+        return 0 if z < 0 else self._exp[(li + z) % n1]
 
     def neg(self, i: int) -> int:
-        raise NotImplementedError
+        """-1 = g**((|F| - 1) / 2) in odd characteristic."""
+        if i == 0:
+            return 0
+        n1 = self.order - 1
+        return self._exp[(self._log[i] + n1 // 2) % n1]
 
     def sub(self, i: int, j: int) -> int:
         return self.add(i, self.neg(j))
@@ -165,7 +198,7 @@ class FiniteField:
         return self._omega
 
     def omega_pos(self, i: int) -> int:
-        return self._omega_pos[i]
+        return self._log[i] + 1 if i else 0
 
     def elements(self):
         """Stream every element once, in canonical omega order."""
@@ -217,92 +250,97 @@ class FiniteField:
             )
         return self.base.demote_to(digits[0], sub)
 
+    def degree_over(self, sub: "FiniteField") -> int:
+        """[self : sub]; raises unless ``sub`` is a field of the chain below."""
+        if not self.contains_field(sub):
+            raise MixedFieldError(f"{sub} is not a subfield of {self}")
+        return _digit_count(self.order, sub.order)
+
     def trace_table(self, target: "FiniteField") -> np.ndarray:
-        """Tr_{self/target} of every element, as indices of ``target``."""
+        """Tr_{self/target} of every element, as indices of ``target``.
+
+        Tr is F_p-linear and the base-p digits of an index are its F_p
+        coordinates, so the Frobenius sum is taken only at the indices p**l
+        and every other trace is a digit combination of those.
+        """
         key = id(target)
         tab = self._trace_tables.get(key)
         if tab is None:
-            if not self.contains_field(target):
-                raise MixedFieldError(f"{target} is not a subfield of {self}")
-            # degree of self over target
-            s, sz = 0, 1
-            while sz < self.order:
-                sz *= target.order
-                s += 1
-            if sz != self.order:
-                raise MixedFieldError(f"{target} is not a subfield of {self}")
-            tord = target.order
-            out = np.zeros(self.order, dtype=_min_dtype(target.order))
-            for i in range(self.order):
+            s, tord, p = self.degree_over(target), target.order, self.p
+
+            def trace(i):
                 acc = 0
                 for j in range(s):
                     acc = self.add(acc, self.pow(i, tord**j))
-                out[i] = self.demote_to(acc, target)
-            out.setflags(write=False)
-            tab = out
+                return self.demote_to(acc, target)
+
+            dim, tdim = _digit_count(self.order, p), _digit_count(tord, p)
+            images = _p_digits([trace(p**l) for l in range(dim)], p, tdim)
+            coords = _p_digits(np.arange(self.order), p, dim) @ images % p
+            tab = (coords @ p ** np.arange(tdim)).astype(_min_dtype(tord))
+            tab.setflags(write=False)
             self._trace_tables[key] = tab
         return tab
 
-    # numpy views used by enumeration kernels --------------------------------
+    def trace_row(self, b: int, target: "FiniteField") -> np.ndarray:
+        """Tr_{self/target}(b*y) for every y in omega order.
 
-    @property
-    def add_np(self) -> np.ndarray:
-        return self._add_np
+        Tr(b * g**k) is the trace of g**(log b + k), so a row is the traces
+        in log order rotated by log b, after Tr(0) = 0 for y = 0.
+        """
+        key = id(target)
+        by_log = self._trace_rows.get(key)
+        if by_log is None:
+            by_log = self.trace_table(target)[np.asarray(self._exp)]
+            self._trace_rows[key] = by_log
+        row = np.zeros(self.order, dtype=by_log.dtype)
+        if b:
+            row[1:] = np.roll(by_log, -self._log[b])
+        return row
 
-    @property
-    def mul_np(self) -> np.ndarray:
-        tab = getattr(self, "_mul_np", None)
-        if tab is None:
-            n = self.order
-            tab = np.zeros((n, n), dtype=_min_dtype(n))
-            for i in range(1, n):
-                for j in range(1, n):
-                    tab[i, j] = self.mul(i, j)
-            tab.setflags(write=False)
-            self._mul_np = tab
-        return tab
+    def op_table(self, op: str) -> np.ndarray:
+        """``table[i, j] = op(i, j)`` (int64) for the scalar op named ``op``.
 
-    @property
-    def eta_np(self) -> np.ndarray:
-        tab = getattr(self, "_eta_np", None)
-        if tab is None:
-            tab = np.array([self.eta(i) for i in range(self.order)], dtype=np.int8)
-            tab.setflags(write=False)
-            self._eta_np = tab
-        return tab
+        |F|**2 cells, built on each call and kept by no field: only the
+        q x q kernels over F_q call it, on their own budgets.
+        """
+        f, n = getattr(self, op), self.order
+        return np.array([[f(i, j) for j in range(n)] for i in range(n)], dtype=np.int64)
 
     # -- shared construction pieces ----------------------------------------
 
     def _finish_init(self):
         """Generator search, log/exp tables, omega ordering."""
-        n = self.order
-        factors = _prime_factors(n - 1) if n > 2 else []
-        gen = None
-        for c in range(1, n):
-            if n == 2:
-                gen = 1
-                break
-            if all(self._pow_raw(c, (n - 1) // ell) != 1 for ell in factors):
-                gen = c
-                break
-        assert gen is not None
+        n1, p = self.order - 1, self.p
+        factors = _prime_factors(n1)
+        gen = next(
+            c
+            for c in range(1, self.order)
+            if all(self._pow_raw(c, n1 // ell) != 1 for ell in factors)
+        )
         self._gen = gen
-        exp = [1] * (n - 1)
-        log = [0] * n
-        v = 1
-        for k in range(n - 1):
-            exp[k] = v
-            log[v] = k
-            v = self._mul_raw(v, gen)
-        assert v == 1
-        self._exp = exp
-        self._log = log
-        self._omega = (0, *exp)
-        pos = [0] * n
-        for j, i in enumerate(self._omega):
-            pos[i] = j
-        self._omega_pos = tuple(pos)
+        # exp[k] = g**k.  Multiplication by g**s is F_p-linear on the base-p
+        # digits of an index, so after the first s powers each block of s
+        # powers is the block before it times one matrix mod p.
+        s = math.isqrt(n1) + 1
+        head = [1]
+        for _ in range(s):
+            head.append(self._mul_raw(head[-1], gen))
+        gen_s = head.pop()
+        dim = _digit_count(self.order, p)
+        step = _p_digits([self._mul_raw(p**l, gen_s) for l in range(dim)], p, dim)
+        blocks = [_p_digits(head, p, dim)]
+        for _ in range(n1 // s):
+            blocks.append(blocks[-1] @ step % p)
+        powers = np.concatenate(blocks) @ p ** np.arange(dim)
+        assert powers[n1] == 1  # g**(|F| - 1) = 1
+        log = np.zeros(self.order, dtype=np.int64)
+        log[powers[:n1]] = np.arange(n1)
+        self._exp = powers[:n1].tolist()
+        self._log = log.tolist()
+        self._omega = (0, *self._exp)
         self._trace_tables: dict[int, np.ndarray] = {}
+        self._trace_rows: dict[int, np.ndarray] = {}
 
     def _mul_raw(self, i: int, j: int) -> int:
         raise NotImplementedError
@@ -329,10 +367,6 @@ class PrimeField(FiniteField):
         self.base = None
         self.modulus = None
         self._finish_init()
-        r = np.arange(p)
-        add = (r[:, None] + r[None, :]) % p
-        self._add_np = add.astype(_min_dtype(p))
-        self._add_np.setflags(write=False)
 
     def add(self, i, j):
         return (i + j) % self.p
@@ -378,78 +412,23 @@ class ExtField(FiniteField):
             modulus = smallest_irreducible(base, degree)
         self.modulus = modulus
         B = base.order
-        # digit table: element index -> coefficient vector over base
-        idx = np.arange(self.order)
-        digits = np.empty((self.order, degree), dtype=_min_dtype(B))
-        for k in range(degree):
-            digits[:, k] = idx % B
-            idx //= B
-        self._digits = digits
-        self._digits.setflags(write=False)
         self._powers = tuple(B**k for k in range(degree))
-        # reduction vectors: t^(degree+k) mod modulus, k = 0..degree-2
-        self._red = self._reduction_rows()
         self._finish_init()
-        # digitwise addition table via the base table
-        badd = base.add_np
-        add = np.zeros((self.order, self.order), dtype=np.int64)
-        for k in range(degree):
-            dk = digits[:, k].astype(np.int64)
-            add += badd[dk[:, None], dk[None, :]].astype(np.int64) * self._powers[k]
-        self._add_np = add.astype(_min_dtype(self.order))
-        self._add_np.setflags(write=False)
-
-    # polynomial plumbing ---------------------------------------------------
-
-    def _reduction_rows(self):
-        base, d = self.base, self.degree
-        f = self.modulus  # length d+1, monic
-        # t^d = -(f_0 + f_1 t + ... + f_{d-1} t^{d-1})
-        rows = []
-        cur = [base.neg(f[k]) for k in range(d)]
-        rows.append(tuple(cur))
-        for _ in range(d - 2):
-            nxt = [0] + cur[:-1]
-            top = cur[-1]
-            if top != 0:
-                nxt = [base.add(nxt[k], base.mul(top, rows[0][k])) for k in range(d)]
-            cur = nxt
-            rows.append(tuple(cur))
-        return rows
-
-    def add(self, i, j):
-        return int(self._add_np[i, j])
-
-    def neg(self, i):
-        base = self.base
-        digs = self._digits[i]
-        return sum(base.neg(int(digs[k])) * self._powers[k] for k in range(self.degree))
+        # Zech table Z(k) = log(1 + g**k), -1 where 1 + g**k = 0: adding one
+        # changes digit 0 only
+        exp = np.asarray(self._exp, dtype=np.int64)
+        d0 = exp % B
+        plus_one = exp - d0 + np.array([base.add(d, 1) for d in range(B)])[d0]
+        log = np.asarray(self._log, dtype=np.int64)
+        self._zech = np.where(plus_one == 0, -1, log[plus_one]).tolist()
 
     def _mul_raw(self, i, j):
-        base, d = self.base, self.degree
-        a = self._digits[i]
-        b = self._digits[j]
-        conv = [0] * (2 * d - 1)
-        for x in range(d):
-            ax = int(a[x])
-            if ax == 0:
-                continue
-            for y in range(d):
-                by = int(b[y])
-                if by:
-                    conv[x + y] = base.add(conv[x + y], base.mul(ax, by))
-        out = conv[:d]
-        for k in range(d - 1):
-            c = conv[d + k]
-            if c:
-                row = self._red[k]
-                for t in range(d):
-                    if row[t]:
-                        out[t] = base.add(out[t], base.mul(c, row[t]))
-        return sum(out[k] * self._powers[k] for k in range(d))
+        prod = _poly_mulmod(self.base, self.coeffs(i), self.coeffs(j), self.modulus)
+        return self.from_coeffs(prod + [0] * (self.degree - len(prod)))
 
     def coeffs(self, i):
-        return tuple(int(v) for v in self._digits[i])
+        B = self.base.order
+        return tuple(int(i) // w % B for w in self._powers)
 
     def from_coeffs(self, digits):
         digits = tuple(digits)
@@ -461,11 +440,6 @@ class ExtField(FiniteField):
 
     def from_int(self, k):
         return self.base.from_int(k)  # low digit; index is unchanged
-
-    def embed_from(self, sub, i):
-        if sub is self:
-            return i
-        return self.base.embed_from(sub, i)  # embeds into digit 0
 
     @property
     def t(self) -> int:
@@ -809,19 +783,7 @@ def build_tower(p: int, m: int, m1: int, m2: int) -> FieldTower:
 
 def rel_trace(x: Elem, target: FiniteField) -> Elem:
     """Tr_{F/target}(x) = sum of x**(|target|**j); lands in ``target``."""
-    field = x.field
-    if not field.contains_field(target):
-        raise MixedFieldError(f"{target} is not a subfield of {field}")
-    s, sz = 0, 1
-    while sz < field.order:
-        sz *= target.order
-        s += 1
-    if sz != field.order:
-        raise MixedFieldError(f"{target} is not a subfield of {field}")
-    acc = 0
-    for j in range(s):
-        acc = field.add(acc, field.pow(x.idx, target.order**j))
-    return Elem(target, field.demote_to(acc, target))
+    return Elem(target, int(x.field.trace_table(target)[x.idx]))
 
 
 def quad_char(x: Elem) -> int:

@@ -126,6 +126,7 @@ class _ScanEngine:
         self.field = tower.Fq if width == 1 else tower.Fp
         self.n = spec.dimension * width
         self._messages: dict[tuple, tuple[int, int, int]] = {}
+        self._values: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     @cached_property
     def hq(self) -> np.ndarray:
@@ -133,21 +134,11 @@ class _ScanEngine:
 
     @cached_property
     def addq(self) -> np.ndarray:
-        return np.asarray(self.spec.tower.Fq.add_np, dtype=np.int64)
+        return self.spec.tower.Fq.op_table("add")
 
     @cached_property
     def mulq(self) -> np.ndarray:
-        return np.asarray(self.spec.tower.Fq.mul_np, dtype=np.int64)
-
-    @cached_property
-    def trmat(self) -> np.ndarray:
-        """trmat[b, y] = Tr(b*y) as an F_q index."""
-        tower = self.spec.tower
-        Fq, Fq2 = tower.Fq, tower.Fq2
-        if Fq2 is Fq:
-            return self.mulq
-        tr = np.asarray(Fq2.trace_table(Fq), dtype=np.int64)
-        return tr[np.asarray(Fq2.mul_np, dtype=np.int64)]
+        return self.spec.tower.Fq.op_table("mul")
 
     def message(self, row) -> tuple[int, int, int]:
         """Memoised ``row_to_message``: rows recur across many subspaces."""
@@ -157,18 +148,26 @@ class _ScanEngine:
             msg = self._messages[row] = row_to_message(self.spec, row, self.width)
         return msg
 
+    def values(self, a: int, b: int, c: int) -> tuple[np.ndarray, np.ndarray]:
+        """(a*u for every F_q value u of Q, Tr(b*y) + c for y in omega order)."""
+        tower = self.spec.tower
+        return self.mulq[a], self.addq[tower.Fq2.trace_row(b, tower.Fq), c]
+
     def defect(self, rows) -> int:
         """Points (x, y, i) where every basis functional vanishes."""
         # ndarray.take is several times faster than fancy indexing here
         mask = None
         for row in rows:
-            a, b, c = self.message(row)
-            bv = self.addq[self.trmat[b], c]
-            grid = self.addq.take(self.mulq[a], axis=0).take(bv, axis=1)
+            row = tuple(row)
+            vals = self._values.get(row)  # rows recur across many subspaces
+            if vals is None:
+                vals = self._values[row] = self.values(*self.message(row))
+            av, bv = vals
+            grid = self.addq.take(av, axis=0).take(bv, axis=1)
             m = self.zmask.take(grid, axis=0)  # (value of Q, y, column index)
             mask = m if mask is None else (mask & m)
         if mask is None:  # r = 0: every point vanishes trivially
-            total = int(self.hq.sum()) * self.trmat.shape[0] * self.L
+            total = int(self.hq.sum()) * self.spec.tower.Fq2.order * self.L
         else:
             total = int(self.hq @ mask.reshape(len(self.hq), -1).sum(axis=1))
         if self.spec.variant is Variant.HOMOGENEOUS:
@@ -243,8 +242,7 @@ def support_defect_char(spec: CodeSpec, rows) -> int:
                 a = Fq.add(a, Fq.mul(li, ai))
                 b = Fq2.add(b, Fq2.mul(Fq2.embed_from(Fq, li), bi))
                 c = Fq.add(c, Fq.mul(li, ci))
-        av = eng.mulq[a]
-        bv = eng.addq[eng.trmat[b], c]
+        av, bv = eng.values(a, b, c)
         grid = eng.addq[av[:, None], bv[None, :]]
         vals = np.asarray(trp, dtype=np.int64)[grid]
         for t in range(p):

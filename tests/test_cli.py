@@ -223,6 +223,9 @@ def test_theta_override_flag(capsys):
         (["descend", "--config", '{"descent": {"N": 3, "r_max": -1}}'], "descent.r_max"),
         (["code", "--config", '{"audit": true}'], "audit"),
         (["code", "--preset", "nosuch"], "preset"),
+        (["code", "--config", '{"form": {"gram": 5}}'], "form.gram"),
+        (["code", "--config", '{"form": {"gram": [5]}}'], "form.gram"),
+        (["code", "--config", '{"form": {"gram": [[0, 0], [0, 0]]}}'], "form"),
     ],
 )
 def test_malformed_inputs_exit_one(tmp_path, capsys, argv, field):
@@ -255,6 +258,17 @@ def test_internal_key_error_propagates(monkeypatch):
     monkeypatch.setattr("qfcodes.cli.run_config", broken)
     with pytest.raises(KeyError, match="missing"):
         main(["code", "--preset", "example-3.1"])
+
+
+def test_internal_assertion_in_form_analysis_propagates(monkeypatch):
+    """An AssertionError in the form analysis is a bug, not a bad config."""
+
+    def broken(form):
+        raise AssertionError("broken analysis")
+
+    monkeypatch.setattr("qfcodes.quadform.analyze", broken)
+    with pytest.raises(AssertionError, match="broken analysis"):
+        main(["qf", "--preset", "example-3.1"])
 
 
 def test_weight_data_budget_exits_one(capsys):

@@ -1,21 +1,29 @@
+import json
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_irreducible_p, gf_mul, gf_rem
 
 from qfcodes import (
     Elem,
+    ExtField,
     MixedFieldError,
     ParameterError,
     build_tower,
     elem_from_data,
     elem_to_data,
     enumerate_field,
+    extension_field,
     prime_field,
     primitive_element,
     quad_char,
     rel_trace,
     smallest_irreducible,
 )
+from qfcodes.cli import main
 
 
 def _trial_division_irreducible(base, coeffs):
@@ -241,3 +249,104 @@ def test_elem_tokens():
         elem_from_data(F9, "h")
     with pytest.raises(MixedFieldError):
         elem_from_data(F9, [1, 2, 3])
+
+
+# -- arithmetic against oracles that do not go through log/exp ---------------
+
+# (p, degree) of the extensions of prime fields; "F9^3" is F_q1 of (3,2,3,2)
+PRIME_BASE = {"F9": (3, 2), "F25": (5, 2), "F27": (3, 3), "F49": (7, 2), "F81": (3, 4)}
+
+
+def _oracle_field(name):
+    if name == "F9^3":
+        return build_tower(3, 2, 3, 2).Fq1
+    p, degree = PRIME_BASE[name]
+    return extension_field(prime_field(p), degree)
+
+
+def _coefficientwise(F, op):
+    """``op`` of the base on every pair (i, j), coefficient by coefficient."""
+    B = F.base.order
+    table = np.array([[op(u, v) for v in range(B)] for u in range(B)])
+    digits = np.array([F.coeffs(i) for i in range(F.order)])
+    out = table[digits[:, None, :], digits[None, :, :]]
+    return out @ B ** np.arange(F.degree)  # from_coeffs on every pair
+
+
+@pytest.mark.parametrize("name", [*PRIME_BASE, "F9^3"])
+def test_addition_against_coefficientwise_oracle(name):
+    F = _oracle_field(name)
+    base = F.base
+    assert all(F.from_coeffs(F.coeffs(i)) == i for i in range(F.order))
+    assert (F.op_table("add") == _coefficientwise(F, base.add)).all()
+    assert (F.op_table("sub") == _coefficientwise(F, base.sub)).all()
+    for i in range(F.order):
+        assert F.neg(i) == F.from_coeffs([base.neg(c) for c in F.coeffs(i)])
+
+
+@pytest.mark.parametrize("name", list(PRIME_BASE))
+def test_multiplication_against_galoistools(name):
+    """Products are polynomial products reduced by the pinned modulus."""
+    F = _oracle_field(name)
+    p, d = F.p, F.degree
+    modulus = list(reversed(F.modulus))  # galoistools: leading coefficient first
+    assert gf_irreducible_p(modulus, p, ZZ)
+    polys = [list(reversed(F.coeffs(i))) for i in range(F.order)]
+
+    def index(poly):
+        digits = [0] * (d - len(poly)) + [int(c) for c in poly]
+        return F.from_coeffs(reversed(digits))
+
+    mul = F.op_table("mul")
+    for i in range(F.order):
+        for j in range(F.order):
+            product = gf_rem(gf_mul(polys[i], polys[j], p, ZZ), modulus, p, ZZ)
+            assert mul[i, j] == index(product)
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 3, 2), (5, 1, 3, 2), (7, 2, 1, 1)])
+def test_kernel_tables_agree_with_scalar_ops(shape):
+    """The q x q op tables and the trace rows the kernels read."""
+    tw = build_tower(*shape)
+    Fq, Fq2 = tw.Fq, tw.Fq2
+    for op in ("add", "sub", "mul"):
+        f, n = getattr(Fq, op), Fq.order
+        expected = [[f(i, j) for j in range(n)] for i in range(n)]
+        assert Fq.op_table(op).tolist() == expected
+    tr = Fq2.trace_table(Fq)
+    for b in range(Fq2.order):
+        assert Fq2.trace_row(b, Fq).tolist() == [tr[Fq2.mul(b, y)] for y in Fq2.omega]
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 3, 2), (5, 1, 3, 2)])
+def test_trace_table_is_the_frobenius_sum(shape):
+    tw = build_tower(*shape)
+    for F, sub in ((tw.Fq1, tw.Fq), (tw.Fq1, tw.Fp), (tw.Fq2, tw.Fq), (tw.Fq, tw.Fp)):
+        table = F.trace_table(sub)
+        for i in range(F.order):
+            x, acc = Elem(F, i), F.zero
+            for j in range(F.degree_over(sub)):
+                acc = acc + x ** (sub.order**j)
+            assert table[i] == F.demote_to(acc.idx, sub)
+
+
+# -- reach ---------------------------------------------------------------------
+
+
+def test_f_3_8_builds_in_linear_memory():
+    """No |F| x |F| table: F_{3^8} peaks far below the 86 MB that one dense
+    int16 addition table would take."""
+    tracemalloc.start()
+    try:
+        ExtField(prime_field(3), 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
+
+
+def test_field_info_reaches_f_3_9(capsys):
+    argv = ["field-info", "-p", "3", "--m1", "9", "--m2", "1", "--format", "json"]
+    assert main(argv) == 0
+    info = json.loads(capsys.readouterr().out)["field_info"]
+    assert info["modulus_Fq1"] == list(smallest_irreducible(prime_field(3), 9))
