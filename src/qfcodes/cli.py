@@ -246,10 +246,6 @@ def _cwe_to_json(cwe) -> list:
     return [[list(comp), mult] for comp, mult in cwe.items()]
 
 
-def _cyc_to_str(v: CycInt) -> str:
-    return repr(v)
-
-
 def _run_wd(spec: CodeSpec, cfg: dict, disagreements: list) -> dict:
     wd_b = weight_distribution_brute(spec, budget=cfg["budget"])
     wd_p = weight_distribution_predicted(spec)

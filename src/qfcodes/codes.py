@@ -198,20 +198,13 @@ def codeword(spec: CodeSpec, a: Elem, b: Elem, c: Elem | None = None) -> list[in
         )
     if c is not None and c.field is not Fq:
         raise ParameterError("c must lie in F_q")
-    qtab = spec.analysis.form.value_table
-    tr = Fq2.trace_table(Fq) if Fq2 is not Fq else None
-    c_idx = c.idx if c is not None else 0
-    out = []
-    skip_origin = spec.variant is Variant.HOMOGENEOUS
-    for x in Fq1.omega:
-        aq = Fq.add(Fq.mul(a.idx, int(qtab[x])), c_idx)
-        for y in Fq2.omega:
-            if skip_origin and x == 0 and y == 0:
-                continue
-            by = Fq2.mul(b.idx, y)
-            w = int(tr[by]) if tr is not None else by
-            out.append(Fq.add(aq, w))
-    return out
+    add, mul = Fq.op_table("add"), Fq.op_table("mul")
+    qvals = spec.analysis.form.value_table[np.asarray(Fq1.omega)]
+    ax = add[mul[a.idx, qvals], c.idx if c is not None else 0]  # a Q(x) + c
+    word = add[ax[:, None], Fq2.trace_row(b.idx, Fq)].reshape(-1)
+    if spec.variant is Variant.HOMOGENEOUS:
+        word = word[1:]  # the origin (x, y) = (0, 0) comes first in omega order
+    return word.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -123,12 +123,6 @@ class CycInt:
     def __bool__(self):
         return any(self.coords)
 
-    def divide_exact(self, n: int) -> "CycInt":
-        """Divide by a rational integer, asserting exactness."""
-        if any(c % n for c in self.coords):
-            raise ArithmeticError(f"{self} is not divisible by {n}")
-        return CycInt(self.p, (c // n for c in self.coords))
-
     def as_int(self) -> int:
         if any(self.coords[1:]):
             raise ArithmeticError(f"{self} is not a rational integer")

@@ -16,17 +16,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, partial
 from math import gcd
 
 import numpy as np
 
+from . import linalg
 from .codes import CodeSpec, Variant, WeightDistribution, cwe_brute, codeword, \
     weight_distribution_predicted
 from .cyclotomic import CycInt, cyc_from_trace_counts, eta_twisted_sum_brute
-from .errors import BudgetError, DEFAULT_BUDGET, ParameterError
+from .errors import DEFAULT_BUDGET, ParameterError
 from .fields import Elem, FieldTower
-from .ghw import GhwReport, GhwRow, _ScanEngine, row_to_message
+from .ghw import GhwReport, b_part_zero_span, generator_matrix, message_dim, point_count
+from .ghw import scan, strata, tabulate
 
 __all__ = [
     "DescentParams",
@@ -64,15 +66,16 @@ class DescentParams:
         p, m = self.tower.p, self.tower.m
         return (p - 1) * p ** (m - 1) // self.N
 
-
-def _mult_order(field, idx: int) -> int:
-    k, v = 1, idx
-    while v != 1:
-        v = field.mul(v, idx)
-        k += 1
-        if k > field.order:
-            raise ArithmeticError("order computation ran away")
-    return k
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """psi of every F_q symbol g: row g holds the prime traces of
+        g * theta**i, i < L, as F_p indices."""
+        Fq, th = self.tower.Fq, self.theta.idx
+        traces = [Fq.trace_row(Fq.pow(th, i), self.tower.Fp) for i in range(self.L)]
+        cols = np.zeros((Fq.order, self.L), dtype=np.int16)
+        cols[np.asarray(Fq.omega)] = np.stack(traces, axis=1)  # rows in omega order
+        cols.setflags(write=False)
+        return cols
 
 
 def make_descent(tower: FieldTower, N: int, theta: Elem | None = None) -> DescentParams:
@@ -93,7 +96,7 @@ def make_descent(tower: FieldTower, N: int, theta: Elem | None = None) -> Descen
     else:
         if theta.field is not Fq:
             raise ParameterError("theta override must lie in F_q")
-    if theta.idx == 0 or _mult_order(Fq, theta.idx) != L:
+    if theta.idx == 0 or (q - 1) // gcd(Fq.log(theta.idx), q - 1) != L:
         raise ParameterError(
             f"theta must have multiplicative order (q-1)/N = {L}"
         )
@@ -105,41 +108,16 @@ def make_descent(tower: FieldTower, N: int, theta: Elem | None = None) -> Descen
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _psi_tables(params: DescentParams):
-    """(psi columns as an array of F_p indices, per-symbol column weights,
-    zero-trace mask Z[w, i])."""
-    tower = params.tower
-    Fq, Fp = tower.Fq, tower.Fp
-    L = params.L
-    trp = Fq.trace_table(Fp) if Fq is not Fp else None
-    cols = np.zeros((Fq.order, L), dtype=np.int16)
-    th = params.theta.idx
-    for g in range(Fq.order):
-        w = g
-        for i in range(L):
-            cols[g, i] = int(trp[w]) if trp is not None else w
-            w = Fq.mul(w, th)
-    cols.setflags(write=False)
-    wts = (cols != 0).sum(axis=1).astype(np.int64)
-    wts.setflags(write=False)
-    zmask = cols == 0
-    zmask.setflags(write=False)
-    return cols, wts, zmask
-
-
 def psi(params: DescentParams, gamma: Elem) -> tuple[int, ...]:
     """The trace column of gamma, as F_p indices of length (q-1)/N."""
     if gamma.field is not params.tower.Fq:
         raise ParameterError("psi argument must lie in F_q")
-    cols, _, _ = _psi_tables(params)
-    return tuple(int(v) for v in cols[gamma.idx])
+    return tuple(int(v) for v in params.columns[gamma.idx])
 
 
 def psi_weight_table(params: DescentParams) -> list[int]:
     """Hamming weight of psi per source symbol, by enumeration."""
-    _, wts, _ = _psi_tables(params)
-    return [int(w) for w in wts]
+    return (params.columns != 0).sum(axis=1).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -163,39 +141,8 @@ class DescendedCode:
 
     def codeword(self, a: Elem, b: Elem, c: Elem | None = None) -> list[int]:
         """Flattened matrix codeword (column index fastest)."""
-        cols, _, _ = _psi_tables(self.params)
         src = codeword(self.source, a, b, c)
-        out = []
-        for s in src:
-            out.extend(int(v) for v in cols[s])
-        return out
-
-
-def _rank_mod_p(p: int, mat: np.ndarray) -> int:
-    A = mat.astype(np.int64) % p
-    rows, cols = A.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        piv = None
-        for i in range(r, rows):
-            if A[i, c] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        A[[r, piv]] = A[[piv, r]]
-        A[r] = (A[r] * pow(int(A[r, c]), -1, p)) % p
-        for i in range(rows):
-            if i != r and A[i, c]:
-                A[i] = (A[i] - A[i, c] * A[r]) % p
-        r += 1
-    return r
-
-
-def _message_space_dim(spec: CodeSpec) -> int:
-    return spec.dimension * spec.tower.m
+        return self.params.columns[src].reshape(-1).tolist()
 
 
 def descend(spec: CodeSpec, params: DescentParams) -> DescendedCode:
@@ -203,22 +150,8 @@ def descend(spec: CodeSpec, params: DescentParams) -> DescendedCode:
     rank of the images of an F_p-basis of the message space."""
     if params.tower is not spec.tower:
         raise ParameterError("descent parameters built for a different tower")
-    tower = spec.tower
-    n_p = _message_space_dim(spec)
-    cols, _, _ = _psi_tables(params)
-    rows = []
-    for k in range(n_p):
-        digits = [0] * n_p
-        digits[k] = 1
-        a, b, c = row_to_message(spec, digits, tower.m)
-        src = codeword(
-            spec,
-            Elem(tower.Fq, a),
-            Elem(tower.Fq2, b),
-            Elem(tower.Fq, c) if spec.variant is Variant.AFFINE else None,
-        )
-        rows.append(cols[np.asarray(src)].reshape(-1))
-    rank = _rank_mod_p(tower.p, np.vstack(rows))
+    n_p = message_dim(spec, params)
+    rank = linalg.rank(spec.tower.Fp, generator_matrix(spec, params))
     if rank != n_p:
         raise ArithmeticError(
             f"descended rank {rank} != m * k = {n_p}; descent is not injective"
@@ -378,14 +311,9 @@ def char_identity_check(params: DescentParams, c: Elem, a: Elem) -> IdentityChec
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _descent_engine(spec: CodeSpec, params: DescentParams) -> _ScanEngine:
-    """The subspace scan over F_p digit rows, with the trace-column axis."""
-    return _ScanEngine(spec, spec.tower.m, _psi_tables(params)[2])
-
-
 def descended_support_defect(spec: CodeSpec, params: DescentParams, rows) -> int:
-    return _descent_engine(spec, params).defect(rows)
+    """Point count of N(V) over the descended generator matrix."""
+    return point_count(spec, params, rows)
 
 
 def descended_support_defect_closed(
@@ -393,12 +321,11 @@ def descended_support_defect_closed(
 ) -> int:
     """Per-subspace closed form for N(V), from the stratified proof sums."""
     tower = spec.tower
-    Fq = tower.Fq
     q, M, p, N = tower.q, tower.M, tower.p, params.N
     an = spec.analysis
     r_q, eps = an.r_q, an.eps
     r = len(rows)
-    W = _descent_engine(spec, params).b_part_zero_span(rows)
+    W = b_part_zero_span(spec, rows, tower.Fp)
     if spec.variant is Variant.HOMOGENEOUS:
         L = Fraction(q - 1, N)
         base = L * Fraction(q**M, p**r)
@@ -408,16 +335,13 @@ def descended_support_defect_closed(
         else:
             val = base - L
     else:
-        t1 = sum(1 for a, c in W if a != 0 and c == 0)
-        t2 = sum(1 for a, c in W if a != 0 and c != 0)
-        t3 = sum(1 for a, c in W if a == 0 and c != 0)
+        t1, t2, t3, s = strata(tower.Fq, W)
         G = Fraction(q**M, p**r * N)
         if r_q % 2 == 0:
             val = G * (
                 Fraction(eps * ((q - 1) * t1 - t2), q ** (r_q // 2)) + q - 1 - t3
             )
         else:
-            s = sum(Fq.eta(Fq.mul(a, c)) for a, c in W if a != 0 and c != 0)
             val = G * (
                 eps * s * Fraction(q) ** ((1 - r_q) // 2) + q - 1 - t3
             )
@@ -426,13 +350,10 @@ def descended_support_defect_closed(
 
 
 def descended_ghw_brute(
-    spec: CodeSpec,
-    params: DescentParams,
-    r: int,
-    budget: int = DEFAULT_BUDGET,
+    spec: CodeSpec, params: DescentParams, r: int, budget: int = DEFAULT_BUDGET
 ) -> tuple[int, tuple]:
     """(d_r, witness) over all F_p-subspaces of the message space."""
-    return _descent_engine(spec, params).scan(r, budget)
+    return scan(spec, params, r, budget)
 
 
 def descended_ghw_closed(spec: CodeSpec, params: DescentParams, r: int) -> int:
@@ -442,7 +363,7 @@ def descended_ghw_closed(spec: CodeSpec, params: DescentParams, r: int) -> int:
     m, m2 = tower.m, tower.m2
     an = spec.analysis
     r_q, eps = an.r_q, an.eps
-    n_p = _message_space_dim(spec)
+    n_p = message_dim(spec, params)
     if not 1 <= r <= n_p:
         raise ParameterError(f"need 1 <= r <= {n_p}")
     rq2 = Fraction(1, q ** (r_q // 2)) if r_q % 2 == 0 else None
@@ -500,33 +421,14 @@ def _optimizer_attains(spec: CodeSpec, params: DescentParams, r: int, d_closed: 
     top = m * (m2 + 1)
     if spec.variant is not Variant.AFFINE or r <= top:
         return True
-    n_p = _message_space_dim(spec)
-    extra = r - top
-    c_off = m + m2 * m
-
-    def unit(k):
-        digits = [0] * n_p
-        digits[k] = 1
-        return digits
-
-    rows = []
+    eye = np.eye(message_dim(spec, params), dtype=np.int64)
+    extra = eye[top:r]  # r - top digits of c, whose block starts at top
     if spec.analysis.eps == 1:
-        # the whole (a, b) block plus extra c digits
-        for k in range(top):
-            rows.append(tuple(unit(k)))
-        for k in range(extra):
-            rows.append(tuple(unit(c_off + k)))
+        rows = np.vstack([eye[:top], extra])  # the whole (a, b) block
     else:
-        # b block, the diagonal rows (a_i, 0, c_i), and extra c digits
-        for k in range(m2 * m):
-            rows.append(tuple(unit(m + k)))
-        for k in range(m):
-            digits = unit(k)
-            digits[c_off + k] = 1
-            rows.append(tuple(digits))
-        for k in range(extra):
-            rows.append(tuple(unit(c_off + k)))
-    n_v = descended_support_defect_closed(spec, params, tuple(rows))
+        # the b block, the diagonal rows (a_i, 0, c_i), and the extra digits
+        rows = np.vstack([eye[m:top], eye[:m] + eye[top : top + m], extra])
+    n_v = descended_support_defect_closed(spec, params, rows)
     return spec.length * params.L - n_v == d_closed
 
 
@@ -537,32 +439,16 @@ def descended_hierarchy(
     budget: int = DEFAULT_BUDGET,
 ) -> GhwReport:
     """Closed vs brute table for the descended code."""
-    an = spec.analysis
-    n_p = _message_space_dim(spec)
-    r_max = n_p if r_max is None else min(r_max, n_p)
+    n_p = message_dim(spec, params)
     top = spec.tower.m * (spec.tower.m2 + 1)
-    rows = []
-    for r in range(1, r_max + 1):
-        d_closed = descended_ghw_closed(spec, params, r)
-        note = ""
-        if spec.variant is Variant.AFFINE and r > top:
-            if an.r_q % 2 == 1:
-                note = "case r > m(m2+1), odd rank: closed form needs brute confirmation"
-            elif not _optimizer_attains(spec, params, r, d_closed):
-                note = "optimizing subspace does not attain the closed value"
-        try:
-            d_brute, witness = descended_ghw_brute(spec, params, r, budget=budget)
-        except BudgetError as e:
-            d_brute, witness = None, None
-            note = (note + "; " if note else "") + str(e)
-        rows.append(
-            GhwRow(
-                r=r,
-                d_closed=d_closed,
-                d_brute=d_brute,
-                reference=None,
-                witness=witness,
-                note=note,
-            )
-        )
-    return GhwReport(spec=spec, rows=tuple(rows))
+
+    def note(r: int, d_closed: int) -> str:
+        if spec.variant is Variant.AFFINE and r > top and spec.analysis.r_q % 2 == 1:
+            return "case r > m(m2+1), odd rank: closed form needs brute confirmation"
+        if not _optimizer_attains(spec, params, r, d_closed):
+            return "optimizing subspace does not attain the closed value"
+        return ""
+
+    brute = partial(descended_ghw_brute, spec, params, budget=budget)
+    closed = partial(descended_ghw_closed, spec, params)
+    return tabulate(spec, n_p if r_max is None else min(r_max, n_p), brute, closed, note)

@@ -205,9 +205,6 @@ class FiniteField:
         for i in self._omega:
             yield Elem(self, i)
 
-    def elem(self, i: int) -> "Elem":
-        return Elem(self, i)
-
     @property
     def zero(self) -> "Elem":
         return Elem(self, 0)

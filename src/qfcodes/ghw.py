@@ -3,17 +3,22 @@
 Subspaces of the message space are enumerated as reduced row-echelon bases
 (pivot columns ascending, unit pivots, zeros above and below), one canonical
 matrix per subspace, ordered lexicographically by pivot-column set and then
-by the free entries.  The support defect N(H) of a subspace counts the
-evaluation points annihilated by every basis functional; the r-th
-generalized Hamming weight is the code length minus the maximum defect.
-One scan engine serves the F_q code and its F_p descent (``descent``),
-whose subspaces have rows of F_p digits and whose symbols are trace columns.
+by the free entries.  The support defect N(D) of a subspace D counts the
+coordinates where every codeword of D vanishes; the r-th generalized Hamming
+weight is the code length minus the maximum defect.  The F_q code and its
+F_p descent (``descent``) reach every route through ``generator_matrix``.
 
-Three routes coexist and are cross-checked:
-* a histogram/vectorized point count (``support_defect``),
-* the per-subspace closed form from the character-sum analysis
-  (``support_defect_closed``),
-* a cyclotomic-sum recomputation (``support_defect_char``) as a cross-check.
+Four routes compute N(D):
+* the scan (``ghw_brute``; production) sees only the field, k and the column
+  multiset mu(v) = #{columns of G equal to v}.  N(D) is the sum of mu over
+  the annihilator of D (Tsfasman-Vladut); for 2r <= k it is n - |supp D| by
+  Wei's identity sum over D of wt(c) = q**(r-1) (q-1) |supp D|, with wt
+  computed from mu.  A subspace costs q**min(r, k-r) lookups;
+* the point count (``support_defect``; the tests' oracle): the basis rows
+  times G, all-zero columns counted;
+* the closed forms (``support_defect_closed`` per subspace, ``ghw_closed``
+  for d_r; production);
+* the character sum (``support_defect_char``), an audit.
 """
 
 from __future__ import annotations
@@ -21,19 +26,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .codes import CodeSpec, Variant
+from . import linalg
+from .codes import CodeSpec, Variant, codeword
 from .cyclotomic import cyc_from_trace_counts
 from .errors import BudgetError, DEFAULT_BUDGET, ParameterError
-from .fields import FiniteField
-from .quadform import _nullspace
+from .fields import Elem, FiniteField, _min_dtype
 
 __all__ = [
     "gaussian_binomial",
     "subspace_bases",
+    "generator_matrix",
     "support_defect",
     "support_defect_closed",
     "support_defect_char",
@@ -70,12 +76,7 @@ def subspace_bases(n: int, r: int, field: FiniteField):
         return
     order = field.order
     for pivots in itertools.combinations(range(n), r):
-        free_cells = [
-            (i, c)
-            for i in range(r)
-            for c in range(pivots[i] + 1, n)
-            if c not in pivots
-        ]
+        free_cells = [(i, c) for i in range(r) for c in range(pivots[i] + 1, n) if c not in pivots]
         for values in itertools.product(range(order), repeat=len(free_cells)):
             rows = [[0] * n for _ in range(r)]
             for i in range(r):
@@ -85,173 +86,221 @@ def subspace_bases(n: int, r: int, field: FiniteField):
             yield tuple(tuple(row) for row in rows)
 
 
-def row_to_message(spec: CodeSpec, row, width: int = 1) -> tuple[int, int, int]:
-    """Digit row -> message (a, b, c) indices over (F_q, F_{q^m2}, F_q).
+def row_to_message(spec: CodeSpec, row, field: FiniteField | None = None) -> tuple[int, int, int]:
+    """Row of F_q indices (or of F_p digits, ``field`` = F_p) -> message
+    (a, b, c) indices.  Indices nest, so the base-q digits of the encoding
+    sum_t row_t |field|**t are a, the F_q coordinates of b, and c."""
+    q, m2 = spec.tower.q, spec.tower.m2
+    base = (field or spec.tower.Fq).order
+    enc = sum(int(d) * base**t for t, d in enumerate(row))
+    return enc % q, enc // q % q**m2, enc // q ** (1 + m2)
 
-    Each F_q symbol takes ``width`` digits: one F_q index (width 1), or m
-    F_p digits for the descended code.
+
+def generator_matrix(spec: CodeSpec, params=None) -> np.ndarray:
+    """Rows: the codewords of the k unit messages, as F_q indices.
+
+    With descent ``params`` (``descent.DescentParams``) the rows are the
+    psi-expanded codewords of the k*m unit digit messages, as F_p indices,
+    flattened coordinate-major (the column index fastest).
     """
-    tower = spec.tower
-    Fq, Fq2, m2 = tower.Fq, tower.Fq2, tower.m2
-    if width == 1:
-        syms = row
-    else:
-        syms = [Fq.from_coeffs(row[i : i + width]) for i in range(0, len(row), width)]
-    b = syms[1] if Fq2 is Fq else Fq2.from_coeffs(syms[1 : 1 + m2])
-    c = syms[1 + m2] if spec.variant is Variant.AFFINE else 0
-    return syms[0], b, c
+    Fq, Fq2 = spec.tower.Fq, spec.tower.Fq2
+    field = Fq if params is None else spec.tower.Fp
+    affine = spec.variant is Variant.AFFINE
+    words = []
+    for unit in np.eye(message_dim(spec, params), dtype=np.int64):
+        a, b, c = row_to_message(spec, unit, field)
+        word = codeword(spec, Elem(Fq, a), Elem(Fq2, b), Elem(Fq, c) if affine else None)
+        words.append(np.array(word, dtype=_min_dtype(Fq.order)))  # one list alive at a time
+    G = np.stack(words)
+    if params is not None:
+        G = params.columns[G].reshape(len(G), -1)
+    return G
+
+
+def message_dim(spec: CodeSpec, params=None) -> int:
+    """Dimension of the message space over F_q, or over F_p for the descent."""
+    return spec.dimension * (1 if params is None else spec.tower.m)
 
 
 # ---------------------------------------------------------------------------
-# evaluation engine
+# the column-multiset scan
 # ---------------------------------------------------------------------------
 
+_CHUNK = 1 << 13  # span elements per numpy batch: bounds every temporary
 
-class _ScanEngine:
-    """Counts annihilated points of message subspaces and scans them.
 
-    Rows are digit vectors over F_q (width 1) or over F_p (width m, the
-    descended code).  ``zmask[w, i]`` is True when coordinate i of the
-    symbol w is zero: the symbol itself for the F_q code (one coordinate),
-    its trace column for the descent.  Tables are built on first use, so a
-    refused scan builds none.
-    """
+def _span_sums(F: FiniteField, k: int, r: int, table: np.ndarray, dual: bool):
+    """Yield ``(R, S)`` chunk by chunk, in ``subspace_bases`` order: R holds
+    RREF bases of r-dim subspaces D of F**k, S the sums of ``table`` over the
+    span of D (``dual`` False) or over its annihilator (``dual`` True)."""
+    q = F.order
+    step = max(1, _CHUNK // q ** (k - r if dual else r))
+    for pivots in itertools.combinations(range(k), r):
+        free = [(i, c) for i in range(r) for c in range(pivots[i] + 1, k) if c not in pivots]
+        fi, fc = np.array(free, dtype=np.int64).reshape(-1, 2).T
+        place = q ** np.arange(len(free))[::-1]  # the last free entry varies fastest
+        total = q ** len(free)
+        rest = [c for c in range(k) if c not in pivots]
+        units, others = (rest, list(pivots)) if dual else (list(pivots), rest)
+        # each basis is the identity on ``units``, where a span element holds its coefficients
+        base, offset = (linalg.span(F, np.eye(k, dtype=np.int64)[cols]) for cols in (units, others))
+        for lo in range(0, total, step):
+            t = np.arange(lo, min(lo + step, total))
+            R = np.zeros((len(t), r, k), dtype=np.int64)
+            R[:, np.arange(r), list(pivots)] = 1
+            R[:, fi, fc] = t[:, None] // place % q
+            basis = linalg.annihilator(F, R, pivots) if dual else R
+            yield R, table[base + offset[linalg.span(F, basis[..., others])]].sum(axis=1)
 
-    def __init__(self, spec: CodeSpec, width: int, zmask: np.ndarray):
-        self.spec = spec
-        self.width = width
-        self.zmask = zmask
-        self.L = zmask.shape[1]
-        tower = spec.tower
-        self.field = tower.Fq if width == 1 else tower.Fp
-        self.n = spec.dimension * width
-        self._messages: dict[tuple, tuple[int, int, int]] = {}
-        self._values: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
-    @cached_property
-    def hq(self) -> np.ndarray:
-        return np.asarray(self.spec.analysis.form.value_histogram, dtype=np.int64)
+def _weights(F: FiniteField, k: int, mu: np.ndarray) -> np.ndarray:
+    """wt(m) = n - sum over v with v.m = 0 of mu(v), for every message m in
+    encoding order: the annihilator sum of the line through m, spread over
+    the line."""
+    n = int(mu.sum())
+    wt = np.zeros(F.order**k, dtype=np.int64)
+    for R, S in _span_sums(F, k, 1, mu, dual=True):
+        wt[linalg.span(F, R)] = n - S[:, None]
+    wt[0] = 0
+    return wt
 
-    @cached_property
-    def addq(self) -> np.ndarray:
-        return self.spec.tower.Fq.op_table("add")
 
-    @cached_property
-    def mulq(self) -> np.ndarray:
-        return self.spec.tower.Fq.op_table("mul")
+def _defects(F: FiniteField, k: int, mu: np.ndarray, r: int):
+    """Yield ``(R, N)`` per chunk: N(D) = sum over the annihilator of D of mu
+    (Tsfasman-Vladut), or for 2r <= k, n - |supp D| by Wei's identity
+    sum over D of wt(c) = q**(r-1) (q-1) |supp D|.  Either side takes
+    q**min(r, k-r) lookups per subspace."""
+    q, n = F.order, int(mu.sum())
+    if 2 * r > k:
+        yield from _span_sums(F, k, r, mu, dual=True)
+        return
+    scale = q ** (r - 1) * (q - 1)
+    for R, S in _span_sums(F, k, r, _weights(F, k, mu), dual=False):
+        assert not (S % scale).any(), "Wei's identity must divide exactly"
+        yield R, n - S // scale
 
-    def message(self, row) -> tuple[int, int, int]:
-        """Memoised ``row_to_message``: rows recur across many subspaces."""
-        row = tuple(row)
-        msg = self._messages.get(row)
-        if msg is None:
-            msg = self._messages[row] = row_to_message(self.spec, row, self.width)
-        return msg
 
-    def values(self, a: int, b: int, c: int) -> tuple[np.ndarray, np.ndarray]:
-        """(a*u for every F_q value u of Q, Tr(b*y) + c for y in omega order)."""
-        tower = self.spec.tower
-        return self.mulq[a], self.addq[tower.Fq2.trace_row(b, tower.Fq), c]
+def _max_defect(F: FiniteField, k: int, mu: np.ndarray, r: int) -> tuple[int, tuple]:
+    """(n - max N(D), first maximiser in enumeration order) over the r-dim
+    subspaces of F**k, from the field, k and the column multiset mu only."""
+    best, witness = -1, None
+    for R, N in _defects(F, k, mu, r):
+        i = int(N.argmax())
+        if N[i] > best:
+            best, witness = int(N[i]), tuple(map(tuple, R[i].tolist()))
+    return int(mu.sum()) - best, witness
 
-    def defect(self, rows) -> int:
-        """Points (x, y, i) where every basis functional vanishes."""
-        # ndarray.take is several times faster than fancy indexing here
-        mask = None
-        for row in rows:
-            row = tuple(row)
-            vals = self._values.get(row)  # rows recur across many subspaces
-            if vals is None:
-                vals = self._values[row] = self.values(*self.message(row))
-            av, bv = vals
-            grid = self.addq.take(av, axis=0).take(bv, axis=1)
-            m = self.zmask.take(grid, axis=0)  # (value of Q, y, column index)
-            mask = m if mask is None else (mask & m)
-        if mask is None:  # r = 0: every point vanishes trivially
-            total = int(self.hq.sum()) * self.spec.tower.Fq2.order * self.L
-        else:
-            total = int(self.hq @ mask.reshape(len(self.hq), -1).sum(axis=1))
-        if self.spec.variant is Variant.HOMOGENEOUS:
-            total -= self.L
-        return total
 
-    def b_part_zero_span(self, rows) -> list[tuple[int, int]]:
-        """Elements (a, c) of the span of ``rows`` whose b-part vanishes."""
-        if not rows:
-            return [(0, 0)]
-        F, w = self.field, self.width
-        bcols = [[row[k] for row in rows] for k in range(w, w + self.spec.tower.m2 * w)]
-        lam_basis = _nullspace(F, bcols)
-        out = []
-        for coeffs in itertools.product(range(F.order), repeat=len(lam_basis)):
-            digits = [0] * len(rows[0])
-            for cc, vec in zip(coeffs, lam_basis):
-                for li, row in zip(vec, rows):
-                    s = F.mul(cc, li)
-                    if s:
-                        for k in range(len(digits)):
-                            digits[k] = F.add(digits[k], F.mul(s, row[k]))
-            a, _, c = self.message(digits)
-            out.append((a, c))
-        return out
-
-    def scan(self, r: int, budget: int) -> tuple[int, tuple]:
-        """(d_r, witness): exhaustive maximum of the defect over r-dim
-        subspaces; the first maximiser in enumeration order is the witness."""
-        n, order = self.n, self.field.order
-        if not 1 <= r <= n:
-            raise ParameterError(f"need 1 <= r <= {n}")
-        count = gaussian_binomial(n, r, order)
-        if count > budget:
-            raise BudgetError(
-                count, budget, f"subspace enumeration [{n} choose {r}]_{order}"
-            )
-        best, witness = -1, None
-        for rows in subspace_bases(n, r, self.field):
-            d = self.defect(rows)
-            if d > best:
-                best, witness = d, rows
-        return self.spec.length * self.L - best, witness
+def scan(spec: CodeSpec, params, r: int, budget: int) -> tuple[int, tuple]:
+    """(d_r, witness) of the F_q code, or of its descent under ``params``."""
+    F = spec.tower.Fq if params is None else spec.tower.Fp
+    k = message_dim(spec, params)
+    if not 1 <= r <= k:
+        raise ParameterError(f"need 1 <= r <= {k}")
+    count = gaussian_binomial(k, r, F.order)
+    if count > budget:
+        raise BudgetError(count, budget, f"subspace enumeration [{k} choose {r}]_{F.order}")
+    if F.order**k > budget:  # mu and the weight vector have one cell per message
+        raise BudgetError(F.order**k, budget, f"column multiset over F_{F.order}^{k}")
+    return _max_defect(F, k, _column_multiset(F, spec, params), r)
 
 
 @lru_cache(maxsize=None)
-def _engine_cache(spec: CodeSpec) -> _ScanEngine:
-    return _ScanEngine(spec, 1, (np.arange(spec.tower.q) == 0)[:, None])
+def _column_multiset(F: FiniteField, spec: CodeSpec, params) -> np.ndarray:
+    """mu[v] = the number of columns of the generator matrix with encoding v
+    (sum_t v_t |F|**t): an exhaustive bincount."""
+    G = generator_matrix(spec, params)
+    enc = np.zeros(G.shape[1], dtype=np.int64)
+    for row in G[::-1]:  # Horner's rule
+        enc *= F.order
+        enc += row
+    mu = np.bincount(enc, minlength=F.order ** len(G))
+    mu.setflags(write=False)
+    return mu
+
+
+# ---------------------------------------------------------------------------
+# per-subspace routes
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _distinct_columns(F: FiniteField, spec: CodeSpec, params) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct columns of the generator matrix as one F_p matrix
+    (``linalg.expand``) and how often each occurs."""
+    cols, counts = np.unique(generator_matrix(spec, params), axis=1, return_counts=True)
+    cols = linalg.expand(F, cols)
+    for table in (cols, counts):  # cached: shared by every caller
+        table.setflags(write=False)
+    return cols, counts
+
+
+def point_count(spec: CodeSpec, params, rows):
+    """Coordinates where every codeword of the basis ``rows`` (r, k) vanishes,
+    or one count per basis of a batch (B, r, k): the rows times the generator
+    matrix, each distinct column counted as often as it occurs."""
+    F = spec.tower.Fq if params is None else spec.tower.Fp
+    cols, counts = _distinct_columns(F, spec, params)
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.size == 0:  # r = 0: every coordinate vanishes
+        return int(counts.sum())
+    words = linalg.digits(F, rows) @ cols % F.p  # the digits of rows times G
+    nonzero = words.reshape(*words.shape[:-1], len(counts), -1).any(axis=(-3, -1))
+    out = (~nonzero) @ counts
+    return out if out.ndim else int(out)
 
 
 def support_defect(spec: CodeSpec, rows) -> int:
-    """N(H): evaluation points annihilated by every functional of the basis."""
-    return _engine_cache(spec).defect(rows)
+    """N(H): evaluation points annihilated by every functional of the basis
+    (one count per basis of a batch, as in ``point_count``)."""
+    return point_count(spec, None, rows)
+
+
+def b_part_zero_span(spec: CodeSpec, rows, field: FiniteField | None = None) -> list[tuple[int, int]]:
+    """Elements (a, c) of the span of ``rows`` whose b-part vanishes."""
+    if len(rows) == 0:
+        return [(0, 0)]
+    q, m2 = spec.tower.q, spec.tower.m2
+    enc = linalg.span(field or spec.tower.Fq, rows)
+    enc = enc[enc // q % q**m2 == 0]
+    return list(zip((enc % q).tolist(), (enc // q ** (1 + m2)).tolist()))
 
 
 def support_defect_char(spec: CodeSpec, rows) -> int:
     """Audit route: recompute N(H) from the additive-character identity
-    q**r * (N + [homogeneous]) = sum over H and all points of zeta**Tr(...)."""
-    eng = _engine_cache(spec)
+    q**r * (N + [homogeneous]) = sum over H and all points of zeta**Tr(...).
+
+    Rows are combined and decoded with scalar field arithmetic, and the
+    values come from the form's value histogram and trace rows."""
     tower = spec.tower
-    Fq, Fq2 = tower.Fq, tower.Fq2
-    p = tower.p
-    prime = Fq.subfield_chain()[-1]
-    trp = Fq.trace_table(prime)
+    Fq, Fq2, m2, p = tower.Fq, tower.Fq2, tower.m2, tower.p
+    trp = Fq.trace_table(Fq.subfield_chain()[-1])
+    hq = spec.analysis.form.value_histogram
+    add, mul = Fq.op_table("add"), Fq.op_table("mul")
+    counts = np.zeros(p, dtype=np.int64)
     r = len(rows)
-    counts = [0] * p
     for coeffs in itertools.product(range(Fq.order), repeat=r):
-        a = b = c = 0
-        for li, row in zip(coeffs, rows):
-            if li:
-                ai, bi, ci = eng.message(row)
-                a = Fq.add(a, Fq.mul(li, ai))
-                b = Fq2.add(b, Fq2.mul(Fq2.embed_from(Fq, li), bi))
-                c = Fq.add(c, Fq.mul(li, ci))
-        av, bv = eng.values(a, b, c)
-        grid = eng.addq[av[:, None], bv[None, :]]
-        vals = np.asarray(trp, dtype=np.int64)[grid]
-        for t in range(p):
-            counts[t] += int((eng.hq[:, None] * (vals == t)).sum())
-    total = cyc_from_trace_counts(p, counts)
-    n = total.as_int()
-    assert n % Fq.order**r == 0
-    n //= Fq.order**r
+        row = [0] * spec.dimension
+        for li, ri in zip(coeffs, rows):
+            row = [Fq.add(x, Fq.mul(li, y)) for x, y in zip(row, ri)]
+        b = Fq2.from_coeffs(row[1 : 1 + m2]) if m2 > 1 else row[1]
+        c = row[1 + m2] if spec.variant is Variant.AFFINE else 0
+        hb = np.bincount(add[Fq2.trace_row(b, Fq), c], minlength=Fq.order)  # Tr(b y) + c
+        values = add[mul[row[0]][:, None], np.arange(Fq.order)]  # a Q(x) + Tr(b y) + c
+        np.add.at(counts, trp[values], np.outer(hq, hb))
+    n, rest = divmod(cyc_from_trace_counts(p, counts.tolist()).as_int(), Fq.order**r)
+    assert rest == 0
     return n - 1 if spec.variant is Variant.HOMOGENEOUS else n
+
+
+def strata(Fq: FiniteField, W) -> tuple[int, int, int, int]:
+    """(t1, t2, t3, s) over the b-part-zero elements (a, c): t1 = #(a, 0),
+    t2 = #(a, c) with ac != 0, t3 = #(0, c) with c != 0, and s the sum of
+    eta(ac) over the t2 stratum."""
+    t1 = sum(1 for a, c in W if a and not c)
+    etas = [Fq.eta(Fq.mul(a, c)) for a, c in W if a and c]
+    t3 = sum(1 for a, c in W if c and not a)
+    return t1, len(etas), t3, sum(etas)
 
 
 def support_defect_closed(spec: CodeSpec, rows) -> int:
@@ -266,7 +315,6 @@ def support_defect_closed(spec: CodeSpec, rows) -> int:
     character-weighted sum over the t2 stratum for odd rank.
     """
     tower = spec.tower
-    Fq = tower.Fq
     q, M = tower.q, tower.M
     an = spec.analysis
     r_q, eps = an.r_q, an.eps
@@ -274,22 +322,19 @@ def support_defect_closed(spec: CodeSpec, rows) -> int:
     qMr = Fraction(q) ** (M - r)
     if spec.variant is Variant.HOMOGENEOUS and r_q % 2 != 0:
         return int(qMr) - 1
-    W = _engine_cache(spec).b_part_zero_span(rows)
+    W = b_part_zero_span(spec, rows)
     if spec.variant is Variant.HOMOGENEOUS:
         # W holds the elements (a, 0) of H: all q of them when (1, 0) is in H
         t = sum(1 for a, _ in W if a != 0)
         val = qMr * (1 + Fraction(eps * t, q ** (r_q // 2)))
         assert val.denominator == 1
         return int(val) - 1
-    t1 = sum(1 for a, c in W if a != 0 and c == 0)
-    t2 = sum(1 for a, c in W if a != 0 and c != 0)
-    t3 = sum(1 for a, c in W if a == 0 and c != 0)
+    t1, t2, t3, s = strata(tower.Fq, W)
     if r_q % 2 == 0:
         val = qMr * (1 - Fraction(t3, q - 1)) + eps * qMr * Fraction(
             1, q ** (r_q // 2)
         ) * (t1 - Fraction(t2, q - 1))
     else:
-        s = sum(Fq.eta(Fq.mul(a, c)) for a, c in W if a != 0 and c != 0)
         val = qMr * (1 - Fraction(t3, q - 1)) + eps * qMr * Fraction(q) ** (
             (1 - r_q) // 2
         ) * Fraction(s, q - 1)
@@ -302,13 +347,9 @@ def support_defect_closed(spec: CodeSpec, rows) -> int:
 # ---------------------------------------------------------------------------
 
 
-def ghw_brute(
-    spec: CodeSpec,
-    r: int,
-    budget: int = DEFAULT_BUDGET,
-) -> tuple[int, tuple]:
+def ghw_brute(spec: CodeSpec, r: int, budget: int = DEFAULT_BUDGET) -> tuple[int, tuple]:
     """(d_r, witness): exhaustive maximum of N(H) over canonical subspaces."""
-    return _engine_cache(spec).scan(r, budget)
+    return scan(spec, None, r, budget)
 
 
 def ghw_closed(spec: CodeSpec, r: int) -> int:
@@ -389,6 +430,23 @@ class GhwReport:
         return all(a < b for a, b in zip(vals, vals[1:]))
 
 
+def tabulate(spec: CodeSpec, r_max: int, brute, closed, note=None, reference=None) -> GhwReport:
+    """Rows r = 1..r_max of ``closed(r)`` against ``brute(r)``, which the
+    budget may refuse; ``note(r, d_closed)`` adds a remark.  Never reconciles."""
+    rows = []
+    for r in range(1, r_max + 1):
+        d_closed = closed(r)
+        notes = [note(r, d_closed)] if note else []
+        try:
+            d_brute, witness = brute(r)
+        except BudgetError as e:
+            d_brute, witness = None, None
+            notes.append(str(e))
+        remark = "; ".join(n for n in notes if n)
+        rows.append(GhwRow(r, d_closed, d_brute, (reference or {}).get(r), witness, remark))
+    return GhwReport(spec=spec, rows=tuple(rows))
+
+
 def hierarchy(
     spec: CodeSpec,
     r_max: int | None = None,
@@ -397,25 +455,6 @@ def hierarchy(
 ) -> GhwReport:
     """Full table r = 1..k of closed vs brute values; never reconciles."""
     k = spec.dimension
-    r_max = k if r_max is None else min(r_max, k)
-    reference_values = reference_values or {}
-    rows = []
-    for r in range(1, r_max + 1):
-        d_closed = ghw_closed(spec, r)
-        note = ""
-        try:
-            d_brute, witness = ghw_brute(spec, r, budget=budget)
-        except BudgetError as e:
-            d_brute, witness = None, None
-            note = str(e)
-        rows.append(
-            GhwRow(
-                r=r,
-                d_closed=d_closed,
-                d_brute=d_brute,
-                reference=reference_values.get(r),
-                witness=witness,
-                note=note,
-            )
-        )
-    return GhwReport(spec=spec, rows=tuple(rows))
+    # read from the module when called, so a wrapper installed by name is used
+    brute, closed = partial(ghw_brute, spec, budget=budget), partial(ghw_closed, spec)
+    return tabulate(spec, k if r_max is None else min(r_max, k), brute, closed, None, reference_values)

@@ -20,7 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import MixedFieldError, ZeroFormError
-from .fields import Elem, FieldTower, FiniteField, rel_trace
+from .fields import Elem, FieldTower, rel_trace
+from .linalg import nullspace
 
 __all__ = [
     "FrobeniusTerm",
@@ -181,7 +182,7 @@ class QuadraticForm:
     def radical_basis(self) -> list[Elem]:
         """Basis of the radical (Gram kernel) as elements of F_{q^m1}."""
         Fq, Fq1, m1 = self.tower.Fq, self.tower.Fq1, self.tower.m1
-        vecs = _nullspace(Fq, [list(r) for r in self.gram])
+        vecs = nullspace(Fq, self.gram)
         basis = self._basis()
         out = []
         for v in vecs:
@@ -281,37 +282,3 @@ def analyze(form: QuadraticForm) -> QuadFormAnalysis:
     return QuadFormAnalysis(
         form=form, r_q=r_q, delta_q=Elem(Fq, delta), eps_q=eps_q, eps=eps
     )
-
-
-def _nullspace(Fq: FiniteField, rows: list[list[int]]) -> list[tuple[int, ...]]:
-    """Kernel basis of a matrix over F_q (right null vectors)."""
-    if not rows:
-        return []
-    m, n = len(rows), len(rows[0])
-    A = [row[:] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if A[i][c] != 0), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        inv = Fq.inv(A[r][c])
-        A[r] = [Fq.mul(inv, v) for v in A[r]]
-        for i in range(m):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [Fq.sub(A[i][k], Fq.mul(f, A[r][k])) for k in range(n)]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    free = [c for c in range(n) if c not in pivots]
-    out = []
-    for fc in free:
-        v = [0] * n
-        v[fc] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = Fq.neg(A[i][fc])
-        out.append(tuple(v))
-    return out

@@ -1,7 +1,9 @@
 """Shared fixtures: preset-backed code specs, cached per session."""
 
+import itertools
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from qfcodes import build_spec, get_preset
@@ -10,6 +12,23 @@ from qfcodes import build_spec, get_preset
 @lru_cache(maxsize=None)
 def spec_for(name: str):
     return build_spec(get_preset(name))
+
+
+def batched(count, bases, batch=256):
+    """Yield (basis, count) for every basis, in order, calling the batched
+    point count ``count`` on ``batch`` bases at a time."""
+    bases = iter(bases)
+    while chunk := list(itertools.islice(bases, batch)):
+        yield from zip(chunk, count(np.array(chunk)).tolist())
+
+
+def reference_scan(count, bases):
+    """(max, first maximiser) of the point count over ``bases``, in order."""
+    best, witness = -1, None
+    for rows, n in batched(count, bases):
+        if n > best:
+            best, witness = n, rows
+    return best, witness
 
 
 EXAMPLE_NAMES = [

@@ -1,0 +1,47 @@
+"""The names the traced benchmark (``perfbench/tracing.py``) wraps must exist,
+and the hierarchies must still reach the scans through those names."""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # perfbench/ sits next to src/
+
+from perfbench import tracing  # noqa: E402
+from qfcodes import descent, ghw  # noqa: E402
+
+from conftest import spec_for  # noqa: E402
+
+
+@pytest.mark.parametrize("module_name,attr,span", tracing.PATCHES)
+def test_every_traced_name_resolves(module_name, attr, span):
+    assert callable(getattr(importlib.import_module(module_name), attr))
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_hierarchy_reaches_ghw_brute_by_name(monkeypatch):
+    spec = spec_for("example-3.1")
+    calls = _counting(monkeypatch, ghw, "ghw_brute")
+    ghw.hierarchy(spec)
+    assert len(calls) == spec.dimension
+
+
+def test_descended_hierarchy_reaches_descended_ghw_brute_by_name(monkeypatch):
+    spec = spec_for("descent-7-2-1-1-3")
+    params = descent.make_descent(spec.tower, 3)
+    calls = _counting(monkeypatch, descent, "descended_ghw_brute")
+    descent.descended_hierarchy(spec, params)
+    assert len(calls) == spec.dimension * spec.tower.m

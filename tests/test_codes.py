@@ -101,6 +101,39 @@ def test_codeword_basics(ex31):
         assert w12 == [tw.Fq.add(u, v) for u, v in zip(w1, w2)]
 
 
+@pytest.mark.parametrize("name", ["example-3.1", "example-3.3", "example-3.5"])
+def test_codeword_is_the_scalar_evaluation(name):
+    """codeword equals a*Q(x) + Tr(b*y) + c point by point, computed with
+    QuadraticForm.__call__ and rel_trace, on the unit messages and on
+    (g, g, g) with g the primitive element of each field."""
+    from qfcodes import primitive_element, rel_trace
+
+    spec = spec_for(name)
+    tw = spec.tower
+    Fq, Fq1, Fq2 = tw.Fq, tw.Fq1, tw.Fq2
+    affine = spec.variant is Variant.AFFINE
+    values = [spec.analysis.form(x) for x in Fq1.elements()]
+    ys = list(Fq2.elements())
+    units = [(Fq.one, Fq2.zero, Fq.zero)]
+    for s in range(tw.m2):
+        coeffs = [0] * tw.m2
+        coeffs[s] = 1
+        b = Elem(Fq2, Fq2.from_coeffs(coeffs)) if tw.m2 > 1 else Fq2.one
+        units.append((Fq.zero, b, Fq.zero))
+    if affine:
+        units.append((Fq.zero, Fq2.zero, Fq.one))
+    g = (primitive_element(Fq), primitive_element(Fq2), primitive_element(Fq) if affine else Fq.zero)
+    for a, b, c in units + [g]:
+        traces = [rel_trace(b * y, Fq) for y in ys]
+        want = [
+            (a * v + t + c).idx
+            for i, v in enumerate(values)
+            for j, t in enumerate(traces)
+            if affine or i or j  # the homogeneous code skips the origin
+        ]
+        assert codeword(spec, a, b, c if affine else None) == want
+
+
 def test_codeword_constant_for_affine(ex35):
     tw = ex35.tower
     c0 = Elem(tw.Fq, 2)

@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from functools import partial
 
 import pytest
 
@@ -30,7 +32,7 @@ from qfcodes.descent import (
 )
 from qfcodes.ghw import subspace_bases
 
-from conftest import spec_for
+from conftest import reference_scan, spec_for
 
 
 def _spec(p, m, m1, m2, variant=Variant.HOMOGENEOUS, coeff_token=1):
@@ -295,8 +297,38 @@ def test_prime_field_descent_is_the_source_scan(name):
     ]
     for r in (1, 2, 3):
         assert descended_ghw_brute(spec, params, r) == ghw_brute(spec, r)
-    # rows given as lists still work: the message memo keys on tuples
+    # rows given as lists still work: the point counts take any array-like
     d2, witness = ghw_brute(spec, 2)
     as_lists = [list(row) for row in witness]
     assert support_defect(spec, as_lists) == spec.length - d2
     assert descended_support_defect(spec, params, as_lists) == spec.length - d2
+
+
+@pytest.mark.parametrize("fixture", ["descent-7", "affine-5-1-1-1"])
+def test_descended_scan_is_the_first_maximiser_of_the_point_count(fixture, fix7):
+    """Value and witness of descended_ghw_brute against the first maximiser
+    of the descended point count over subspace_bases, for every r."""
+    if fixture == "descent-7":
+        spec, params = fix7
+    else:
+        spec = _spec(5, 1, 1, 1, variant=Variant.AFFINE)
+        params = make_descent(spec.tower, 2)
+    tw = spec.tower
+    k = spec.dimension * tw.m
+    length = spec.length * params.L
+    for r in range(1, k + 1):
+        best, witness = reference_scan(
+            partial(descended_support_defect, spec, params), subspace_bases(k, r, tw.Fp)
+        )
+        assert descended_ghw_brute(spec, params, r) == (length - best, witness), r
+
+
+def test_descended_scan_memory_stays_flat(fix7):
+    spec, params = fix7
+    tracemalloc.start()
+    try:
+        descended_hierarchy(spec, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20

@@ -1,3 +1,6 @@
+import tracemalloc
+from functools import partial
+
 import pytest
 
 from qfcodes import (
@@ -6,6 +9,7 @@ from qfcodes import (
     Variant,
     gaussian_binomial,
     get_preset,
+    ghw,
     ghw_brute,
     ghw_closed,
     hierarchy,
@@ -17,7 +21,7 @@ from qfcodes import (
     weight_distribution_brute,
 )
 
-from conftest import spec_for, EXAMPLE_NAMES
+from conftest import batched, spec_for, reference_scan, EXAMPLE_NAMES
 
 
 def test_subspace_counts():
@@ -72,8 +76,8 @@ def test_support_defect_closed_everywhere(name):
     for r in range(1, k + 1):
         if gaussian_binomial(k, r, q) > 10**5:
             continue
-        for rows in subspace_bases(k, r, spec.tower.Fq):
-            assert support_defect(spec, rows) == support_defect_closed(spec, rows)
+        for rows, n in batched(partial(support_defect, spec), subspace_bases(k, r, spec.tower.Fq)):
+            assert n == support_defect_closed(spec, rows)
 
 
 @pytest.mark.parametrize("name", ["example-3.3", "example-3.4"])
@@ -171,3 +175,46 @@ def test_witness_attains_maximum(ex31):
     d2, witness = ghw_brute(ex31, 2)
     assert support_defect(ex31, witness) == ex31.length - d2
 
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_scan_is_the_first_maximiser_of_the_point_count(name):
+    """Value and witness of ghw_brute against the first maximiser of the
+    point count over subspace_bases, for every r with at most 10**5
+    subspaces (q = 9 on example-3.3)."""
+    spec = spec_for(name)
+    k, Fq = spec.dimension, spec.tower.Fq
+    for r in range(1, k + 1):
+        if gaussian_binomial(k, r, Fq.order) > 10**5:
+            continue
+        best, witness = reference_scan(partial(support_defect, spec), subspace_bases(k, r, Fq))
+        assert ghw_brute(spec, r) == (spec.length - best, witness), r
+
+
+@pytest.mark.parametrize(
+    "name,chunk",
+    [("example-3.3", 1), ("example-3.5", 1), ("example-3.3", 1000), ("example-3.6", 1000)],
+)
+def test_chunk_boundaries_do_not_move_the_scan(name, chunk, monkeypatch):
+    """One subspace per batch, and batches (1000 // q**s subspaces) that do
+    not divide the q**f bases of a pivot set, give the same values and
+    witnesses."""
+    spec = spec_for(name)
+    want = [ghw_brute(spec, r) for r in range(1, spec.dimension + 1)]
+    monkeypatch.setattr(ghw, "_CHUNK", chunk)
+    assert [ghw_brute(spec, r) for r in range(1, spec.dimension + 1)] == want
+
+
+def test_scan_memory_stays_flat(ex36):
+    tracemalloc.start()
+    try:
+        hierarchy(ex36)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
+
+
+def test_column_multiset_is_charged_to_the_budget(ex36):
+    """r = k has one subspace, but mu and the weight vector have q**k cells."""
+    with pytest.raises(BudgetError, match="column multiset"):
+        ghw_brute(ex36, ex36.dimension, budget=100)
