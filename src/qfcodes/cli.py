@@ -743,7 +743,7 @@ def build_parser() -> _Parser:
     sp.add_argument("-p", type=int, required=True)
     sp.add_argument("-m", type=int, default=1)
     sp.add_argument("--m1", type=int, required=True)
-    sp.add_argument("--m2", type=int, required=True)
+    sp.add_argument("--m2", type=int, default=1)
     sp.add_argument("--format", choices=_FORMATS, default="text")
 
     sp = sub.add_parser("qf", help="analyze the quadratic form")

@@ -15,8 +15,10 @@ logarithms, 1 + g**k = g**Z(k): one more table of |F| entries beside log/exp
 (K. Huber, "Some comments on Zech's logarithms", IEEE Trans. IT 36(4), 1990),
 and no |F| x |F| addition table.  A prime field keeps residue arithmetic.
 The exp and trace tables are built in numpy from F_p-linear maps acting on
-base-p digits.  Every table a field holds has |F| entries and is never
-written after it is built, so field handles are safe to share across threads.
+base-p digits.  Every table a field holds has |F| entries, except the q x q
+op tables of the F_q kernels; each is stored whole and never written after it
+is built, so field handles are safe to share across threads.  A field whose
+tables would exceed ``DEFAULT_BUDGET`` cells is refused before any is built.
 
 Two element orders coexist:
 
@@ -36,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import MixedFieldError, ParameterError
+from .errors import DEFAULT_BUDGET, BudgetError, MixedFieldError, ParameterError
 
 __all__ = [
     "FiniteField",
@@ -97,6 +99,23 @@ def _digit_count(order: int, base: int) -> int:
 def _p_digits(indices, p: int, d: int) -> np.ndarray:
     """The d base-p digits of each index, lowest first."""
     return np.asarray(indices, dtype=np.int64)[:, None] // p ** np.arange(d) % p
+
+
+# Tables of |F| entries a field keeps: log, exp and Zech as lists, the omega
+# listing, log and exp as arrays, and a trace table and trace row for each of
+# up to two subfields.
+_TABLES_KEPT = 10
+# Indices per block when a table is computed on base-p digits.
+_DIGIT_BLOCK = 1 << 16
+
+
+def _charge_tables(order: int, dim: int):
+    """Refuse a field of ``dim`` base-p digits before building it when its
+    digit temporaries and kept tables come to more than ``DEFAULT_BUDGET``
+    cells."""
+    cells = order * (dim + _TABLES_KEPT)
+    if cells > DEFAULT_BUDGET:
+        raise BudgetError(cells, DEFAULT_BUDGET, f"building GF({order})")
 
 
 class FiniteField:
@@ -258,7 +277,8 @@ class FiniteField:
 
         Tr is F_p-linear and the base-p digits of an index are its F_p
         coordinates, so the Frobenius sum is taken only at the indices p**l
-        and every other trace is a digit combination of those.
+        and every other trace is a digit combination of those, taken in
+        blocks of indices so the digit temporaries stay bounded.
         """
         key = id(target)
         tab = self._trace_tables.get(key)
@@ -273,8 +293,11 @@ class FiniteField:
 
             dim, tdim = _digit_count(self.order, p), _digit_count(tord, p)
             images = _p_digits([trace(p**l) for l in range(dim)], p, tdim)
-            coords = _p_digits(np.arange(self.order), p, dim) @ images % p
-            tab = (coords @ p ** np.arange(tdim)).astype(_min_dtype(tord))
+            weights = p ** np.arange(tdim)
+            tab = np.empty(self.order, dtype=_min_dtype(tord))
+            for start in range(0, self.order, _DIGIT_BLOCK):
+                block = np.arange(start, min(start + _DIGIT_BLOCK, self.order))
+                tab[block] = _p_digits(block, p, dim) @ images % p @ weights
             tab.setflags(write=False)
             self._trace_tables[key] = tab
         return tab
@@ -288,21 +311,42 @@ class FiniteField:
         key = id(target)
         by_log = self._trace_rows.get(key)
         if by_log is None:
-            by_log = self.trace_table(target)[np.asarray(self._exp)]
+            by_log = self.trace_table(target)[self._exp_arr]
             self._trace_rows[key] = by_log
         row = np.zeros(self.order, dtype=by_log.dtype)
         if b:
             row[1:] = np.roll(by_log, -self._log[b])
         return row
 
-    def op_table(self, op: str) -> np.ndarray:
-        """``table[i, j] = op(i, j)`` (int64) for the scalar op named ``op``.
+    def monomial_table(self, a: int, e: int) -> np.ndarray:
+        """Index of a * x**e for every x in dense order, for e >= 1.
 
-        |F|**2 cells, built on each call and kept by no field: only the
+        a * x**e = g**((log a + e * log x) mod n) with n = |F| - 1 for x != 0,
+        and 0 at x = 0.  e is reduced mod n first, so the int64 product stays
+        below n**2.
+        """
+        if e < 1:
+            raise ParameterError(f"exponent {e} must be >= 1")
+        out = np.zeros(self.order, dtype=np.int64)
+        if a:
+            n1 = self.order - 1
+            out[1:] = self._exp_arr[(self._log[a] + e % n1 * self._log_arr[1:]) % n1]
+        return out
+
+    def op_table(self, op: str) -> np.ndarray:
+        """``table[i, j] = op(i, j)`` (int64, read-only) for the scalar op
+        named ``op``.
+
+        |F|**2 cells, built on the first call and kept by the field: only the
         q x q kernels over F_q call it, on their own budgets.
         """
-        f, n = getattr(self, op), self.order
-        return np.array([[f(i, j) for j in range(n)] for i in range(n)], dtype=np.int64)
+        tab = self._op_tables.get(op)
+        if tab is None:
+            f, n = getattr(self, op), self.order
+            tab = np.array([[f(i, j) for j in range(n)] for i in range(n)], dtype=np.int64)
+            tab.setflags(write=False)
+            self._op_tables[op] = tab
+        return tab
 
     # -- shared construction pieces ----------------------------------------
 
@@ -333,11 +377,15 @@ class FiniteField:
         assert powers[n1] == 1  # g**(|F| - 1) = 1
         log = np.zeros(self.order, dtype=np.int64)
         log[powers[:n1]] = np.arange(n1)
-        self._exp = powers[:n1].tolist()
+        self._exp_arr, self._log_arr = powers[:n1], log
+        self._exp_arr.setflags(write=False)
+        self._log_arr.setflags(write=False)
+        self._exp = self._exp_arr.tolist()
         self._log = log.tolist()
         self._omega = (0, *self._exp)
         self._trace_tables: dict[int, np.ndarray] = {}
         self._trace_rows: dict[int, np.ndarray] = {}
+        self._op_tables: dict[str, np.ndarray] = {}
 
     def _mul_raw(self, i: int, j: int) -> int:
         raise NotImplementedError
@@ -356,6 +404,7 @@ class PrimeField(FiniteField):
     """F_p for an odd prime p; indices are residues 0..p-1."""
 
     def __init__(self, p: int):
+        _charge_tables(p, 1)
         if not _is_prime(p) or p % 2 == 0:
             raise ParameterError(f"p = {p} must be an odd prime")
         self.p = p
@@ -400,6 +449,7 @@ class ExtField(FiniteField):
                  modulus: tuple[int, ...] | None = None):
         if degree < 2:
             raise ParameterError("extension degree must be >= 2")
+        _charge_tables(base.order**degree, degree * _digit_count(base.order, base.p))
         self.p = base.p
         self.base = base
         self.degree = degree
@@ -413,11 +463,10 @@ class ExtField(FiniteField):
         self._finish_init()
         # Zech table Z(k) = log(1 + g**k), -1 where 1 + g**k = 0: adding one
         # changes digit 0 only
-        exp = np.asarray(self._exp, dtype=np.int64)
+        exp = self._exp_arr
         d0 = exp % B
         plus_one = exp - d0 + np.array([base.add(d, 1) for d in range(B)])[d0]
-        log = np.asarray(self._log, dtype=np.int64)
-        self._zech = np.where(plus_one == 0, -1, log[plus_one]).tolist()
+        self._zech = np.where(plus_one == 0, -1, self._log_arr[plus_one]).tolist()
 
     def _mul_raw(self, i, j):
         prod = _poly_mulmod(self.base, self.coeffs(i), self.coeffs(j), self.modulus)

@@ -127,11 +127,37 @@ class QuadraticForm:
 
     @cached_property
     def value_table(self) -> np.ndarray:
-        """Q over every element of F_{q^m1}, as F_q indices (dense order)."""
-        Fq1 = self.tower.Fq1
-        out = np.empty(Fq1.order, dtype=np.int32)
-        for i in range(Fq1.order):
-            out[i] = self(Elem(Fq1, i)).idx
+        """Q over every element of F_{q^m1}, as F_q indices (dense order).
+
+        Each term is a whole-field gather: a * x**e from the log/exp tables
+        (``monomial_table``), its trace from ``trace_table``, and the F_q
+        arithmetic from the q x q op tables.  A Gram input is x^T G x on the
+        base-q digits of the index.
+        """
+        tower = self.tower
+        Fq, Fq1, q = tower.Fq, tower.Fq1, tower.q
+        add, mul = Fq.op_table("add"), Fq.op_table("mul")
+        acc = np.zeros(Fq1.order, dtype=np.int64)
+        if self._gram_input is not None:
+            idx = np.arange(Fq1.order)
+            x = [(idx // q**k % q).astype(np.int32) for k in range(tower.m1)]
+            for i, row in enumerate(self._gram_input):
+                gx = np.zeros(Fq1.order, dtype=np.int64)  # (G x)_i
+                for j, g in enumerate(row):
+                    if g:
+                        gx = add[gx, mul[g, x[j]]]
+                acc = add[acc, mul[x[i], gx]]
+        else:
+            tr = Fq1.trace_table(Fq)
+            for t in self.frobenius_terms:
+                if t.coeff:
+                    acc = add[acc, tr[Fq1.monomial_table(t.coeff.idx, q**t.power + 1)]]
+            squares = mul[np.arange(q), np.arange(q)]
+            for t in self.trace_square_terms:
+                if t.scale and t.coeff:
+                    scaled = mul[t.scale.idx, squares]  # c * v**2 for each v in F_q
+                    acc = add[acc, scaled[tr[Fq1.monomial_table(t.coeff.idx, 1)]]]
+        out = acc.astype(np.int32)
         out.setflags(write=False)
         return out
 

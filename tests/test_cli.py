@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -276,3 +277,20 @@ def test_weight_data_budget_exits_one(capsys):
     assert code == 1 and out == ""
     assert err.count("\n") == 1
     assert err.startswith("qfcodes: resource error: message-space enumeration")
+
+
+def test_oversized_tower_is_refused_before_allocation(capsys):
+    """F_{3^16} would need about 10^9 table cells: refused with exit 1 before
+    the modulus search or any table is built."""
+    tracemalloc.start()
+    try:
+        code, out, err = _run(capsys, "field-info", "-p", "3", "--m1", "16")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    assert err == (
+        "qfcodes: resource error: building GF(43046721) needs 1119214746 steps, "
+        "exceeding the budget of 100000000\n"
+    )
+    assert peak < 10 * 2**20

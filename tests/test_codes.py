@@ -1,6 +1,14 @@
+import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+
+import qfcodes
 
 from qfcodes import (
     Elem,
@@ -299,3 +307,45 @@ def test_odd_rank_homogeneous_min_distance(ex33, ex34):
         tw = spec.tower
         wd = weight_distribution_brute(spec)
         assert wd.min_nonzero() == tw.q ** (tw.M - 1) * (tw.q - 1)
+
+
+# -- reach -----------------------------------------------------------------------
+
+_REACH_SCRIPT = textwrap.dedent(
+    """
+    import json, resource, time
+    from qfcodes import (CodeSpec, Elem, FrobeniusTerm, QuadraticForm, TraceSquareTerm,
+                         Variant, build_tower, cwe_brute, cwe_predicted)
+    start = time.perf_counter()
+    tw = build_tower(3, 1, 12, 3)
+    Fq, Fq1 = tw.Fq, tw.Fq1
+    form = QuadraticForm(
+        tw,
+        (FrobeniusTerm(Elem(Fq1, Fq1.gen), 1), FrobeniusTerm(Fq1.one, 0)),
+        (TraceSquareTerm(Elem(Fq, 2), Elem(Fq1, 5)),),
+    )
+    spec = CodeSpec(analysis=form.analysis, variant=Variant.AFFINE)
+    equal = cwe_brute(spec) == cwe_predicted(spec)
+    print(json.dumps({
+        "equal": equal,
+        "seconds": time.perf_counter() - start,
+        "peak_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    }))
+    """
+)
+
+
+def test_exhaustive_cwe_at_f_3_12():
+    """The affine F_{3^12} x F_{3^3} code (531,441-element F_{q^m1}): the
+    exhaustive CWE equals the closed form, in a fresh process, in under 2 s
+    and 300 MB."""
+    src = str(Path(qfcodes.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", _REACH_SCRIPT], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    run = json.loads(proc.stdout)
+    assert run["equal"]
+    assert run["seconds"] < 2, run
+    assert run["peak_mb"] < 300, run

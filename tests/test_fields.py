@@ -8,6 +8,7 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_irreducible_p, gf_mul, gf_rem
 
 from qfcodes import (
+    BudgetError,
     Elem,
     ExtField,
     MixedFieldError,
@@ -23,6 +24,7 @@ from qfcodes import (
     rel_trace,
     smallest_irreducible,
 )
+from qfcodes import fields
 from qfcodes.cli import main
 
 
@@ -328,6 +330,41 @@ def test_trace_table_is_the_frobenius_sum(shape):
             for j in range(F.degree_over(sub)):
                 acc = acc + x ** (sub.order**j)
             assert table[i] == F.demote_to(acc.idx, sub)
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 3, 2), (5, 1, 3, 2), (7, 1, 1, 1)])
+def test_monomial_table_is_the_scalar_power(shape):
+    F = build_tower(*shape).Fq1
+    n1 = F.order - 1
+    for a in (0, 1, F.gen, F.order - 1):
+        for e in (1, 2, F.p + 1, n1, n1 + 3, F.order**3 + 1):
+            expected = [F.mul(a, F.pow(x, e)) for x in range(F.order)]
+            assert F.monomial_table(a, e).tolist() == expected
+    with pytest.raises(ParameterError):
+        F.monomial_table(1, 0)
+
+
+def test_op_tables_are_built_once_and_read_only():
+    Fq = build_tower(5, 2, 1, 1).Fq
+    for op in ("add", "sub", "mul"):
+        table = Fq.op_table(op)
+        assert Fq.op_table(op) is table
+        assert not table.flags.writeable
+
+
+def test_trace_table_blocks_do_not_move_the_table(monkeypatch):
+    cached = build_tower(3, 2, 3, 2).Fq1
+    monkeypatch.setattr(fields, "_DIGIT_BLOCK", 7)
+    fresh = ExtField(cached.base, 3, modulus=cached.modulus)
+    for sub in cached.subfield_chain()[1:]:
+        assert fresh.trace_table(sub).tobytes() == cached.trace_table(sub).tobytes()
+
+
+def test_oversized_fields_are_refused_before_construction():
+    with pytest.raises(BudgetError, match=r"building GF\(43046721\)"):
+        extension_field(prime_field(3), 16)
+    with pytest.raises(BudgetError, match=r"building GF\(1000000007\)"):
+        prime_field(1000000007)
 
 
 # -- reach ---------------------------------------------------------------------

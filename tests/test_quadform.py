@@ -1,6 +1,8 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qfcodes import (
     Elem,
@@ -242,3 +244,110 @@ def test_trace_square_term_evaluation():
         x = Elem(tw.Fq1, rng.randrange(tw.Fq1.order))
         tr = rel_trace(b * x, tw.Fq)
         assert form(x) == c * tr * tr
+
+
+# -- the value table against the scalar evaluation -----------------------------
+
+
+def _scalar_values(form):
+    Fq1 = form.tower.Fq1
+    return [form(Elem(Fq1, i)).idx for i in range(Fq1.order)]
+
+
+def _assert_table_is_scalar(form):
+    table = form.value_table
+    assert table.dtype == np.int32 and not table.flags.writeable
+    assert table.tolist() == _scalar_values(form)
+
+
+def _random_form(tw, rng, n_trsq=1):
+    Fq, Fq1 = tw.Fq, tw.Fq1
+    while True:
+        frobs = tuple(
+            FrobeniusTerm(Elem(Fq1, rng.randrange(Fq1.order)), rng.randrange(tw.m1))
+            for _ in range(2)
+        )
+        trsq = tuple(
+            TraceSquareTerm(Elem(Fq, rng.randrange(Fq.order)), Elem(Fq1, rng.randrange(Fq1.order)))
+            for _ in range(n_trsq)
+        )
+        try:
+            return QuadraticForm(tw, frobs, trsq)
+        except ZeroFormError:
+            continue
+
+
+@pytest.mark.parametrize(
+    "shape", [(3, 1, 4, 1), (3, 2, 3, 1), (5, 1, 6, 1)], ids=["F81", "F9^3", "F5^6"]
+)
+def test_value_table_is_the_scalar_evaluation(shape):
+    tw = build_tower(*shape)
+    rng = random.Random(sum(shape))
+    _assert_table_is_scalar(_random_form(tw, rng))
+    # one term of each kind per Frobenius power, so every exponent q**i + 1 occurs
+    Fq, Fq1 = tw.Fq, tw.Fq1
+    frobs = tuple(FrobeniusTerm(Elem(Fq1, rng.randrange(1, Fq1.order)), i) for i in range(tw.m1))
+    trsq = (TraceSquareTerm(Elem(Fq, 1), Elem(Fq1, rng.randrange(1, Fq1.order))),)
+    _assert_table_is_scalar(QuadraticForm(tw, frobs, trsq))
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 3, 1), (5, 1, 3, 2), (7, 1, 1, 1)])
+def test_value_table_of_a_gram_input(shape):
+    tw = build_tower(*shape)
+    rng = random.Random(7)
+    m1, q = tw.m1, tw.q
+    upper = [[rng.randrange(q) for _ in range(m1)] for _ in range(m1)]
+    gram = tuple(tuple(upper[min(i, j)][max(i, j)] for j in range(m1)) for i in range(m1))
+    _assert_table_is_scalar(QuadraticForm(tw, gram=gram))
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 1, 1), (7, 1, 1, 2)])
+def test_value_table_when_m1_is_one(shape):
+    """F_{q^m1} = F_q: the only Frobenius power is 0 and every trace is the
+    identity."""
+    tw = build_tower(*shape)
+    _assert_table_is_scalar(_random_form(tw, random.Random(3), n_trsq=2))
+
+
+def test_value_table_skips_zero_coefficients_and_scales():
+    tw = build_tower(3, 2, 3, 1)
+    Fq, Fq1 = tw.Fq, tw.Fq1
+    b = Elem(Fq1, Fq1.t)
+    form = QuadraticForm(
+        tw,
+        frobenius_terms=(FrobeniusTerm(Fq1.zero, 1), FrobeniusTerm(Elem(Fq1, 5), 2)),
+        trace_square_terms=(
+            TraceSquareTerm(Fq.zero, b),
+            TraceSquareTerm(Elem(Fq, 2), Fq1.zero),
+            TraceSquareTerm(Elem(Fq, 4), b),
+        ),
+    )
+    _assert_table_is_scalar(form)
+
+
+ADMISSIBLE_TOWERS = [
+    (3, 1, 2, 1), (3, 1, 3, 1), (3, 2, 2, 1), (5, 1, 2, 1), (5, 2, 1, 1), (7, 1, 2, 1),
+]
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_value_table_property_over_random_forms(data):
+    tw = build_tower(*data.draw(st.sampled_from(ADMISSIBLE_TOWERS), label="tower"))
+    Fq, Fq1 = tw.Fq, tw.Fq1
+    q1 = st.integers(0, Fq1.order - 1)
+    frobs = data.draw(
+        st.lists(st.tuples(q1, st.integers(0, tw.m1 - 1)), max_size=3), label="frobenius"
+    )
+    trsq = data.draw(
+        st.lists(st.tuples(st.integers(0, Fq.order - 1), q1), max_size=2), label="trace squares"
+    )
+    try:
+        form = QuadraticForm(
+            tw,
+            tuple(FrobeniusTerm(Elem(Fq1, a), i) for a, i in frobs),
+            tuple(TraceSquareTerm(Elem(Fq, c), Elem(Fq1, b)) for c, b in trsq),
+        )
+    except ZeroFormError:
+        return
+    _assert_table_is_scalar(form)
