@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import BudgetError, DEFAULT_BUDGET, MixedFieldError
 from .fields import Elem, FiniteField, rel_trace
 from .quadform import QuadFormAnalysis, QuadraticForm
@@ -335,18 +337,10 @@ def count_solutions_brute(
     if total > budget:
         raise BudgetError(total, budget, "solution count enumeration")
     q = Fq.order
-    # histogram of a*Q(x) over x
-    hist_q = [0] * q
-    for v, cnt in enumerate(form.value_histogram):
-        if cnt:
-            hist_q[Fq.mul(a.idx, v)] += int(cnt)
+    hist_q = np.zeros(q, dtype=np.int64)  # histogram of a*Q(x) over x
+    np.add.at(hist_q, Fq.op_table("mul")[a.idx], form.value_histogram)
     # histogram of Tr(b*y) over y
-    tr = Fq2.trace_table(Fq) if Fq2 is not Fq else None
-    hist_t = [0] * q
-    for y in range(Fq2.order):
-        by = Fq2.mul(b.idx, y)
-        hist_t[int(tr[by]) if tr is not None else by] += 1
+    by = Fq.op_table("mul")[b.idx] if Fq2 is Fq else Fq2.trace_row(b.idx, Fq)
+    hist_t = np.bincount(by, minlength=q)
     target = beta.idx if c is None else Fq.sub(beta.idx, c.idx)
-    return sum(
-        hist_q[v] * hist_t[Fq.sub(target, v)] for v in range(q) if hist_q[v]
-    )
+    return int(hist_q @ hist_t[Fq.op_table("sub")[target]])

@@ -362,7 +362,8 @@ class FiniteField:
         self._gen = gen
         # exp[k] = g**k.  Multiplication by g**s is F_p-linear on the base-p
         # digits of an index, so after the first s powers each block of s
-        # powers is the block before it times one matrix mod p.
+        # powers is the block before it times one matrix mod p; each block is
+        # turned into indices as it is made, so one block of digits is alive.
         s = math.isqrt(n1) + 1
         head = [1]
         for _ in range(s):
@@ -370,10 +371,11 @@ class FiniteField:
         gen_s = head.pop()
         dim = _digit_count(self.order, p)
         step = _p_digits([self._mul_raw(p**l, gen_s) for l in range(dim)], p, dim)
-        blocks = [_p_digits(head, p, dim)]
-        for _ in range(n1 // s):
-            blocks.append(blocks[-1] @ step % p)
-        powers = np.concatenate(blocks) @ p ** np.arange(dim)
+        block, weights = _p_digits(head, p, dim), p ** np.arange(dim)
+        powers = np.empty((n1 // s + 1) * s, dtype=np.int64)
+        for start in range(0, len(powers), s):
+            powers[start : start + s] = block @ weights
+            block = block @ step % p
         assert powers[n1] == 1  # g**(|F| - 1) = 1
         log = np.zeros(self.order, dtype=np.int64)
         log[powers[:n1]] = np.arange(n1)
@@ -462,11 +464,13 @@ class ExtField(FiniteField):
         self._powers = tuple(B**k for k in range(degree))
         self._finish_init()
         # Zech table Z(k) = log(1 + g**k), -1 where 1 + g**k = 0: adding one
-        # changes digit 0 only
-        exp = self._exp_arr
-        d0 = exp % B
-        plus_one = exp - d0 + np.array([base.add(d, 1) for d in range(B)])[d0]
-        self._zech = np.where(plus_one == 0, -1, self._log_arr[plus_one]).tolist()
+        # changes digit 0 only.  One |F|-cell array is alive beside the list.
+        bump = np.array([base.add(d, 1) - d for d in range(B)])  # digit 0: d -> d + 1
+        plus_one = self._exp_arr + bump[self._exp_arr % B]
+        zech = self._log_arr[plus_one]
+        zech[plus_one == 0] = -1
+        del plus_one
+        self._zech = zech.tolist()
 
     def _mul_raw(self, i, j):
         prod = _poly_mulmod(self.base, self.coeffs(i), self.coeffs(j), self.modulus)

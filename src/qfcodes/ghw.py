@@ -13,7 +13,10 @@ Four routes compute N(D):
   multiset mu(v) = #{columns of G equal to v}.  N(D) is the sum of mu over
   the annihilator of D (Tsfasman-Vladut); for 2r <= k it is n - |supp D| by
   Wei's identity sum over D of wt(c) = q**(r-1) (q-1) |supp D|, with wt
-  computed from mu.  A subspace costs q**min(r, k-r) lookups;
+  computed once per code from mu.  Both sums take one vector per line
+  (wt(a c) = wt(c); mu over a line is mu*), each gathered from a table of
+  F_q dot products, so a subspace costs (q**s - 1)/(q - 1) lookups with
+  s = min(r, k - r);
 * the point count (``support_defect``; the tests' oracle): the basis rows
   times G, all-zero columns counted;
 * the closed forms (``support_defect_closed`` per subspace, ``ghw_closed``
@@ -26,7 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -76,7 +79,7 @@ def subspace_bases(n: int, r: int, field: FiniteField):
         return
     order = field.order
     for pivots in itertools.combinations(range(n), r):
-        free_cells = [(i, c) for i in range(r) for c in range(pivots[i] + 1, n) if c not in pivots]
+        free_cells = _free_cells(n, pivots)
         for values in itertools.product(range(order), repeat=len(free_cells)):
             rows = [[0] * n for _ in range(r)]
             for i in range(r):
@@ -129,66 +132,170 @@ def message_dim(spec: CodeSpec, params=None) -> int:
 _CHUNK = 1 << 13  # span elements per numpy batch: bounds every temporary
 
 
-def _span_sums(F: FiniteField, k: int, r: int, table: np.ndarray, dual: bool):
-    """Yield ``(R, S)`` chunk by chunk, in ``subspace_bases`` order: R holds
-    RREF bases of r-dim subspaces D of F**k, S the sums of ``table`` over the
-    span of D (``dual`` False) or over its annihilator (``dual`` True)."""
+def _frozen(table: np.ndarray) -> np.ndarray:
+    table.setflags(write=False)  # cached: shared by every caller
+    return table
+
+
+@lru_cache(maxsize=None)
+def _line_reps(q: int, s: int) -> np.ndarray:
+    """Encodings of the (q**s - 1)/(q - 1) vectors of F_q**s whose last
+    nonzero coordinate is 1, ascending: one vector per line."""
+    lines = [q**t + np.arange(q**t) for t in range(s)]  # last nonzero at t
+    return _frozen(np.concatenate([np.zeros(0, np.int64), *lines]))
+
+
+@lru_cache(maxsize=None)
+def _dot_table(F: FiniteField, s: int, lines: bool) -> np.ndarray:
+    """table[v, j] = the index of v . w_j for v in F**s (an encoding), w_j
+    the j-th of ``_line_reps`` (``lines``) or of all of F**s, summed from the
+    field's op tables; read-only, in the smallest index dtype."""
     q = F.order
-    step = max(1, _CHUNK // q ** (k - r if dual else r))
+    add, mul = F.op_table("add"), F.op_table("mul")
+    v = np.arange(q**s)[:, None] // q ** np.arange(s) % q
+    w = v[_line_reps(q, s)] if lines else v
+    table = np.zeros((len(v), len(w)), dtype=np.int64)
+    for i in range(s):
+        table = add[table, mul[v[:, i, None], w[None, :, i]]]
+    return _frozen(table.astype(_min_dtype(q)))
+
+
+def _dots(F: FiniteField, V: np.ndarray, s: int, width: int) -> np.ndarray:
+    """(..., L): the index of v . lam for each vector v in F**s of V (an
+    encoding) and each lam of ``_line_reps``.  Past ``width`` coordinates the
+    dot product is summed through the add table over blocks of at most
+    ``width`` coordinates, so no table has more than q**(2 width) cells."""
+    if s <= width:
+        return _dot_table(F, s, True).take(V, axis=0)
+    q, reps = F.order, _line_reps(F.order, s)
+    out = 0
+    for lo in range(0, s, width):
+        b = min(width, s - lo)
+        part = _dot_table(F, b, False).take(V // q**lo % q**b, axis=0)
+        out = F.op_table("add")[out, part[..., reps // q**lo % q**b]]
+    return out
+
+
+def _free_cells(k: int, pivots) -> list[tuple[int, int]]:
+    """The free entries (row, column) of an RREF basis with these pivots, in
+    ``subspace_bases`` order: the last one varies fastest."""
+    return [(i, c) for i in range(len(pivots)) for c in range(pivots[i] + 1, k) if c not in pivots]
+
+
+def _free_digits(q: int, f: int, t: np.ndarray) -> np.ndarray:
+    """(len(t), f): the f free entries numbered t, the last one fastest."""
+    return t[:, None] // q ** np.arange(f)[::-1] % q
+
+
+def _bases(q: int, k: int, pivots, t: np.ndarray) -> np.ndarray:
+    """(len(t), r, k): the RREF bases with these pivots whose free entries
+    are numbered t."""
+    free = _free_cells(k, pivots)
+    R = np.zeros((len(t), len(pivots), k), dtype=np.int64)
+    R[:, np.arange(len(pivots)), list(pivots)] = 1
+    if free:
+        R[(slice(None), *zip(*free))] = _free_digits(q, len(free), t)
+    return R
+
+
+def _span_sums(F: FiniteField, k: int, r: int, table: np.ndarray, dual: bool):
+    """Yield ``(pivots, t, S)`` chunk by chunk, in ``subspace_bases`` order:
+    ``_bases(q, k, pivots, t)`` are RREF bases of r-dim subspaces D of F**k,
+    S the sums of ``table`` over one nonzero vector per line of D (``dual``
+    False) or of its annihilator (``dual`` True).
+
+    The vector with coefficients lam (a line representative) is lam on the
+    basis' unit columns and v_c . lam on each other column c, with v_c the
+    column c of R (D) or the row of R on the free columns, negated (the
+    annihilator): a gather from the dot tables, no span is formed."""
+    q = F.order
+    s = k - r if dual else r
+    step = max(1, _CHUNK // q**s)
+    lam = _line_reps(q, s)[:, None] // q ** np.arange(s) % q  # (L, s)
+    neg = F.op_table("sub")[0]
     for pivots in itertools.combinations(range(k), r):
-        free = [(i, c) for i in range(r) for c in range(pivots[i] + 1, k) if c not in pivots]
-        fi, fc = np.array(free, dtype=np.int64).reshape(-1, 2).T
-        place = q ** np.arange(len(free))[::-1]  # the last free entry varies fastest
-        total = q ** len(free)
+        free = _free_cells(k, pivots)
         rest = [c for c in range(k) if c not in pivots]
         units, others = (rest, list(pivots)) if dual else (list(pivots), rest)
-        # each basis is the identity on ``units``, where a span element holds its coefficients
-        base, offset = (linalg.span(F, np.eye(k, dtype=np.int64)[cols]) for cols in (units, others))
-        for lo in range(0, total, step):
-            t = np.arange(lo, min(lo + step, total))
-            R = np.zeros((len(t), r, k), dtype=np.int64)
-            R[:, np.arange(r), list(pivots)] = 1
-            R[:, fi, fc] = t[:, None] // place % q
-            basis = linalg.annihilator(F, R, pivots) if dual else R
-            yield R, table[base + offset[linalg.span(F, basis[..., others])]].sum(axis=1)
+        base = lam @ q ** np.array(units, dtype=np.int64)  # lam on the unit columns
+        columns = q ** np.array(others, dtype=np.int64)
+        to_v = np.zeros((len(free), len(others)), dtype=np.int64)  # free digits -> v_c
+        for n, (i, c) in enumerate(free):
+            j, coord = (i, rest.index(c)) if dual else (others.index(c), i)
+            to_v[n, j] = q**coord
+        for lo in range(0, q ** len(free), step):
+            t = np.arange(lo, min(lo + step, q ** len(free)))
+            digits = _free_digits(q, len(free), t)
+            V = (neg[digits] if dual else digits) @ to_v
+            enc = base + columns @ _dots(F, V, s, max(1, k // 2))
+            yield pivots, t, table[enc].sum(axis=1)
 
 
-def _weights(F: FiniteField, k: int, mu: np.ndarray) -> np.ndarray:
-    """wt(m) = n - sum over v with v.m = 0 of mu(v), for every message m in
-    encoding order: the annihilator sum of the line through m, spread over
-    the line."""
-    n = int(mu.sum())
-    wt = np.zeros(F.order**k, dtype=np.int64)
-    for R, S in _span_sums(F, k, 1, mu, dual=True):
-        wt[linalg.span(F, R)] = n - S[:, None]
-    wt[0] = 0
-    return wt
+class _Multiset:
+    """The column multiset mu over F**k and the tables the scan derives from
+    it, each built on first use and kept read-only."""
+
+    def __init__(self, F: FiniteField, k: int, mu):
+        self.F, self.k = F, k
+        self.mu = _frozen(np.array(mu, dtype=np.int64))
+        self.n = int(self.mu.sum())
+
+    @cached_property
+    def star(self) -> np.ndarray:
+        """mu*(v) = sum over a in F* of mu(a v): v -> g v permutes F**k
+        (g the field's generator), so mu* sums q - 1 gathers of mu."""
+        q, k = self.F.order, self.k
+        times_g = self.F.op_table("mul")[self.F.gen]
+        perm = np.zeros(q**k, dtype=np.int64)
+        for t in range(k):
+            perm += q**t * times_g[np.arange(q**k) // q**t % q]
+        star, cur = self.mu.copy(), self.mu
+        for _ in range(q - 2):
+            cur = cur[perm]  # cur(v) = mu(g**j v)
+            star += cur
+        return _frozen(star)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """wt(m) = n - N(line through m) for every message m in encoding
+        order, N from the annihilator side, spread over the line."""
+        q, k = self.F.order, self.k
+        mul = self.F.op_table("mul")
+        wt = np.zeros(q**k, dtype=np.int64)
+        for pivots, t, S in _span_sums(self.F, k, 1, self.star, dual=True):
+            line = mul[1:][:, _bases(q, k, pivots, t)[:, 0]] @ q ** np.arange(k)
+            wt[line] = self.n - int(self.mu[0]) - S
+        return _frozen(wt)
 
 
-def _defects(F: FiniteField, k: int, mu: np.ndarray, r: int):
-    """Yield ``(R, N)`` per chunk: N(D) = sum over the annihilator of D of mu
-    (Tsfasman-Vladut), or for 2r <= k, n - |supp D| by Wei's identity
-    sum over D of wt(c) = q**(r-1) (q-1) |supp D|.  Either side takes
-    q**min(r, k-r) lookups per subspace."""
-    q, n = F.order, int(mu.sum())
+def _defects(ms: _Multiset, r: int):
+    """Yield ``(pivots, t, N)`` per chunk, as ``_span_sums``: N(D) = the sum
+    of mu over the annihilator of D (Tsfasman-Vladut), i.e. mu(0) plus mu*
+    over its lines; or for 2r <= k, n - |supp D| by Wei's identity: wt(c) is
+    constant on the lines of D, so the sum of wt over one vector per line is
+    q**(r-1) |supp D|.  A subspace costs (q**s - 1)/(q - 1) gathers from a
+    dot table, s = min(r, k - r)."""
+    F, k = ms.F, ms.k
     if 2 * r > k:
-        yield from _span_sums(F, k, r, mu, dual=True)
+        for pivots, t, S in _span_sums(F, k, r, ms.star, dual=True):
+            yield pivots, t, int(ms.mu[0]) + S
         return
-    scale = q ** (r - 1) * (q - 1)
-    for R, S in _span_sums(F, k, r, _weights(F, k, mu), dual=False):
+    scale = F.order ** (r - 1)
+    for pivots, t, S in _span_sums(F, k, r, ms.weights, dual=False):
         assert not (S % scale).any(), "Wei's identity must divide exactly"
-        yield R, n - S // scale
+        yield pivots, t, ms.n - S // scale
 
 
-def _max_defect(F: FiniteField, k: int, mu: np.ndarray, r: int) -> tuple[int, tuple]:
+def _max_defect(ms: _Multiset, r: int) -> tuple[int, tuple]:
     """(n - max N(D), first maximiser in enumeration order) over the r-dim
     subspaces of F**k, from the field, k and the column multiset mu only."""
     best, witness = -1, None
-    for R, N in _defects(F, k, mu, r):
+    for pivots, t, N in _defects(ms, r):
         i = int(N.argmax())
         if N[i] > best:
-            best, witness = int(N[i]), tuple(map(tuple, R[i].tolist()))
-    return int(mu.sum()) - best, witness
+            rows = _bases(ms.F.order, ms.k, pivots, t[i : i + 1])[0]
+            best, witness = int(N[i]), tuple(map(tuple, rows.tolist()))
+    return ms.n - best, witness
 
 
 def scan(spec: CodeSpec, params, r: int, budget: int) -> tuple[int, tuple]:
@@ -200,13 +307,14 @@ def scan(spec: CodeSpec, params, r: int, budget: int) -> tuple[int, tuple]:
     count = gaussian_binomial(k, r, F.order)
     if count > budget:
         raise BudgetError(count, budget, f"subspace enumeration [{k} choose {r}]_{F.order}")
-    if F.order**k > budget:  # mu and the weight vector have one cell per message
+    # mu, mu*, the weight vector and each dot table have at most q**k cells
+    if F.order**k > budget:
         raise BudgetError(F.order**k, budget, f"column multiset over F_{F.order}^{k}")
-    return _max_defect(F, k, _column_multiset(F, spec, params), r)
+    return _max_defect(_column_multiset(F, spec, params), r)
 
 
 @lru_cache(maxsize=None)
-def _column_multiset(F: FiniteField, spec: CodeSpec, params) -> np.ndarray:
+def _column_multiset(F: FiniteField, spec: CodeSpec, params) -> _Multiset:
     """mu[v] = the number of columns of the generator matrix with encoding v
     (sum_t v_t |F|**t): an exhaustive bincount."""
     G = generator_matrix(spec, params)
@@ -214,9 +322,7 @@ def _column_multiset(F: FiniteField, spec: CodeSpec, params) -> np.ndarray:
     for row in G[::-1]:  # Horner's rule
         enc *= F.order
         enc += row
-    mu = np.bincount(enc, minlength=F.order ** len(G))
-    mu.setflags(write=False)
-    return mu
+    return _Multiset(F, len(G), np.bincount(enc, minlength=F.order ** len(G)))
 
 
 # ---------------------------------------------------------------------------

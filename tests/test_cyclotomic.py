@@ -19,6 +19,8 @@ from qfcodes import (
     qf_exp_sum_closed,
 )
 
+from conftest import spec_for
+
 
 # fields of every size that appears in the fixtures
 FIXTURE_FIELDS = [(3, 1), (5, 1), (3, 2), (5, 2), (3, 3), (3, 4), (5, 3), (3, 5)]
@@ -182,6 +184,55 @@ def test_count_solutions_brute_matches_nested_loop():
                 v = a * form(x) + rel_trace(b * y, tw.Fq)
                 literal += v == beta
         assert literal == count_solutions_brute(form, a, b, beta)
+
+
+def _scalar_histograms(form):
+    """By scalar field ops: the histogram of a*Q(x) over x for every a, and
+    of Tr(b*y) over y (the Frobenius sum) for every b."""
+    tw = form.tower
+    Fq, Fq2, q = tw.Fq, tw.Fq2, tw.Fq.order
+    by_a = []
+    for a in range(q):
+        hist = [0] * q
+        for v, cnt in enumerate(form.value_histogram.tolist()):
+            hist[Fq.mul(a, v)] += cnt
+        by_a.append(hist)
+    by_b = []
+    for b in range(Fq2.order):
+        hist = [0] * q
+        for y in range(Fq2.order):
+            z, tr = Fq2.mul(b, y), 0
+            for j in range(Fq2.degree_over(Fq)):
+                tr = Fq2.add(tr, Fq2.pow(z, q**j))
+            hist[Fq2.demote_to(tr, Fq)] += 1
+        by_b.append(hist)
+    return by_a, by_b
+
+
+@pytest.mark.parametrize("name", ["example-3.2", "example-3.4", "m2=1"])
+def test_count_solutions_brute_is_the_scalar_convolution(name):
+    """Every (a, b, beta) and every c (or none): the vectorised count equals
+    the scalar histogram convolution and the closed form."""
+    from qfcodes import FrobeniusTerm, QuadraticForm
+
+    if name == "m2=1":
+        tw = build_tower(5, 1, 2, 1)
+        form = QuadraticForm(tw, frobenius_terms=(FrobeniusTerm(tw.Fq1.one, 0),))
+    else:
+        form = spec_for(name).analysis.form
+        tw = form.tower
+    Fq, q = tw.Fq, tw.Fq.order
+    by_a, by_b = _scalar_histograms(form)
+    for a in range(q):
+        for b in range(tw.Fq2.order):
+            for beta in range(q):
+                for c in (None, *range(q)):
+                    target = beta if c is None else Fq.sub(beta, c)
+                    expect = sum(by_a[a][v] * by_b[b][Fq.sub(target, v)] for v in range(q))
+                    args = (Elem(Fq, a), Elem(tw.Fq2, b), Elem(Fq, beta))
+                    ce = None if c is None else Elem(Fq, c)
+                    assert count_solutions_brute(form, *args, c=ce) == expect
+                    assert count_solutions(form.analysis, *args, c=ce) == expect
 
 
 def test_count_solutions_random_samples(example_spec):

@@ -1,6 +1,11 @@
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -380,6 +385,57 @@ def test_f_3_8_builds_in_linear_memory():
     finally:
         tracemalloc.stop()
     assert peak < 100 * 2**20
+
+
+@pytest.mark.parametrize("p,degree", [(3, 7), (5, 3), (7, 2), (3, 2)])
+def test_exp_and_zech_tables_are_the_power_sequence(p, degree):
+    """exp[k] = g**k by repeated polynomial multiplication, log inverts it,
+    and Z(k) = log(1 + g**k) by scalar addition (-1 where it vanishes)."""
+    F = ExtField(prime_field(p), degree)
+    powers = [1]
+    for _ in range(F.order - 2):
+        powers.append(F._mul_raw(powers[-1], F.gen))
+    assert F._exp == F._exp_arr.tolist() == powers
+    assert [F._log[x] for x in powers] == list(range(F.order - 1))
+    zech = [F._log[F.add(1, x)] if F.add(1, x) else -1 for x in powers]
+    assert F._zech == zech
+
+
+_EXP_BUILD_SCRIPT = textwrap.dedent(
+    """
+    import hashlib, json, tracemalloc
+    from qfcodes import ExtField, prime_field
+    F3 = prime_field(3)
+    tracemalloc.start()
+    F = ExtField(F3, 12)
+    held, peak = tracemalloc.get_traced_memory()
+    print(json.dumps({
+        "held_mb": held / 2**20,
+        "peak_mb": peak / 2**20,
+        "exp": hashlib.sha1(F._exp_arr.tobytes()).hexdigest(),
+        "log": hashlib.sha1(F._log_arr.tobytes()).hexdigest(),
+    }))
+    """
+)
+
+
+def test_exp_build_of_f_3_12_stays_near_what_the_field_holds():
+    """The exp table is turned into indices block by block: building
+    F_{3^12} peaks within 10 MB of what the field holds afterwards (the
+    digit blocks held all at once took it 33 MB over), with the same
+    exp and log bytes."""
+    src = str(Path(fields.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _EXP_BUILD_SCRIPT],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    run = json.loads(proc.stdout)
+    assert run["exp"].startswith("42c19c1768cb") and run["log"].startswith("3176c14a22a1"), run
+    assert run["peak_mb"] - run["held_mb"] < 10, run
 
 
 def test_field_info_reaches_f_3_9(capsys):

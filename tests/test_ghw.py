@@ -1,7 +1,9 @@
 import tracemalloc
 from functools import partial
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qfcodes import (
     BudgetError,
@@ -11,8 +13,10 @@ from qfcodes import (
     get_preset,
     ghw,
     ghw_brute,
+    extension_field,
     ghw_closed,
     hierarchy,
+    make_descent,
     prime_field,
     subspace_bases,
     support_defect,
@@ -20,6 +24,8 @@ from qfcodes import (
     support_defect_closed,
     weight_distribution_brute,
 )
+
+from qfcodes.errors import DEFAULT_BUDGET
 
 from conftest import batched, spec_for, reference_scan, EXAMPLE_NAMES
 
@@ -192,16 +198,25 @@ def test_scan_is_the_first_maximiser_of_the_point_count(name):
 
 @pytest.mark.parametrize(
     "name,chunk",
-    [("example-3.3", 1), ("example-3.5", 1), ("example-3.3", 1000), ("example-3.6", 1000)],
+    [
+        ("example-3.3", 1),
+        ("example-3.5", 1),
+        ("example-3.3", 1000),
+        ("example-3.6", 1000),
+        ("descent-7-2-1-1-3", 1),
+    ],
 )
 def test_chunk_boundaries_do_not_move_the_scan(name, chunk, monkeypatch):
     """One subspace per batch, and batches (1000 // q**s subspaces) that do
     not divide the q**f bases of a pivot set, give the same values and
-    witnesses."""
+    witnesses; on descent-7, for the descended scan over F_7."""
     spec = spec_for(name)
-    want = [ghw_brute(spec, r) for r in range(1, spec.dimension + 1)]
+    params = make_descent(spec.tower, 3) if name.startswith("descent") else None
+    brute = partial(ghw.scan, spec, params, budget=DEFAULT_BUDGET)
+    rs = range(1, ghw.message_dim(spec, params) + 1)
+    want = [brute(r) for r in rs]
     monkeypatch.setattr(ghw, "_CHUNK", chunk)
-    assert [ghw_brute(spec, r) for r in range(1, spec.dimension + 1)] == want
+    assert [brute(r) for r in rs] == want
 
 
 def test_scan_memory_stays_flat(ex36):
@@ -218,3 +233,78 @@ def test_column_multiset_is_charged_to_the_budget(ex36):
     """r = k has one subspace, but mu and the weight vector have q**k cells."""
     with pytest.raises(BudgetError, match="column multiset"):
         ghw_brute(ex36, ex36.dimension, budget=100)
+
+
+# -- the engine alone ------------------------------------------------------------
+
+ENGINE_FIELDS = {p: prime_field(p) for p in (3, 5, 7)} | {9: extension_field(prime_field(3), 2)}
+
+
+def _reference_max_defect(F, k, mu, r):
+    """(n - max N(D), first maximiser) over ``subspace_bases`` order, N(D)
+    the sum of mu over the annihilator of D, by scalar field ops."""
+    q = F.order
+    support = [
+        ([v // q**t % q for t in range(k)], m) for v, m in enumerate(mu.tolist()) if m and v
+    ]
+    best, witness = -1, None
+    for rows in subspace_bases(k, r, F):
+        N = int(mu[0])
+        for vec, m in support:
+            dots = []
+            for row in rows:
+                acc = 0
+                for x, y in zip(row, vec):
+                    acc = F.add(acc, F.mul(x, y))
+                dots.append(acc)
+            if not any(dots):
+                N += m
+        if N > best:
+            best, witness = N, rows
+    return int(mu.sum()) - best, witness
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(data=st.data())
+def test_engine_is_the_annihilator_sum(data):
+    """For a random field, k <= 4 and a random column multiset mu (mu(0)
+    included), ``_max_defect`` gives the value and witness of the scalar
+    annihilator sum at every r, both sides of the scan included."""
+    q = data.draw(st.sampled_from(sorted(ENGINE_FIELDS)), label="q")
+    k = data.draw(st.integers(1, 4), label="k")
+    F = ENGINE_FIELDS[q]
+    mu = np.zeros(q**k, dtype=np.int64)
+    cells = st.dictionaries(st.integers(0, q**k - 1), st.integers(1, 4), max_size=6)
+    for v, m in data.draw(cells, label="mu").items():
+        mu[v] = m
+    mu[0] += data.draw(st.integers(0, 3), label="mu(0)")
+    ms = ghw._Multiset(F, k, mu)
+    for r in range(1, k + 1):
+        assert ghw._max_defect(ms, r) == _reference_max_defect(F, k, mu, r), r
+
+
+def test_dot_tables_are_cached_read_only_scalar_dot_products():
+    F = ENGINE_FIELDS[9]
+    q = F.order
+    for s, lines in ((2, True), (2, False), (1, True), (0, True)):
+        table = ghw._dot_table(F, s, lines)
+        assert ghw._dot_table(F, s, lines) is table
+        assert not table.flags.writeable
+        cols = ghw._line_reps(q, s).tolist() if lines else range(q**s)
+        for v in range(q**s):
+            for j, w in enumerate(cols):
+                acc = 0
+                for t in range(s):
+                    acc = F.add(acc, F.mul(v // q**t % q, w // q**t % q))
+                assert table[v, j] == acc
+    # blocks of one coordinate, summed through the add table, give the same dots
+    V = np.arange(q**3).reshape(-1, 9)
+    assert (ghw._dots(F, V, 3, 1) == ghw._dots(F, V, 3, 3)).all()
+
+
+def test_multiset_tables_are_cached_and_read_only(ex36):
+    ms = ghw._column_multiset(ex36.tower.Fq, ex36, None)
+    assert ghw._column_multiset(ex36.tower.Fq, ex36, None) is ms
+    for name in ("mu", "star", "weights"):
+        table = getattr(ms, name)
+        assert getattr(ms, name) is table and not table.flags.writeable
