@@ -187,6 +187,11 @@ def eta_matching_permutation(our_pattern, target_pattern) -> dict[int, int]:
 
 def codeword(spec: CodeSpec, a: Elem, b: Elem, c: Elem | None = None) -> list[int]:
     """The evaluation vector, as F_q indices in canonical (x, y) order."""
+    return _codeword_array(spec, a, b, c).tolist()
+
+
+def _codeword_array(spec: CodeSpec, a: Elem, b: Elem, c: Elem | None) -> np.ndarray:
+    """``codeword`` as an int64 array."""
     tower = spec.tower
     Fq, Fq1, Fq2 = tower.Fq, tower.Fq1, tower.Fq2
     if a.field is not Fq or b.field is not Fq2:
@@ -199,12 +204,12 @@ def codeword(spec: CodeSpec, a: Elem, b: Elem, c: Elem | None = None) -> list[in
     if c is not None and c.field is not Fq:
         raise ParameterError("c must lie in F_q")
     add, mul = Fq.op_table("add"), Fq.op_table("mul")
-    qvals = spec.analysis.form.value_table[np.asarray(Fq1.omega)]
+    qvals = spec.analysis.form.value_table[Fq1.omega]
     ax = add[mul[a.idx, qvals], c.idx if c is not None else 0]  # a Q(x) + c
     word = add[ax[:, None], Fq2.trace_row(b.idx, Fq)].reshape(-1)
     if spec.variant is Variant.HOMOGENEOUS:
         word = word[1:]  # the origin (x, y) = (0, 0) comes first in omega order
-    return word.tolist()
+    return word
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +249,7 @@ def _compositions(spec: CodeSpec, budget: int = DEFAULT_BUDGET):
     hb = np.array([np.bincount(Fq2.trace_row(b, Fq), minlength=q) for b in range(q2)])
     sub = Fq.op_table("sub")  # sub[v, u] = v - u
     profile = np.einsum("au,buv->abv", ha, hb[:, sub.T])
-    omega = np.asarray(Fq.omega)
+    omega = Fq.omega
     for c in range(q) if spec.variant is Variant.AFFINE else (0,):
         comp = profile[:, :, sub[omega, c]]
         if spec.variant is Variant.HOMOGENEOUS:

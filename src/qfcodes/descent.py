@@ -73,7 +73,7 @@ class DescentParams:
         Fq, th = self.tower.Fq, self.theta.idx
         traces = [Fq.trace_row(Fq.pow(th, i), self.tower.Fp) for i in range(self.L)]
         cols = np.zeros((Fq.order, self.L), dtype=np.int16)
-        cols[np.asarray(Fq.omega)] = np.stack(traces, axis=1)  # rows in omega order
+        cols[Fq.omega] = np.stack(traces, axis=1)  # rows in omega order
         cols.setflags(write=False)
         return cols
 

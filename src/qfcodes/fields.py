@@ -13,12 +13,15 @@ Multiplication, inversion and powering run through discrete log/exp tables
 for the canonical generator.  An extension field adds through Zech
 logarithms, 1 + g**k = g**Z(k): one more table of |F| entries beside log/exp
 (K. Huber, "Some comments on Zech's logarithms", IEEE Trans. IT 36(4), 1990),
-and no |F| x |F| addition table.  A prime field keeps residue arithmetic.
+and no |F| x |F| addition table.  A prime field adds, negates and
+multiplies residues.
 The exp and trace tables are built in numpy from F_p-linear maps acting on
 base-p digits.  Every table a field holds has |F| entries, except the q x q
-op tables of the F_q kernels; each is stored whole and never written after it
-is built, so field handles are safe to share across threads.  A field whose
-tables would exceed ``DEFAULT_BUDGET`` cells is refused before any is built.
+op tables of the F_q kernels; each is held once, as a read-only numpy array
+that whole-field gathers index and scalar ops read with ``ndarray.item`` (so
+they return Python ints), and field handles are safe to share across
+threads.  A field whose tables would exceed ``DEFAULT_BUDGET`` cells is
+refused before any is built.
 
 Two element orders coexist:
 
@@ -101,10 +104,9 @@ def _p_digits(indices, p: int, d: int) -> np.ndarray:
     return np.asarray(indices, dtype=np.int64)[:, None] // p ** np.arange(d) % p
 
 
-# Tables of |F| entries a field keeps: log, exp and Zech as lists, the omega
-# listing, log and exp as arrays, and a trace table and trace row for each of
-# up to two subfields.
-_TABLES_KEPT = 10
+# Tables of |F| entries a field keeps: exp, log, Zech, the omega listing, and
+# a trace table and trace row for each of up to two subfields.
+_TABLES_KEPT = 8
 # Indices per block when a table is computed on base-p digits.
 _DIGIT_BLOCK = 1 << 16
 
@@ -141,16 +143,16 @@ class FiniteField:
         if j == 0:
             return i
         n1 = self.order - 1
-        li = self._log[i]
-        z = self._zech[(self._log[j] - li) % n1]
-        return 0 if z < 0 else self._exp[(li + z) % n1]
+        li = self._log.item(i)
+        z = self._zech.item((self._log.item(j) - li) % n1)
+        return 0 if z < 0 else self._exp.item((li + z) % n1)
 
     def neg(self, i: int) -> int:
         """-1 = g**((|F| - 1) / 2) in odd characteristic."""
         if i == 0:
             return 0
         n1 = self.order - 1
-        return self._exp[(self._log[i] + n1 // 2) % n1]
+        return self._exp.item((self._log.item(i) + n1 // 2) % n1)
 
     def sub(self, i: int, j: int) -> int:
         return self.add(i, self.neg(j))
@@ -159,13 +161,13 @@ class FiniteField:
         if i == 0 or j == 0:
             return 0
         n1 = self.order - 1
-        return self._exp[(self._log[i] + self._log[j]) % n1]
+        return self._exp.item((self._log.item(i) + self._log.item(j)) % n1)
 
     def inv(self, i: int) -> int:
         if i == 0:
             raise ZeroDivisionError(f"inversion of zero in {self}")
         n1 = self.order - 1
-        return self._exp[(-self._log[i]) % n1]
+        return self._exp.item(-self._log.item(i) % n1)
 
     def div(self, i: int, j: int) -> int:
         return self.mul(i, self.inv(j))
@@ -178,7 +180,7 @@ class FiniteField:
             if e < 0:
                 raise ZeroDivisionError(f"0**{e} in {self}")
             return 0
-        return self._exp[(self._log[i] * e) % (self.order - 1)]
+        return self._exp.item(self._log.item(i) * e % (self.order - 1))
 
     # -- structure -------------------------------------------------------
 
@@ -190,7 +192,7 @@ class FiniteField:
     def log(self, i: int) -> int:
         if i == 0:
             raise ZeroDivisionError(f"discrete log of zero in {self}")
-        return self._log[i]
+        return self._log.item(i)
 
     def coeffs(self, i: int) -> tuple[int, ...]:
         """Coefficient vector over the immediate base, lowest degree first."""
@@ -207,21 +209,21 @@ class FiniteField:
         """Quadratic character: 0 at zero, +1 on squares, -1 otherwise."""
         if i == 0:
             return 0
-        return 1 if self._log[i] % 2 == 0 else -1
+        return 1 if self._log.item(i) % 2 == 0 else -1
 
     # canonical omega ordering -------------------------------------------
 
     @property
-    def omega(self) -> tuple[int, ...]:
-        """Indices listed as omega_0 = 0, omega_i = g**(i-1)."""
+    def omega(self) -> np.ndarray:
+        """Indices listed as omega_0 = 0, omega_i = g**(i-1) (read-only)."""
         return self._omega
 
     def omega_pos(self, i: int) -> int:
-        return self._log[i] + 1 if i else 0
+        return self._log.item(i) + 1 if i else 0
 
     def elements(self):
         """Stream every element once, in canonical omega order."""
-        for i in self._omega:
+        for i in self._omega.tolist():
             yield Elem(self, i)
 
     @property
@@ -280,8 +282,7 @@ class FiniteField:
         and every other trace is a digit combination of those, taken in
         blocks of indices so the digit temporaries stay bounded.
         """
-        key = id(target)
-        tab = self._trace_tables.get(key)
+        tab = self._trace_tables.get(target)
         if tab is None:
             s, tord, p = self.degree_over(target), target.order, self.p
 
@@ -299,7 +300,7 @@ class FiniteField:
                 block = np.arange(start, min(start + _DIGIT_BLOCK, self.order))
                 tab[block] = _p_digits(block, p, dim) @ images % p @ weights
             tab.setflags(write=False)
-            self._trace_tables[key] = tab
+            self._trace_tables[target] = tab
         return tab
 
     def trace_row(self, b: int, target: "FiniteField") -> np.ndarray:
@@ -308,14 +309,13 @@ class FiniteField:
         Tr(b * g**k) is the trace of g**(log b + k), so a row is the traces
         in log order rotated by log b, after Tr(0) = 0 for y = 0.
         """
-        key = id(target)
-        by_log = self._trace_rows.get(key)
+        by_log = self._trace_rows.get(target)
         if by_log is None:
-            by_log = self.trace_table(target)[self._exp_arr]
-            self._trace_rows[key] = by_log
+            by_log = self.trace_table(target)[self._exp]
+            self._trace_rows[target] = by_log
         row = np.zeros(self.order, dtype=by_log.dtype)
         if b:
-            row[1:] = np.roll(by_log, -self._log[b])
+            row[1:] = np.roll(by_log, -self._log.item(b))
         return row
 
     def monomial_table(self, a: int, e: int) -> np.ndarray:
@@ -330,7 +330,7 @@ class FiniteField:
         out = np.zeros(self.order, dtype=np.int64)
         if a:
             n1 = self.order - 1
-            out[1:] = self._exp_arr[(self._log[a] + e % n1 * self._log_arr[1:]) % n1]
+            out[1:] = self._exp[(self._log.item(a) + e % n1 * self._log[1:]) % n1]
         return out
 
     def op_table(self, op: str) -> np.ndarray:
@@ -379,14 +379,12 @@ class FiniteField:
         assert powers[n1] == 1  # g**(|F| - 1) = 1
         log = np.zeros(self.order, dtype=np.int64)
         log[powers[:n1]] = np.arange(n1)
-        self._exp_arr, self._log_arr = powers[:n1], log
-        self._exp_arr.setflags(write=False)
-        self._log_arr.setflags(write=False)
-        self._exp = self._exp_arr.tolist()
-        self._log = log.tolist()
-        self._omega = (0, *self._exp)
-        self._trace_tables: dict[int, np.ndarray] = {}
-        self._trace_rows: dict[int, np.ndarray] = {}
+        self._exp, self._log = powers[:n1], log
+        self._omega = np.concatenate(([0], self._exp))
+        for table in (self._exp, self._log, self._omega):
+            table.setflags(write=False)
+        self._trace_tables: dict[FiniteField, np.ndarray] = {}
+        self._trace_rows: dict[FiniteField, np.ndarray] = {}
         self._op_tables: dict[str, np.ndarray] = {}
 
     def _mul_raw(self, i: int, j: int) -> int:
@@ -422,8 +420,10 @@ class PrimeField(FiniteField):
     def neg(self, i):
         return (-i) % self.p
 
-    def _mul_raw(self, i, j):
+    def mul(self, i, j):
         return (i * j) % self.p
+
+    _mul_raw = mul
 
     def coeffs(self, i):
         return (i,)
@@ -464,13 +464,12 @@ class ExtField(FiniteField):
         self._powers = tuple(B**k for k in range(degree))
         self._finish_init()
         # Zech table Z(k) = log(1 + g**k), -1 where 1 + g**k = 0: adding one
-        # changes digit 0 only.  One |F|-cell array is alive beside the list.
+        # changes digit 0 only.
         bump = np.array([base.add(d, 1) - d for d in range(B)])  # digit 0: d -> d + 1
-        plus_one = self._exp_arr + bump[self._exp_arr % B]
-        zech = self._log_arr[plus_one]
-        zech[plus_one == 0] = -1
-        del plus_one
-        self._zech = zech.tolist()
+        plus_one = self._exp + bump[self._exp % B]
+        self._zech = self._log[plus_one]
+        self._zech[plus_one == 0] = -1
+        self._zech.setflags(write=False)
 
     def _mul_raw(self, i, j):
         prod = _poly_mulmod(self.base, self.coeffs(i), self.coeffs(j), self.modulus)
@@ -590,37 +589,23 @@ def _is_irreducible(base: FiniteField, poly: tuple[int, ...]) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _smallest_irreducible_cached(field_key, degree):
-    base = _FIELD_REGISTRY[field_key]
+def smallest_irreducible(base: FiniteField, degree: int) -> tuple[int, ...]:
+    """First monic irreducible of the given degree in the deterministic scan.
+
+    Returned as a coefficient vector (c_0, ..., c_{degree-1}, 1), lowest
+    degree first.  Degree 1 yields the polynomial x.  Cached per (base,
+    degree); fields hash by identity.
+    """
+    if degree < 1:
+        raise ParameterError("degree must be >= 1")
     if degree == 1:
         return (0, 1)  # the polynomial x
-    B = base.order
-    for high in itertools.product(range(B), repeat=degree):
+    for high in itertools.product(range(base.order), repeat=degree):
         # high = (c_{d-1}, ..., c_0): minimize high-degree coefficients first
         coeffs = tuple(reversed(high)) + (1,)
         if _is_irreducible(base, coeffs):
             return coeffs
     raise AssertionError("no irreducible polynomial found")  # unreachable
-
-
-_FIELD_REGISTRY: dict[int, FiniteField] = {}
-
-
-def _register(field: FiniteField) -> int:
-    key = id(field)
-    _FIELD_REGISTRY[key] = field
-    return key
-
-
-def smallest_irreducible(base: FiniteField, degree: int) -> tuple[int, ...]:
-    """First monic irreducible of the given degree in the deterministic scan.
-
-    Returned as a coefficient vector (c_0, ..., c_{degree-1}, 1), lowest
-    degree first.  Degree 1 yields the polynomial x.
-    """
-    if degree < 1:
-        raise ParameterError("degree must be >= 1")
-    return _smallest_irreducible_cached(_register(base), degree)
 
 
 # ---------------------------------------------------------------------------
@@ -797,22 +782,22 @@ def prime_field(p: int) -> PrimeField:
     return PrimeField(p)
 
 
-@lru_cache(maxsize=None)
-def _ext_field_cached(base_key: int, degree: int, var: str) -> ExtField:
-    return ExtField(_FIELD_REGISTRY[base_key], degree, var=var)
-
-
 def extension_field(base: FiniteField, degree: int, var: str = "t") -> FiniteField:
     """Degree-d extension with the pinned modulus; degree 1 returns ``base``.
 
-    Cached on (base, degree), so repeated construction hands back the same
-    immutable field object.
+    Cached on (base, degree, var), however the call spells them, so repeated
+    construction hands back the same immutable field object.
     """
     if degree < 1:
         raise ParameterError("degree must be >= 1")
     if degree == 1:
         return base
-    return _ext_field_cached(_register(base), degree, var)
+    return _extension_field(base, degree, var)
+
+
+@lru_cache(maxsize=None)
+def _extension_field(base: FiniteField, degree: int, var: str) -> ExtField:
+    return ExtField(base, degree, var=var)  # fields hash by identity
 
 
 @lru_cache(maxsize=None)

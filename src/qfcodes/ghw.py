@@ -34,7 +34,7 @@ from functools import cached_property, lru_cache, partial
 import numpy as np
 
 from . import linalg
-from .codes import CodeSpec, Variant, codeword
+from .codes import CodeSpec, Variant, _codeword_array
 from .cyclotomic import cyc_from_trace_counts
 from .errors import BudgetError, DEFAULT_BUDGET, ParameterError
 from .fields import Elem, FiniteField, _min_dtype
@@ -112,8 +112,10 @@ def generator_matrix(spec: CodeSpec, params=None) -> np.ndarray:
     words = []
     for unit in np.eye(message_dim(spec, params), dtype=np.int64):
         a, b, c = row_to_message(spec, unit, field)
-        word = codeword(spec, Elem(Fq, a), Elem(Fq2, b), Elem(Fq, c) if affine else None)
-        words.append(np.array(word, dtype=_min_dtype(Fq.order)))  # one list alive at a time
+        word = _codeword_array(
+            spec, Elem(Fq, a), Elem(Fq2, b), Elem(Fq, c) if affine else None
+        )
+        words.append(word.astype(_min_dtype(Fq.order)))  # one int64 word alive at a time
     G = np.stack(words)
     if params is not None:
         G = params.columns[G].reshape(len(G), -1)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_irreducible_p, gf_mul, gf_rem
 
@@ -82,6 +83,10 @@ def test_smallest_irreducible_pinned():
     assert smallest_irreducible(F3, 1) == (0, 1)  # x
     assert smallest_irreducible(F3, 2) == (1, 0, 1)  # x^2 + 1
     assert smallest_irreducible(F5, 2) == (2, 0, 1)  # x^2 + 2
+    assert smallest_irreducible(F3, 7) == (2, 0, 1, 0, 0, 0, 0, 1)
+    assert smallest_irreducible(F3, 8) == (2, 0, 1, 0, 0, 0, 0, 0, 1)
+    assert smallest_irreducible(F5, 5) == (1, 4, 0, 0, 0, 1)
+    assert smallest_irreducible(F3, 7) is smallest_irreducible(F3, 7)  # cached
 
 
 @pytest.mark.parametrize("p,deg", [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)])
@@ -102,6 +107,15 @@ def test_construction_deterministic():
     b = build_tower(3, 2, 3, 2)
     assert a is b  # cached
     assert a.describe() == b.describe()
+    assert a.describe()["modulus_Fq1"] == [[0, 1], [1, 0], [0, 0], [1, 0]]
+    assert a.describe()["modulus_Fq2"] == [[1, 1], [0, 0], [1, 0]]
+    # fields hash by identity, so the caches key on the field object itself
+    assert extension_field(a.Fq, 3, var="t") is a.Fq1
+    F81 = extension_field(a.Fp, 4)
+    assert extension_field(a.Fp, 4, "t") is F81 and extension_field(a.Fp, 4, var="t") is F81
+    assert extension_field(a.Fp, 1) is a.Fp
+    for sub in (a.Fq, a.Fp):
+        assert a.Fq1.trace_table(sub) is a.Fq1.trace_table(sub)
 
 
 def test_arith_basic_identities():
@@ -368,8 +382,46 @@ def test_trace_table_blocks_do_not_move_the_table(monkeypatch):
 def test_oversized_fields_are_refused_before_construction():
     with pytest.raises(BudgetError, match=r"building GF\(43046721\)"):
         extension_field(prime_field(3), 16)
+    with pytest.raises(BudgetError, match=r"building GF\(4782969\)"):
+        extension_field(prime_field(3), 14)
     with pytest.raises(BudgetError, match=r"building GF\(1000000007\)"):
         prime_field(1000000007)
+
+
+# -- scalar ops on the one copy of each table ---------------------------------
+
+PROPERTY_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (3, 7)]
+
+
+@pytest.mark.parametrize("p,degree", PROPERTY_FIELDS)
+@settings(max_examples=30, deadline=None, database=None)
+@given(data=st.data())
+def test_scalar_ops_are_field_arithmetic_on_read_only_tables(p, degree, data):
+    """Scalar ops return Python ints, agree with the op and monomial tables
+    and satisfy the field axioms; eta is multiplicative; the tables they read
+    are read-only arrays."""
+    F = extension_field(prime_field(p), degree)
+    x, y, z = (data.draw(st.integers(0, F.order - 1), label=name) for name in "xyz")
+    e = data.draw(st.integers(1, F.order**2), label="e")
+    u = x or 1  # a unit
+    got = {
+        "add": F.add(x, y), "neg": F.neg(x), "sub": F.sub(x, y), "mul": F.mul(x, y),
+        "inv": F.inv(u), "div": F.div(x, u), "pow": F.pow(x, e), "log": F.log(u),
+        "eta": F.eta(x), "omega_pos": F.omega_pos(x),
+    }
+    assert all(type(v) is int for v in got.values()), got
+    if F.order <= 81:  # the q x q tables of the F_q kernels
+        for op in ("add", "sub", "mul"):
+            assert F.op_table(op)[x, y] == got[op]
+    assert F.monomial_table(y, e)[x] == F.mul(y, got["pow"])
+    assert F.add(got["add"], z) == F.add(x, F.add(y, z))
+    assert F.mul(got["mul"], z) == F.mul(x, F.mul(y, z))
+    assert F.mul(x, F.add(y, z)) == F.add(got["mul"], F.mul(x, z))
+    assert F.mul(u, got["inv"]) == 1 and F.mul(got["div"], u) == x
+    assert F.eta(got["mul"]) == F.eta(x) * F.eta(y)
+    assert F.omega[got["omega_pos"]] == x
+    tables = [F._exp, F._log, F.omega] + ([F._zech] if F.base else [])
+    assert not any(table.flags.writeable for table in tables)
 
 
 # -- reach ---------------------------------------------------------------------
@@ -395,10 +447,10 @@ def test_exp_and_zech_tables_are_the_power_sequence(p, degree):
     powers = [1]
     for _ in range(F.order - 2):
         powers.append(F._mul_raw(powers[-1], F.gen))
-    assert F._exp == F._exp_arr.tolist() == powers
+    assert F._exp.tolist() == powers
     assert [F._log[x] for x in powers] == list(range(F.order - 1))
     zech = [F._log[F.add(1, x)] if F.add(1, x) else -1 for x in powers]
-    assert F._zech == zech
+    assert F._zech.tolist() == zech
 
 
 _EXP_BUILD_SCRIPT = textwrap.dedent(
@@ -412,8 +464,8 @@ _EXP_BUILD_SCRIPT = textwrap.dedent(
     print(json.dumps({
         "held_mb": held / 2**20,
         "peak_mb": peak / 2**20,
-        "exp": hashlib.sha1(F._exp_arr.tobytes()).hexdigest(),
-        "log": hashlib.sha1(F._log_arr.tobytes()).hexdigest(),
+        "exp": hashlib.sha1(F._exp.tobytes()).hexdigest(),
+        "log": hashlib.sha1(F._log.tobytes()).hexdigest(),
     }))
     """
 )
@@ -423,7 +475,8 @@ def test_exp_build_of_f_3_12_stays_near_what_the_field_holds():
     """The exp table is turned into indices block by block: building
     F_{3^12} peaks within 10 MB of what the field holds afterwards (the
     digit blocks held all at once took it 33 MB over), with the same
-    exp and log bytes."""
+    exp and log bytes.  Each table is held once, as an array: the field
+    holds under 24 MB (73 MB with Python-list copies of exp, log and Zech)."""
     src = str(Path(fields.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", _EXP_BUILD_SCRIPT],
@@ -436,6 +489,7 @@ def test_exp_build_of_f_3_12_stays_near_what_the_field_holds():
     run = json.loads(proc.stdout)
     assert run["exp"].startswith("42c19c1768cb") and run["log"].startswith("3176c14a22a1"), run
     assert run["peak_mb"] - run["held_mb"] < 10, run
+    assert run["held_mb"] < 24, run
 
 
 def test_field_info_reaches_f_3_9(capsys):

@@ -7,8 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from qfcodes import (
     BudgetError,
+    Elem,
     ParameterError,
     Variant,
+    codeword,
+    descend,
     gaussian_binomial,
     get_preset,
     ghw,
@@ -17,6 +20,7 @@ from qfcodes import (
     ghw_closed,
     hierarchy,
     make_descent,
+    preset_names,
     prime_field,
     subspace_bases,
     support_defect,
@@ -26,6 +30,7 @@ from qfcodes import (
 )
 
 from qfcodes.errors import DEFAULT_BUDGET
+from qfcodes.fields import _min_dtype
 
 from conftest import batched, spec_for, reference_scan, EXAMPLE_NAMES
 
@@ -308,3 +313,24 @@ def test_multiset_tables_are_cached_and_read_only(ex36):
     for name in ("mu", "star", "weights"):
         table = getattr(ms, name)
         assert getattr(ms, name) is table and not table.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "name,descended",
+    [(name, False) for name in preset_names()] + [("descent-7-2-1-1-3", True)],
+)
+def test_generator_matrix_is_the_stacked_codeword_lists(name, descended):
+    """G is stacked from codeword arrays, byte for byte the ``codeword`` lists
+    of the unit messages (psi-expanded for the descended code)."""
+    spec = spec_for(name)
+    tw = spec.tower
+    params = make_descent(tw, get_preset(name).descent_n) if descended else None
+    encode = descend(spec, params).codeword if descended else partial(codeword, spec)
+    affine = spec.variant is Variant.AFFINE
+    rows = []
+    for unit in np.eye(ghw.message_dim(spec, params), dtype=np.int64):
+        a, b, c = ghw.row_to_message(spec, unit, tw.Fp if descended else tw.Fq)
+        rows.append(encode(Elem(tw.Fq, a), Elem(tw.Fq2, b), Elem(tw.Fq, c) if affine else None))
+    expected = np.array(rows, dtype=params.columns.dtype if descended else _min_dtype(tw.q))
+    G = ghw.generator_matrix(spec, params)
+    assert G.dtype == expected.dtype and G.tobytes() == expected.tobytes()
