@@ -8,7 +8,11 @@ Weight distributions and complete weight enumerators are computed two ways:
   composition of every message (a, b, c) from the histograms of a*Q(x) and
   Tr(b*y) (every point is counted exactly once; no codeword vector is
   materialized), checks that no nonzero message has weight 0, and counts the
-  compositions.  It refuses beyond the budget before building any table.
+  compositions.  Permuting the y coordinates by y -> y/beta carries the
+  codeword of (a, b, c) onto that of (a, beta*b, c), so the kernel takes one
+  composition for b = 0 and one for all b != 0, and counts each with the
+  size of its class.  It refuses beyond the budget before building any
+  table.
 * ``predicted``: direct instantiation of the closed-form tables, exact
   rational arithmetic with an integrality assertion.
 
@@ -218,68 +222,48 @@ def _codeword_array(spec: CodeSpec, a: Elem, b: Elem, c: Elem | None) -> np.ndar
 
 
 def _check_budget(spec: CodeSpec, budget: int):
-    """Refuse before any table is built.  The kernel gathers |F_{q^m2}|
-    traces per b, multiplies q**3 histogram cells per b and writes q**2
-    composition cells per (b, c); each step writes at most one int64 cell,
-    so the same count bounds its memory."""
+    """Refuse before any table is built.  The kernel gathers one trace per
+    element of F_{q^m2}, multiplies q**3 histogram cells per class of b and
+    writes q**2 composition cells per (class, c); each step writes at most
+    one int64 cell, so the same count bounds its memory."""
     q, q2 = spec.tower.q, spec.tower.Fq2.order
     n_c = q if spec.variant is Variant.AFFINE else 1
-    cost = q2 * (q2 + q**3 + n_c * q * q)
+    cost = q2 + 2 * (q**3 + n_c * q * q)
     if cost > budget:
         raise BudgetError(cost, budget, "message-space enumeration")
 
 
 def _compositions(spec: CodeSpec, budget: int = DEFAULT_BUDGET):
     """Yield ``(c, comp)`` for each constant c of the variant (only c = 0 for
-    the homogeneous code); ``comp[a, b]`` is the composition of message
-    (a, b, c): the count of each symbol, in omega order, over the points.
+    the homogeneous code); ``comp[a, j]`` is the composition of message
+    (a, b, c), the count of each symbol in omega order over the points, for
+    b = 0 (j = 0) and for every b != 0 (j = 1).
 
-    Each message's composition comes from its own histograms,
-    ``Ha[a, u] = #{x : a Q(x) = u}`` and ``Hb[b, w] = #{y : Tr(b y) = w}``,
-    through the value profile ``P[a, b, v] = sum_u Ha[a, u] Hb[b, v - u]``.
-    Adding c permutes the columns of P.
+    For beta != 0, y -> y/beta permutes the y coordinates (fixing y = 0) and
+    carries the codeword of (a, b, c) onto that of (a, beta*b, c), so every
+    b != 0 has the composition of b = 1.  A class's composition comes from
+    the histograms ``Ha[a, u] = #{x : a Q(x) = u}`` and
+    ``Hb[j, w] = #{y : Tr(b_j y) = w}`` of its representative b_j = j,
+    counted over every y (nothing assumes that Tr(y) is balanced), through
+    the value profile ``P[a, j, v] = sum_u Ha[a, u] Hb[j, v - u]``.  Adding
+    c permutes the columns of P.
     """
     _check_budget(spec, budget)
     tower = spec.tower
     Fq, Fq2 = tower.Fq, tower.Fq2
-    q, q2 = Fq.order, Fq2.order
+    q = Fq.order
     ha = np.zeros((q, q), dtype=np.int64)
     hist = spec.analysis.form.value_histogram.astype(np.int64)
     np.add.at(ha, (np.arange(q)[:, None], Fq.op_table("mul")), hist)
-    hb = np.array([np.bincount(Fq2.trace_row(b, Fq), minlength=q) for b in range(q2)])
+    hb = np.array([np.bincount(Fq2.trace_row(b, Fq), minlength=q) for b in (0, 1)])
     sub = Fq.op_table("sub")  # sub[v, u] = v - u
-    profile = np.einsum("au,buv->abv", ha, hb[:, sub.T])
+    profile = np.einsum("au,juv->ajv", ha, hb[:, sub.T])
     omega = Fq.omega
     for c in range(q) if spec.variant is Variant.AFFINE else (0,):
         comp = profile[:, :, sub[omega, c]]
         if spec.variant is Variant.HOMOGENEOUS:
             comp[:, :, 0] -= 1  # the excluded origin always evaluates to zero
         yield c, comp
-
-
-def _count_rows(rows: np.ndarray):
-    """The distinct rows of a 2-d array and how often each occurs."""
-    rows = rows[np.lexsort(rows.T)]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    starts = np.flatnonzero(first)
-    return rows[starts], np.diff(starts, append=len(rows))
-
-
-def _accumulate(spec: CodeSpec, budget: int) -> dict[tuple[int, ...], int]:
-    counts: dict[tuple[int, ...], int] = {}
-    zero_weight_msgs = -1  # the zero message is allowed its zero codeword
-    for _, comp in _compositions(spec, budget):
-        zero_weight_msgs += int(np.count_nonzero(comp[:, :, 0] == spec.length))
-        rows, mults = _count_rows(comp.reshape(-1, spec.tower.q))
-        for row, mult in zip(rows.tolist(), mults.tolist()):
-            key = tuple(row)
-            counts[key] = counts.get(key, 0) + mult
-    if zero_weight_msgs:
-        raise ArithmeticError(
-            f"{zero_weight_msgs} nonzero messages map to the zero codeword"
-        )
-    return counts
 
 
 def cwe_brute(
@@ -294,7 +278,21 @@ def cwe_brute(
         raise ParameterError(
             "stratum mode was removed; weight data is always exhaustive"
         )
-    return CWE(_accumulate(spec, budget))
+    sizes = (1, spec.tower.Fq2.order - 1)  # messages per (a, c) in each class
+    counts: dict[tuple[int, ...], int] = {}
+    zero_weight_msgs = -1  # the zero message is allowed its zero codeword
+    for _, comp in _compositions(spec, budget):
+        for by_class in comp.tolist():
+            for row, size in zip(by_class, sizes):
+                key = tuple(row)
+                counts[key] = counts.get(key, 0) + size
+                if row[0] == spec.length:
+                    zero_weight_msgs += size
+    if zero_weight_msgs:
+        raise ArithmeticError(
+            f"{zero_weight_msgs} nonzero messages map to the zero codeword"
+        )
+    return CWE(counts)
 
 
 def weight_distribution_brute(

@@ -10,11 +10,11 @@ Because the digits nest, the base-p digits of any index are the element's
 F_p coordinates, and addition is digitwise mod p in every field of the tower.
 
 Multiplication, inversion and powering run through discrete log/exp tables
-for the canonical generator.  An extension field adds through Zech
-logarithms, 1 + g**k = g**Z(k): one more table of |F| entries beside log/exp
-(K. Huber, "Some comments on Zech's logarithms", IEEE Trans. IT 36(4), 1990),
-and no |F| x |F| addition table.  A prime field adds, negates and
-multiplies residues.
+for the canonical generator.  Every field keeps Zech logarithms,
+1 + g**k = g**Z(k): one more table of |F| entries beside log/exp (K. Huber,
+"Some comments on Zech's logarithms", IEEE Trans. IT 36(4), 1990), and no
+|F| x |F| addition table.  An extension field adds through them; a prime
+field adds, negates and multiplies residues.
 The exp and trace tables are built in numpy from F_p-linear maps acting on
 base-p digits.  Every table a field holds has |F| entries, except the q x q
 op tables of the F_q kernels; each is held once, as a read-only numpy array
@@ -104,9 +104,9 @@ def _p_digits(indices, p: int, d: int) -> np.ndarray:
     return np.asarray(indices, dtype=np.int64)[:, None] // p ** np.arange(d) % p
 
 
-# Tables of |F| entries a field keeps: exp, log, Zech, the omega listing, and
-# a trace table and trace row for each of up to two subfields.
-_TABLES_KEPT = 8
+# Tables of |F| entries a field keeps: omega (exp is a view of it), log, Zech,
+# and a trace table and trace row for each of up to two subfields.
+_TABLES_KEPT = 7
 # Indices per block when a table is computed on base-p digits.
 _DIGIT_BLOCK = 1 << 16
 
@@ -335,15 +335,26 @@ class FiniteField:
 
     def op_table(self, op: str) -> np.ndarray:
         """``table[i, j] = op(i, j)`` (int64, read-only) for the scalar op
-        named ``op``.
+        named ``op``: "add", "sub" or "mul".
 
-        |F|**2 cells, built on the first call and kept by the field: only the
-        q x q kernels over F_q call it, on their own budgets.
+        |F|**2 cells, gathered from the log/exp/Zech tables as the scalar ops
+        read them, on the first call, and kept by the field: only the q x q
+        kernels over F_q call it, on their own budgets.
         """
+        if op not in ("add", "sub", "mul"):
+            raise ParameterError(f"no op table for {op!r}")
         tab = self._op_tables.get(op)
         if tab is None:
-            f, n = getattr(self, op), self.order
-            tab = np.array([[f(i, j) for j in range(n)] for i in range(n)], dtype=np.int64)
+            n1, log, exp = self.order - 1, self._log, self._exp
+            i, j = np.ogrid[: self.order, : self.order]
+            if op == "mul":
+                tab = np.where((i == 0) | (j == 0), 0, exp[(log[i] + log[j]) % n1])
+            else:
+                if op == "sub":  # i - j = i + g**(n1/2) * j
+                    j = np.where(j == 0, 0, exp[(log[j] + n1 // 2) % n1])
+                z = self._zech[(log[j] - log[i]) % n1]
+                tab = np.where(z < 0, 0, exp[(log[i] + z) % n1])
+                tab = np.where(i == 0, j, np.where(j == 0, i, tab))
             tab.setflags(write=False)
             self._op_tables[op] = tab
         return tab
@@ -372,17 +383,22 @@ class FiniteField:
         dim = _digit_count(self.order, p)
         step = _p_digits([self._mul_raw(p**l, gen_s) for l in range(dim)], p, dim)
         block, weights = _p_digits(head, p, dim), p ** np.arange(dim)
-        powers = np.empty((n1 // s + 1) * s, dtype=np.int64)
-        for start in range(0, len(powers), s):
-            powers[start : start + s] = block @ weights
+        # One buffer holds [0, exp]: omega is its head, exp the view after 0.
+        omega = np.zeros(1 + (n1 // s + 1) * s, dtype=np.int64)
+        for start in range(1, len(omega), s):
+            omega[start : start + s] = block @ weights
             block = block @ step % p
-        assert powers[n1] == 1  # g**(|F| - 1) = 1
+        assert omega[1 + n1] == 1  # g**(|F| - 1) = 1
+        omega.setflags(write=False)
         log = np.zeros(self.order, dtype=np.int64)
-        log[powers[:n1]] = np.arange(n1)
-        self._exp, self._log = powers[:n1], log
-        self._omega = np.concatenate(([0], self._exp))
-        for table in (self._exp, self._log, self._omega):
-            table.setflags(write=False)
+        log[omega[1 : 1 + n1]] = np.arange(n1)
+        log.setflags(write=False)
+        self._omega, self._exp, self._log = omega[: 1 + n1], omega[1 : 1 + n1], log
+        # Zech table Z(k) = log(1 + g**k), -1 where 1 + g**k = 0: adding one
+        # adds 1 mod p to base-p digit 0 and changes no other digit.
+        plus_one = self._exp - self._exp % p + (self._exp + 1) % p
+        self._zech = np.where(plus_one == 0, -1, log[plus_one])
+        self._zech.setflags(write=False)
         self._trace_tables: dict[FiniteField, np.ndarray] = {}
         self._trace_rows: dict[FiniteField, np.ndarray] = {}
         self._op_tables: dict[str, np.ndarray] = {}
@@ -463,13 +479,6 @@ class ExtField(FiniteField):
         B = base.order
         self._powers = tuple(B**k for k in range(degree))
         self._finish_init()
-        # Zech table Z(k) = log(1 + g**k), -1 where 1 + g**k = 0: adding one
-        # changes digit 0 only.
-        bump = np.array([base.add(d, 1) - d for d in range(B)])  # digit 0: d -> d + 1
-        plus_one = self._exp + bump[self._exp % B]
-        self._zech = self._log[plus_one]
-        self._zech[plus_one == 0] = -1
-        self._zech.setflags(write=False)
 
     def _mul_raw(self, i, j):
         prod = _poly_mulmod(self.base, self.coeffs(i), self.coeffs(j), self.modulus)

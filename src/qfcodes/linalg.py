@@ -29,14 +29,6 @@ def _degree(F: FiniteField) -> int:
     return F.degree_over(F.subfield_chain()[-1])
 
 
-@lru_cache(maxsize=None)
-def _basis_products(F: FiniteField) -> np.ndarray:
-    """Row x holds w**l * x for l < e (w**l has index p**l)."""
-    table = np.array([[F.mul(F.p**l, x) for l in range(_degree(F))] for x in range(F.order)])
-    table.setflags(write=False)  # cached: shared by every caller
-    return table
-
-
 def digits(F: FiniteField, X) -> np.ndarray:
     """The F_p digits of every entry, lowest first: (..., b) -> (..., b*e)."""
     X = np.asarray(X, dtype=np.int64)
@@ -52,7 +44,8 @@ def expand(F: FiniteField, X) -> np.ndarray:
     """
     X = np.asarray(X, dtype=np.int64)
     e, p = _degree(F), F.p
-    d = _basis_products(F)[X][..., None] // p ** np.arange(e) % p  # (..., i, t, l, j)
+    basis = p ** np.arange(e)  # w**l has index p**l
+    d = F.op_table("mul")[X[..., None], basis][..., None] // basis % p  # (..., i, t, l, j)
     return d.swapaxes(-3, -2).reshape(*X.shape[:-2], X.shape[-2] * e, X.shape[-1] * e)
 
 

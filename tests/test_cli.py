@@ -290,7 +290,7 @@ def test_oversized_tower_is_refused_before_allocation(capsys):
         tracemalloc.stop()
     assert code == 1 and out == ""
     assert err == (
-        "qfcodes: resource error: building GF(43046721) needs 1033121304 steps, "
+        "qfcodes: resource error: building GF(43046721) needs 990074583 steps, "
         "exceeding the budget of 100000000\n"
     )
     assert peak < 10 * 2**20

@@ -1,16 +1,20 @@
+import itertools
 import json
 import os
 import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qfcodes
 
 from qfcodes import (
+    CWE,
     Elem,
     ParameterError,
     Variant,
@@ -159,25 +163,94 @@ def test_codeword_variant_arity(ex31, ex35):
         codeword(ex35, tw.Fq.zero, tw.Fq2.zero)
 
 
+def _symbol_counts(spec, vec):
+    """The composition of a codeword, counted symbol by symbol."""
+    counts = [0] * spec.tower.q
+    for v in vec:
+        counts[spec.tower.Fq.omega_pos(v)] += 1
+    return counts
+
+
+def _messages(spec):
+    """Every message (a, b, c) of the code, c = None for the homogeneous one."""
+    tw = spec.tower
+    consts = tw.Fq.elements() if spec.variant is Variant.AFFINE else [None]
+    return itertools.product(tw.Fq.elements(), tw.Fq2.elements(), consts)
+
+
 def test_codeword_composition_consistency(ex31, ex35):
     """Counting symbols of every materialized codeword reproduces the
-    kernel's per-message composition."""
+    kernel's composition of the message's class of b (b = 0 or b != 0)."""
     from qfcodes.codes import _compositions
 
     for spec in (ex31, ex35):
-        tw = spec.tower
+        comps = dict(_compositions(spec))
         seen = 0
-        for c, comp in _compositions(spec):
-            const = Elem(tw.Fq, c) if spec.variant is Variant.AFFINE else None
-            for a in range(tw.q):
-                for b in range(tw.Fq2.order):
-                    vec = codeword(spec, Elem(tw.Fq, a), Elem(tw.Fq2, b), const)
-                    counts = [0] * tw.q
-                    for v in vec:
-                        counts[tw.Fq.omega_pos(v)] += 1
-                    assert counts == comp[a, b].tolist()
-                    seen += 1
+        for a, b, c in _messages(spec):
+            comp = comps[c.idx if c is not None else 0]
+            want = comp[a.idx, int(b.idx != 0)].tolist()
+            assert _symbol_counts(spec, codeword(spec, a, b, c)) == want
+            seen += 1
         assert seen == spec.num_messages
+
+
+# (p, m, m1, m2) with q in {3, 5, 7, 9} and at most 729 messages
+SMALL_TOWERS = [
+    (3, 1, 1, 1), (3, 1, 2, 1), (3, 1, 1, 2), (3, 1, 2, 2), (5, 1, 1, 1),
+    (5, 1, 2, 1), (5, 1, 1, 2), (7, 1, 1, 1), (7, 1, 2, 1), (3, 2, 1, 1),
+]
+
+
+@pytest.mark.parametrize("shape", SMALL_TOWERS)
+@settings(max_examples=4, deadline=None, database=None)
+@given(data=st.data())
+def test_class_kernel_is_the_cwe_of_every_codeword(shape, data):
+    """The orbit-reduced kernel against the CWE counted symbol by symbol from
+    the codeword of every message, on random forms and variants."""
+    from qfcodes import (
+        CodeSpec, FrobeniusTerm, QuadraticForm, TraceSquareTerm, ZeroFormError, build_tower,
+    )
+
+    tw = build_tower(*shape)
+    Fq, Fq1 = tw.Fq, tw.Fq1
+    q1 = st.integers(0, Fq1.order - 1)
+    frobs = data.draw(
+        st.lists(
+            st.tuples(st.integers(1, Fq1.order - 1), st.integers(0, tw.m1 - 1)),
+            min_size=1,
+            max_size=2,
+        ),
+        label="frobenius",
+    )
+    trsq = data.draw(
+        st.lists(st.tuples(st.integers(0, Fq.order - 1), q1), max_size=1), label="trace squares"
+    )
+    variant = data.draw(st.sampled_from(Variant), label="variant")
+    try:
+        form = QuadraticForm(
+            tw,
+            tuple(FrobeniusTerm(Elem(Fq1, a), i) for a, i in frobs),
+            tuple(TraceSquareTerm(Elem(Fq, c), Elem(Fq1, b)) for c, b in trsq),
+        )
+        spec = CodeSpec(analysis=form.analysis, variant=variant)
+    except ZeroFormError:
+        return
+    oracle = Counter(tuple(_symbol_counts(spec, codeword(spec, *m))) for m in _messages(spec))
+    assert cwe_brute(spec) == CWE(dict(oracle))
+
+
+def test_kernel_reads_one_trace_row_per_class(ex35, monkeypatch):
+    """The b-histograms come from the two class representatives only."""
+    Fq2 = ex35.tower.Fq2
+    real, calls = Fq2.trace_row, []
+
+    def counted(b, target):
+        calls.append(b)
+        return real(b, target)
+
+    monkeypatch.setattr(Fq2, "trace_row", counted)
+    cwe_brute(ex35)
+    assert len(calls) <= 2
 
 
 def test_exhaustive_cwe_affine_390625_messages():
@@ -193,9 +266,31 @@ def test_exhaustive_cwe_affine_390625_messages():
     assert cw == cwe_predicted(spec)
 
 
+def test_exhaustive_cwe_cost_grows_with_f_q_m2_not_its_square():
+    """The affine F_3 x F_{3^9} code (3**11 messages) is enumerated within the
+    default budget: the kernel charges about 2e4 steps, where |F_{q^m2}|**2
+    alone is about 3.9e8."""
+    from qfcodes import CodeSpec, FrobeniusTerm, QuadraticForm, build_tower
+
+    tw = build_tower(3, 1, 1, 9)
+    form = QuadraticForm(tw, frobenius_terms=(FrobeniusTerm(tw.Fq1.one, 0),))
+    spec = CodeSpec(analysis=form.analysis, variant=Variant.AFFINE)
+    assert cwe_brute(spec) == cwe_predicted(spec)
+
+
 def test_weight_data_budget_refusal(ex31):
     with pytest.raises(BudgetError, match="message-space enumeration"):
         cwe_brute(ex31, budget=10)
+
+
+def test_weight_data_budget_is_the_kernel_cost(ex31):
+    """One trace per element of F_{q^m2}, then q**3 histogram cells and
+    n_c * q**2 composition cells for each of the two classes of b."""
+    q, q2 = ex31.tower.q, ex31.tower.Fq2.order
+    cost = q2 + 2 * q**3 + 2 * 1 * q**2  # homogeneous: n_c = 1
+    with pytest.raises(BudgetError, match="message-space enumeration"):
+        cwe_brute(ex31, budget=cost - 1)
+    assert cwe_brute(ex31, budget=cost) == cwe_predicted(ex31)
 
 
 def test_zero_weight_message_is_refused(ex31, monkeypatch):
@@ -206,7 +301,7 @@ def test_zero_weight_message_is_refused(ex31, monkeypatch):
 
     def forged(spec, budget):
         for c, comp in real(spec, budget):
-            comp[1, 1] = [spec.length] + [0] * (spec.tower.q - 1)
+            comp[1, 0] = [spec.length] + [0] * (spec.tower.q - 1)  # (a, b) = (1, 0)
             yield c, comp
 
     monkeypatch.setattr(codes, "_compositions", forged)
