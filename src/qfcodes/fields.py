@@ -15,8 +15,16 @@ for the canonical generator.  Every field keeps Zech logarithms,
 "Some comments on Zech's logarithms", IEEE Trans. IT 36(4), 1990), and no
 |F| x |F| addition table.  An extension field adds through them; a prime
 field adds, negates and multiplies residues.
-The exp and trace tables are built in numpy from F_p-linear maps acting on
-base-p digits.  Every table a field holds has |F| entries, except the q x q
+
+Construction is F_p linear algebra on base-p digits.  Each field holds its
+F_p multiplication basis E, dim x dim x dim for dim = [F : F_p] (E[l] is the
+matrix of x -> p**l * x, built for an extension from its base's E and the
+modulus), so multiplication by any c is the matrix
+M_c = sum of digit_l(c) * E[l] mod p.  The generator search powers a batch
+of M_c at once, the exp table is made block by block with one such matrix,
+and the trace tables apply the F_p-linear trace to the digits of every
+index.  No scalar polynomial product is taken once the modulus is known.
+Every table a field holds has |F| entries, except the q x q
 op tables of the F_q kernels; each is held once, as a read-only numpy array
 that whole-field gathers index and scalar ops read with ``ndarray.item`` (so
 they return Python ints), and field handles are safe to share across
@@ -25,8 +33,9 @@ refused before any is built.
 
 Two element orders coexist:
 
-* the dense coefficient-vector order above, used for deterministic scans
-  (irreducible-modulus search, generator search);
+* the dense coefficient-vector order above, which still drives the
+  deterministic scans (irreducible-modulus search over polynomials,
+  generator search over candidates in batches);
 * the canonical display order omega_0 = 0, omega_i = g**(i-1) for the
   canonical generator g, used wherever a "fixed listing of the field"
   is part of a contract (symbol indexing, element streams).
@@ -359,30 +368,54 @@ class FiniteField:
             self._op_tables[op] = tab
         return tab
 
+    # -- F_p matrix algebra ---------------------------------------------------
+
+    def mul_matrices(self, cs) -> np.ndarray:
+        """The (len(cs), dim, dim) stack of M_c, the matrix of y -> c*y on
+        base-p digit columns: M_c @ digits(y) = digits(c*y) mod p.
+
+        M_c = sum over l of digit_l(c) * E[l] mod p, with E the field's F_p
+        multiplication basis (E[l] multiplies by the index p**l), so a whole
+        batch of elements is one tensordot.
+        """
+        E = self._mul_basis
+        return np.tensordot(_p_digits(cs, self.p, len(E)), E, axes=1) % self.p
+
     # -- shared construction pieces ----------------------------------------
 
     def _finish_init(self):
         """Generator search, log/exp tables, omega ordering."""
-        n1, p = self.order - 1, self.p
-        factors = _prime_factors(n1)
-        gen = next(
-            c
-            for c in range(1, self.order)
-            if all(self._pow_raw(c, n1 // ell) != 1 for ell in factors)
-        )
-        self._gen = gen
-        # exp[k] = g**k.  Multiplication by g**s is F_p-linear on the base-p
-        # digits of an index, so after the first s powers each block of s
-        # powers is the block before it times one matrix mod p; each block is
-        # turned into indices as it is made, so one block of digits is alive.
-        s = math.isqrt(n1) + 1
-        head = [1]
-        for _ in range(s):
-            head.append(self._mul_raw(head[-1], gen))
-        gen_s = head.pop()
-        dim = _digit_count(self.order, p)
-        step = _p_digits([self._mul_raw(p**l, gen_s) for l in range(dim)], p, dim)
-        block, weights = _p_digits(head, p, dim), p ** np.arange(dim)
+        n1, p, dim = self.order - 1, self.p, len(self._mul_basis)
+        assert dim * (p - 1) ** 2 < 2**63  # int64 matrix products are exact
+        # g is the first c in dense order with c**(n1/ell) != 1 for every
+        # prime ell | n1, tested in growing chunks: column 0 of M_c**e is the
+        # digit row of c**e * 1, so c**e = 1 iff it is the digit row of 1.
+        factors, one = _prime_factors(n1), np.eye(1, dim, dtype=np.int64)
+        start, size = 1, 8
+        while True:
+            cands = np.arange(start, min(start + size, self.order))
+            live = np.ones(len(cands), dtype=bool)
+            mats = self.mul_matrices(cands)
+            for ell in factors:
+                col = _mat_pow(mats[live], n1 // ell, p)[:, :, 0]
+                live[live] = (col != one).any(axis=1)
+            if live.any():
+                break
+            start, size = start + size, 2 * size
+        self._gen = gen = int(cands[live.argmax()])
+        # exp[k] = g**k.  The digit rows of g**0 .. g**s come from doubling
+        # (rows times M_g**(2**j) give the next 2**j powers); after them each
+        # block of s powers is the block before it times M_(g**s) mod p.  Each
+        # block is turned into indices as it is made, so one block of digits
+        # is alive.
+        s, weights = math.isqrt(n1) + 1, p ** np.arange(dim)
+        rows = one  # g**0
+        power = self.mul_matrices([gen])[0]
+        while len(rows) <= s:
+            rows = np.concatenate([rows, rows @ power.T % p])
+            power = power @ power % p
+        block, gen_s = rows[:s], int(rows[s] @ weights)
+        step = np.ascontiguousarray(self.mul_matrices([gen_s])[0].T)  # C order: faster matmul
         # One buffer holds [0, exp]: omega is its head, exp the view after 0.
         omega = np.zeros(1 + (n1 // s + 1) * s, dtype=np.int64)
         for start in range(1, len(omega), s):
@@ -403,17 +436,44 @@ class FiniteField:
         self._trace_rows: dict[FiniteField, np.ndarray] = {}
         self._op_tables: dict[str, np.ndarray] = {}
 
-    def _mul_raw(self, i: int, j: int) -> int:
-        raise NotImplementedError
 
-    def _pow_raw(self, i: int, e: int) -> int:
-        r, b = 1, i
-        while e:
-            if e & 1:
-                r = self._mul_raw(r, b)
-            b = self._mul_raw(b, b)
-            e >>= 1
-        return r
+def _mat_pow(mats: np.ndarray, e: int, p: int) -> np.ndarray:
+    """mats**e mod p for a (C, dim, dim) stack, by square-and-multiply."""
+    out = np.broadcast_to(np.eye(mats.shape[-1], dtype=np.int64), mats.shape)
+    while e:
+        if e & 1:
+            out = out @ mats % p
+        e >>= 1
+        if e:
+            mats = mats @ mats % p
+    return out
+
+
+def _extension_mul_basis(base: FiniteField, modulus: tuple[int, ...]) -> np.ndarray:
+    """E[k*m + i] = T**k @ kron(I_d, E_base[i]) mod p for the degree-d
+    extension of ``base`` (m base-p digits per coefficient) by ``modulus``.
+
+    The index p**(k*m + i) is t**k times the base element p**i; the base
+    element acts on each coefficient's digits alone, and T, multiplication
+    by t, shifts coefficient k to k + 1 and folds t**d back through the
+    monic modulus: t**d = -(f_0 + f_1 t + ... + f_(d-1) t**(d-1)).
+    """
+    p, base_E, d = base.p, base._mul_basis, len(modulus) - 1
+    m = len(base_E)
+    dim = d * m
+    assert dim * (p - 1) ** 2 < 2**63  # int64 matrix products are exact
+    T = np.zeros((dim, dim), dtype=np.int64)
+    T[m:, :-m] = np.eye(dim - m, dtype=np.int64)
+    T[:, -m:] = -base.mul_matrices(modulus[:-1]).reshape(dim, m) % p
+    blocks = np.stack([np.kron(np.eye(d, dtype=np.int64), Ei) for Ei in base_E])
+    E = np.empty((d, m, dim, dim), dtype=np.int64)
+    t_power = np.eye(dim, dtype=np.int64)
+    for k in range(d):
+        E[k] = t_power @ blocks % p
+        t_power = T @ t_power % p
+    E = E.reshape(dim, dim, dim)
+    E.setflags(write=False)
+    return E
 
 
 class PrimeField(FiniteField):
@@ -428,6 +488,8 @@ class PrimeField(FiniteField):
         self.degree = 1
         self.base = None
         self.modulus = None
+        self._mul_basis = np.ones((1, 1, 1), dtype=np.int64)
+        self._mul_basis.setflags(write=False)
         self._finish_init()
 
     def add(self, i, j):
@@ -438,8 +500,6 @@ class PrimeField(FiniteField):
 
     def mul(self, i, j):
         return (i * j) % self.p
-
-    _mul_raw = mul
 
     def coeffs(self, i):
         return (i,)
@@ -478,11 +538,8 @@ class ExtField(FiniteField):
         self.modulus = modulus
         B = base.order
         self._powers = tuple(B**k for k in range(degree))
+        self._mul_basis = _extension_mul_basis(base, modulus)
         self._finish_init()
-
-    def _mul_raw(self, i, j):
-        prod = _poly_mulmod(self.base, self.coeffs(i), self.coeffs(j), self.modulus)
-        return self.from_coeffs(prod + [0] * (self.degree - len(prod)))
 
     def coeffs(self, i):
         B = self.base.order

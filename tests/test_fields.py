@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_irreducible_p, gf_mul, gf_rem
+from sympy import primefactors
+from sympy.polys.galoistools import gf_irreducible_p, gf_mul, gf_pow_mod, gf_rem, gf_strip
 
 from qfcodes import (
     BudgetError,
@@ -305,24 +307,76 @@ def test_addition_against_coefficientwise_oracle(name):
         assert F.neg(i) == F.from_coeffs([base.neg(c) for c in F.coeffs(i)])
 
 
+def _gf_poly(F, i):
+    """Element i of an extension of F_p as a galoistools polynomial (leading
+    coefficient first)."""
+    return gf_strip([int(c) for c in reversed(F.coeffs(i))])
+
+
+def _gf_index(F, poly):
+    digits = [0] * (F.degree - len(poly)) + [int(c) for c in poly]
+    return F.from_coeffs(reversed(digits))
+
+
 @pytest.mark.parametrize("name", list(PRIME_BASE))
 def test_multiplication_against_galoistools(name):
     """Products are polynomial products reduced by the pinned modulus."""
     F = _oracle_field(name)
-    p, d = F.p, F.degree
+    p = F.p
     modulus = list(reversed(F.modulus))  # galoistools: leading coefficient first
     assert gf_irreducible_p(modulus, p, ZZ)
-    polys = [list(reversed(F.coeffs(i))) for i in range(F.order)]
-
-    def index(poly):
-        digits = [0] * (d - len(poly)) + [int(c) for c in poly]
-        return F.from_coeffs(reversed(digits))
-
+    polys = [_gf_poly(F, i) for i in range(F.order)]
     mul = F.op_table("mul")
     for i in range(F.order):
         for j in range(F.order):
             product = gf_rem(gf_mul(polys[i], polys[j], p, ZZ), modulus, p, ZZ)
-            assert mul[i, j] == index(product)
+            assert mul[i, j] == _gf_index(F, product)
+
+
+@pytest.mark.parametrize("name", [*PRIME_BASE, "F3^7"])
+def test_generator_is_the_first_full_order_element(name):
+    """g is the first c in dense order with c**((|F| - 1)/ell) != 1 for every
+    prime ell | |F| - 1, by galoistools powering modulo the pinned modulus."""
+    F = extension_field(prime_field(3), 7) if name == "F3^7" else _oracle_field(name)
+    modulus, n1 = list(reversed(F.modulus)), F.order - 1
+
+    def full_order(c):
+        return all(
+            gf_pow_mod(_gf_poly(F, c), n1 // ell, modulus, F.p, ZZ) != [1]
+            for ell in primefactors(n1)
+        )
+
+    assert full_order(F.gen)
+    assert not any(full_order(c) for c in range(1, F.gen))
+
+
+# (p, degree, degree, ...) up the chain: F_3, F_5, F_9, F_25, F_27, F_49,
+# F_81, F_{9^3} and F_{25^2}
+MATRIX_FIELDS = [(3,), (5,), (3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (3, 2, 3), (5, 2, 2)]
+
+
+@pytest.mark.parametrize("chain", MATRIX_FIELDS, ids=lambda c: "-".join(map(str, c)))
+@settings(max_examples=30, deadline=None, database=None)
+@given(data=st.data())
+def test_mul_matrices_multiply_base_p_digits(chain, data):
+    """M_c @ digits(b) = digits(c*b) and M_c M_b = M_(cb) mod p, with c*b
+    from the scalar op and, up to order 81, the mul op table."""
+    F = prime_field(chain[0])
+    for degree in chain[1:]:
+        F = extension_field(F, degree)
+    p, dim = F.p, len(np.base_repr(F.order - 1, F.p))  # |F| = p**dim
+    c, b = (data.draw(st.integers(0, F.order - 1), label=name) for name in "cb")
+    cb = F.mul(c, b)
+    if F.order <= 81:
+        assert F.op_table("mul")[c, b] == cb
+
+    def digits(i):
+        return np.array([i // p**l % p for l in range(dim)])
+
+    Mc, Mb, Mcb = F.mul_matrices([c, b, cb])
+    assert Mc.shape == (dim, dim) and ((0 <= Mc) & (Mc < p)).all()
+    assert (Mc @ digits(b) % p == digits(cb)).all()
+    assert (Mc @ Mb % p == Mcb).all()
 
 
 @pytest.mark.parametrize("shape", [(3, 2, 3, 2), (5, 1, 3, 2), (7, 2, 1, 1)])
@@ -441,12 +495,15 @@ def test_f_3_8_builds_in_linear_memory():
 
 @pytest.mark.parametrize("p,degree", [(3, 7), (5, 3), (7, 2), (3, 2)])
 def test_exp_and_zech_tables_are_the_power_sequence(p, degree):
-    """exp[k] = g**k by repeated polynomial multiplication, log inverts it,
-    and Z(k) = log(1 + g**k) by scalar addition (-1 where it vanishes)."""
+    """exp[k] = g**k by repeated polynomial multiplication (galoistools,
+    reduced by the pinned modulus), log inverts it, and
+    Z(k) = log(1 + g**k) by scalar addition (-1 where it vanishes)."""
     F = ExtField(prime_field(p), degree)
-    powers = [1]
+    modulus, g = list(reversed(F.modulus)), _gf_poly(F, F.gen)
+    power, powers = [1], [1]
     for _ in range(F.order - 2):
-        powers.append(F._mul_raw(powers[-1], F.gen))
+        power = gf_rem(gf_mul(power, g, p, ZZ), modulus, p, ZZ)
+        powers.append(_gf_index(F, power))
     assert F._exp.tolist() == powers
     assert [F._log[x] for x in powers] == list(range(F.order - 1))
     zech = [F._log[F.add(1, x)] if F.add(1, x) else -1 for x in powers]
@@ -490,6 +547,92 @@ def test_exp_build_of_f_3_12_stays_near_what_the_field_holds():
     assert run["exp"].startswith("42c19c1768cb") and run["log"].startswith("3176c14a22a1"), run
     assert run["peak_mb"] - run["held_mb"] < 10, run
     assert run["held_mb"] < 24, run
+
+
+# Every field of the towers and exhaustive-wd benchmark shapes, of every preset
+# tower and of (3, 2, 3, 2), keyed by the orders of its subfield chain: sha1 of
+# (modulus, gen), the omega bytes and the Zech bytes, recorded before field
+# construction moved to F_p matrix algebra.
+REPRESENTATION_SHAPES = [
+    (3, 1, 7, 1), (5, 1, 5, 1), (7, 1, 4, 1), (3, 1, 8, 1),
+    (3, 1, 3, 7), (5, 2, 1, 2), (7, 1, 2, 3), (5, 1, 2, 4),
+    (3, 1, 4, 3), (5, 1, 3, 2), (3, 2, 3, 2), (5, 1, 2, 3),
+    (3, 1, 5, 3), (3, 1, 3, 4), (5, 2, 1, 1), (7, 2, 1, 1),
+]
+REPRESENTATION_PINS = {
+    "3": "342a2287135ca329", "5": "8443453affcbe967", "7": "66956a05745ed569",
+    "9/3": "0f3b1927452e6288", "25/5": "8b0fbe181955f989", "27/3": "d3164393abb4c613",
+    "49/7": "1de156c7a2dc1e72", "81/3": "50922194110ad631", "125/5": "2cfe4933c637cf11",
+    "243/3": "5b08c019d584599e", "343/7": "82af38b093ddacc7", "625/5": "715573e05d715ee0",
+    "2187/3": "90652ed56cc71dd7", "2401/7": "166c5ba9c22bf7aa",
+    "3125/5": "f7df6950120080a2", "6561/3": "fd12e81a6fe7effd",
+    "81/9/3": "8a1052789b5d4f60", "625/25/5": "f1c25e7add91a454",
+    "729/9/3": "4261bbd8e59c5b2e",
+}
+
+
+def _representation(F):
+    h = hashlib.sha1(repr((F.modulus, F.gen)).encode())
+    h.update(F.omega.tobytes())
+    h.update(F._zech.tobytes())
+    return "/".join(str(f.order) for f in F.subfield_chain()), h.hexdigest()[:16]
+
+
+def test_field_representations_are_pinned():
+    """Moduli, generators, omega and Zech tables of every benchmark and preset
+    field are the pinned bytes."""
+    got = {}
+    for shape in REPRESENTATION_SHAPES:
+        tw = build_tower(*shape)
+        got.update(_representation(F) for F in (tw.Fp, tw.Fq, tw.Fq1, tw.Fq2))
+    assert got == REPRESENTATION_PINS
+
+
+def test_field_construction_makes_no_scalar_polynomial_product(monkeypatch):
+    """With its modulus given, a field is built by F_p matrix algebra alone."""
+    F3 = prime_field(3)
+
+    def refuse(*args):
+        raise AssertionError("scalar polynomial product during construction")
+
+    monkeypatch.setattr(fields, "_poly_mulmod", refuse)
+    F = ExtField(F3, 8, modulus=(2, 0, 1, 0, 0, 0, 0, 0, 1))
+    label, sha = _representation(F)
+    assert REPRESENTATION_PINS[label] == sha
+
+
+def test_scalar_polynomial_powering_is_gone():
+    src = Path(fields.__file__).parent
+    hits = [
+        f"{path.name}:{n}"
+        for path in sorted(src.glob("*.py"))
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if "_mul_raw" in line or "_pow_raw" in line
+    ]
+    assert hits == []
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    p=st.sampled_from([3, 5, 7]),
+    m=st.sampled_from([1, 2]),
+    m1=st.integers(1, 3),
+    m2=st.integers(1, 3),
+    data=st.data(),
+)
+def test_trace_is_transitive_on_random_towers(p, m, m1, m2, data):
+    """Tr_{F_{q^mi}/F_p} = Tr_{F_q/F_p} o Tr_{F_{q^mi}/F_q} on both sides,
+    as whole tables and, at one drawn x, against the Frobenius sum."""
+    tw = build_tower(p, m, m1, m2)
+    Fp, Fq = tw.Fp, tw.Fq
+    for F in (tw.Fq1, tw.Fq2):
+        direct = F.trace_table(Fp)
+        assert (Fq.trace_table(Fp)[F.trace_table(Fq)] == direct).all()
+        x = Elem(F, data.draw(st.integers(0, F.order - 1), label="x"))
+        acc = F.zero
+        for j in range(F.degree_over(Fp)):
+            acc = acc + x ** (p**j)
+        assert direct[x.idx] == F.demote_to(acc.idx, Fp)
 
 
 def test_field_info_reaches_f_3_9(capsys):

@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qfcodes import (
     Elem,
@@ -12,6 +12,7 @@ from qfcodes import (
     ZeroFormError,
     build_tower,
     epsilon_sign,
+    quad_char,
     rel_trace,
 )
 
@@ -351,3 +352,51 @@ def test_value_table_property_over_random_forms(data):
     except ZeroFormError:
         return
     _assert_table_is_scalar(form)
+
+
+CONGRUENCE_TOWERS = [
+    (3, 1, 3, 1), (3, 1, 4, 1), (5, 1, 3, 1), (7, 1, 2, 1), (3, 2, 3, 1), (5, 2, 2, 1),
+]
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_analysis_is_invariant_under_congruence(data):
+    """A Gram input G and P^T G P, P = Perm L D U invertible over F_q (every
+    invertible matrix has this form), have the same rank, sign and
+    discriminant class; at full rank delta(P^T G P) = det(P)**2 delta(G)
+    exactly, with det(P) = +-prod(D)."""
+    tw = build_tower(*data.draw(st.sampled_from(CONGRUENCE_TOWERS), label="tower"))
+    Fq, m1 = tw.Fq, tw.m1
+    elem, unit = st.integers(0, Fq.order - 1), st.integers(1, Fq.order - 1)
+    row = st.lists(elem, min_size=m1, max_size=m1)
+    upper = data.draw(st.lists(row, min_size=m1, max_size=m1), label="G")
+    G = [[upper[min(i, j)][max(i, j)] for j in range(m1)] for i in range(m1)]
+    assume(any(any(row) for row in G))
+    perm = data.draw(st.permutations(range(m1)), label="perm")
+    D = data.draw(st.lists(unit, min_size=m1, max_size=m1), label="D")
+    L, U = ([[data.draw(elem) if i > j else int(i == j) for j in range(m1)] for i in range(m1)]
+            for _ in "LU")
+    U = [list(col) for col in zip(*U)]  # the transpose of a unit lower triangle
+
+    def matmul(A, B):
+        out = [[0] * m1 for _ in range(m1)]
+        for i in range(m1):
+            for j in range(m1):
+                for k in range(m1):
+                    out[i][j] = Fq.add(out[i][j], Fq.mul(A[i][k], B[k][j]))
+        return out
+
+    P = [L[perm[i]] for i in range(m1)]  # rows of L permuted
+    P = matmul(matmul(P, [[D[i] if i == j else 0 for j in range(m1)] for i in range(m1)]), U)
+    PT = [list(col) for col in zip(*P)]
+    G2 = matmul(matmul(PT, G), P)
+    before = QuadraticForm(tw, gram=tuple(map(tuple, G))).analysis
+    after = QuadraticForm(tw, gram=tuple(map(tuple, G2))).analysis
+    assert (after.r_q, after.eps_q, after.eps) == (before.r_q, before.eps_q, before.eps)
+    assert quad_char(after.delta_q) == quad_char(before.delta_q)
+    if before.r_q == m1:
+        det = 1
+        for d in D:
+            det = Fq.mul(det, d)
+        assert after.delta_q.idx == Fq.mul(Fq.mul(det, det), before.delta_q.idx)
