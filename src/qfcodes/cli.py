@@ -97,44 +97,23 @@ def validate_config(data: dict) -> dict:
     if not isinstance(tower, dict):
         raise ConfigError("tower", "required object with p, m, m1, m2")
     _expect_keys(tower, {"p", "m", "m1", "m2"}, "tower.")
-    for key in ("p", "m", "m1", "m2"):
-        if not isinstance(tower.get(key), int):
-            raise ConfigError(f"tower.{key}", "required integer")
-    out["tower"] = {k: tower[k] for k in ("p", "m", "m1", "m2")}
+    out["tower"] = {k: _int(tower.get(k), f"tower.{k}") for k in ("p", "m", "m1", "m2")}
 
     form = data.get("form")
     if not isinstance(form, dict):
         raise ConfigError("form", "required object")
     _expect_keys(form, {"terms", "frobenius", "trace_squares", "gram"}, "form.")
-    frobs = []
-    trsqs = []
-    for i, term in enumerate(form.get("terms", []) or []):
-        path = f"form.terms[{i}]"
-        if not isinstance(term, dict):
-            raise ConfigError(path, "must be an object")
-        kind = term.get("kind")
-        if kind == "frob":
-            _expect_keys(term, {"kind", "coeff", "i"}, path + ".")
-            if not isinstance(term.get("i"), int):
-                raise ConfigError(path + ".i", "required integer")
-            frobs.append({"coeff": term.get("coeff", 1), "i": term["i"]})
-        elif kind == "trsq":
-            _expect_keys(term, {"kind", "c", "b"}, path + ".")
-            trsqs.append({"c": term.get("c", 1), "b": term.get("b", 1)})
-        else:
+    frobs, trsqs = [], []
+    parsers = {"frob": (_frob_term, frobs), "trsq": (_trsq_term, trsqs)}
+    for path, term in _objects(form.get("terms"), "form.terms"):
+        if term.get("kind") not in ("frob", "trsq"):  # by ==, so a list kind is refused too
             raise ConfigError(path + ".kind", "must be 'frob' or 'trsq'")
-    for i, term in enumerate(form.get("frobenius", []) or []):
-        if not isinstance(term, dict):
-            raise ConfigError(f"form.frobenius[{i}]", "must be an object")
-        _expect_keys(term, {"coeff", "i"}, f"form.frobenius[{i}].")
-        if not isinstance(term.get("i"), int):
-            raise ConfigError(f"form.frobenius[{i}].i", "required integer")
-        frobs.append({"coeff": term.get("coeff", 1), "i": term["i"]})
-    for i, term in enumerate(form.get("trace_squares", []) or []):
-        if not isinstance(term, dict):
-            raise ConfigError(f"form.trace_squares[{i}]", "must be an object")
-        _expect_keys(term, {"c", "b"}, f"form.trace_squares[{i}].")
-        trsqs.append({"c": term.get("c", 1), "b": term.get("b", 1)})
+        parse, terms = parsers[term["kind"]]
+        terms.append(parse(term, path, {"kind"}))
+    for path, term in _objects(form.get("frobenius"), "form.frobenius"):
+        frobs.append(_frob_term(term, path))
+    for path, term in _objects(form.get("trace_squares"), "form.trace_squares"):
+        trsqs.append(_trsq_term(term, path))
     gram = form.get("gram")
     if gram is not None and not (
         isinstance(gram, list) and all(isinstance(row, list) for row in gram)
@@ -152,10 +131,8 @@ def validate_config(data: dict) -> dict:
         if not isinstance(descent, dict):
             raise ConfigError("descent", "must be an object")
         _expect_keys(descent, {"N", "theta", "r_max"}, "descent.")
-        if not isinstance(descent.get("N"), int) or descent["N"] < 1:
-            raise ConfigError("descent.N", "must be a positive integer")
         out["descent"] = {
-            "N": descent["N"],
+            "N": _int(descent.get("N"), "descent.N", positive=True),
             "theta": descent.get("theta"),
             "r_max": _r_max(descent.get("r_max"), "descent.r_max"),
         }
@@ -170,18 +147,41 @@ def validate_config(data: dict) -> dict:
             raise ConfigError("tasks", f"unknown task {t!r}; choose from {_TASKS}")
     out["tasks"] = list(tasks)
 
-    budget = data.get("budget", DEFAULT_BUDGET)
-    if not isinstance(budget, int) or budget < 1:
-        raise ConfigError("budget", "must be a positive integer")
-    out["budget"] = budget
+    out["budget"] = _int(data.get("budget", DEFAULT_BUDGET), "budget", positive=True)
     out["ghw_r_max"] = _r_max(data.get("ghw_r_max"), "ghw_r_max")
     return out
 
 
-def _r_max(value, path: str):
-    if value is not None and (not isinstance(value, int) or value < 1):
-        raise ConfigError(path, "must be a positive integer")
+def _int(value, path: str, positive: bool = False) -> int:
+    """An integer config field; a JSON boolean is not one, although
+    ``isinstance(True, int)`` holds."""
+    if isinstance(value, bool) or not isinstance(value, int) or (positive and value < 1):
+        raise ConfigError(path, "must be a positive integer" if positive else "required integer")
     return value
+
+
+def _r_max(value, path: str):
+    return None if value is None else _int(value, path, positive=True)
+
+
+def _objects(items, path: str):
+    """Yield ``(path[i], item)`` for a config list whose items are objects."""
+    for i, item in enumerate(items or []):
+        if not isinstance(item, dict):
+            raise ConfigError(f"{path}[{i}]", "must be an object")
+        yield f"{path}[{i}]", item
+
+
+def _frob_term(term: dict, path: str, extra: set = frozenset()) -> dict:
+    """A Frobenius term object; ``extra`` names the keys another grammar adds."""
+    _expect_keys(term, {"coeff", "i"} | extra, path + ".")
+    return {"coeff": term.get("coeff", 1), "i": _int(term.get("i"), path + ".i")}
+
+
+def _trsq_term(term: dict, path: str, extra: set = frozenset()) -> dict:
+    """A trace-square term object; ``extra`` as in ``_frob_term``."""
+    _expect_keys(term, {"c", "b"} | extra, path + ".")
+    return {"c": term.get("c", 1), "b": term.get("b", 1)}
 
 
 def preset_config(name: str) -> tuple[dict, dict]:
@@ -311,28 +311,26 @@ def _run_ghw(spec: CodeSpec, cfg: dict, reference: dict, disagreements: list) ->
         budget=cfg["budget"],
         reference_values=ref_vals,
     )
-    rows = []
-    for row in rep.rows:
-        rows.append(
-            {
-                "r": row.r,
-                "reference": row.reference,
-                "closed": row.d_closed,
-                "brute": row.d_brute,
-                "agree": row.agree,
-                "note": row.note,
-            }
-        )
-        if not row.agree:
-            disagreements.append(
-                f"hierarchy r={row.r}: reference={row.reference} closed={row.d_closed} "
-                f"brute={row.d_brute}"
-            )
     return {
-        "rows": rows,
+        "rows": _hierarchy_rows(rep, "hierarchy", ("reference", "closed", "brute"), disagreements),
         "resolved": rep.resolved_hierarchy(),
         "strictly_increasing": rep.strictly_increasing(),
     }
+
+
+def _hierarchy_rows(rep, label: str, values: tuple, disagreements: list) -> list:
+    """One report row per r with the named ``values`` (of "reference",
+    "closed", "brute"); a row that disagrees is listed under ``label``."""
+    rows = []
+    for row in rep.rows:
+        cells = {"reference": row.reference, "closed": row.d_closed, "brute": row.d_brute}
+        rows.append(
+            {"r": row.r, **{v: cells[v] for v in values}, "agree": row.agree, "note": row.note}
+        )
+        if not row.agree:
+            shown = " ".join(f"{v}={cells[v]}" for v in values)
+            disagreements.append(f"{label} r={row.r}: {shown}")
+    return rows
 
 
 def _run_descend(spec: CodeSpec, cfg: dict, disagreements: list) -> dict:
@@ -367,34 +365,15 @@ def _run_descend(spec: CodeSpec, cfg: dict, disagreements: list) -> dict:
         )
     rng = random.Random(20240817)
     Fq = tower.Fq
-    pairs = [(1, 1)]
-    for _ in range(5):
-        pairs.append((rng.randrange(1, Fq.order), rng.randrange(1, Fq.order)))
-    ident_ok = True
-    for ci, ai in pairs:
-        res = char_identity_check(params, Elem(Fq, ci), Elem(Fq, ai))
-        ident_ok &= res.ok
+    pairs = [(1, 1)] + [(rng.randrange(1, Fq.order), rng.randrange(1, Fq.order)) for _ in range(5)]
+    checks = [char_identity_check(params, Elem(Fq, c), Elem(Fq, a)) for c, a in pairs]
+    ident_ok = all(res.ok for res in checks)
     if not ident_ok:
         disagreements.append("coset character identities failed")
     rep = descended_hierarchy(
         spec, params, r_max=dcfg.get("r_max"), budget=cfg["budget"]
     )
-    rows = []
-    for row in rep.rows:
-        rows.append(
-            {
-                "r": row.r,
-                "closed": row.d_closed,
-                "brute": row.d_brute,
-                "agree": row.agree,
-                "note": row.note,
-            }
-        )
-        if not row.agree:
-            disagreements.append(
-                f"descended hierarchy r={row.r}: closed={row.d_closed} "
-                f"brute={row.d_brute}"
-            )
+    rows = _hierarchy_rows(rep, "descended hierarchy", ("closed", "brute"), disagreements)
     return {
         "N": params.N,
         "theta": elem_to_data(params.theta),

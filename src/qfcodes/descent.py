@@ -10,6 +10,9 @@ Both admissibility conditions are enforced at construction: dropping the
 coprimality requirement breaks the constant-weight property of the column
 code (the trace kernel then sits inside a single square class), and with it
 every downstream weight and hierarchy formula.
+
+The scan and ``descend``'s rank check read the descended code only through
+its column multiset (``ghw._column_multiset``), never its generator matrix.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .codes import CodeSpec, Variant, WeightDistribution, cwe_brute, codeword, \
 from .cyclotomic import CycInt, cyc_from_trace_counts, eta_twisted_sum_brute
 from .errors import DEFAULT_BUDGET, ParameterError
 from .fields import Elem, FieldTower
-from .ghw import GhwReport, b_part_zero_span, generator_matrix, message_dim, point_count
+from .ghw import GhwReport, _column_multiset, b_part_zero_span, message_dim, point_count
 from .ghw import scan, strata, tabulate
 
 __all__ = [
@@ -147,11 +150,12 @@ class DescendedCode:
 
 def descend(spec: CodeSpec, params: DescentParams) -> DescendedCode:
     """Map the source code through psi; the F_p dimension is certified by the
-    rank of the images of an F_p-basis of the message space."""
+    rank of the distinct columns, the support of the column multiset."""
     if params.tower is not spec.tower:
         raise ParameterError("descent parameters built for a different tower")
-    n_p = message_dim(spec, params)
-    rank = linalg.rank(spec.tower.Fp, generator_matrix(spec, params))
+    n_p, Fp = message_dim(spec, params), spec.tower.Fp
+    support = np.flatnonzero(_column_multiset(Fp, spec, params).mu)
+    rank = linalg.rank(Fp, support[:, None] // Fp.order ** np.arange(n_p) % Fp.order)
     if rank != n_p:
         raise ArithmeticError(
             f"descended rank {rank} != m * k = {n_p}; descent is not injective"

@@ -5,20 +5,21 @@ Subspaces of the message space are enumerated as reduced row-echelon bases
 matrix per subspace, ordered lexicographically by pivot-column set and then
 by the free entries.  The support defect N(D) of a subspace D counts the
 coordinates where every codeword of D vanishes; the r-th generalized Hamming
-weight is the code length minus the maximum defect.  The F_q code and its
-F_p descent (``descent``) reach every route through ``generator_matrix``.
+weight is the code length minus the maximum defect.
 
 Four routes compute N(D):
 * the scan (``ghw_brute``; production) sees only the field, k and the column
-  multiset mu(v) = #{columns of G equal to v}.  N(D) is the sum of mu over
-  the annihilator of D (Tsfasman-Vladut); for 2r <= k it is n - |supp D| by
+  multiset mu(v) = #{columns of G equal to v}, read off the form's value
+  histogram (``_column_multiset``).  N(D) is the sum of mu over the
+  annihilator of D (Tsfasman-Vladut); for 2r <= k it is n - |supp D| by
   Wei's identity sum over D of wt(c) = q**(r-1) (q-1) |supp D|, with wt
   computed once per code from mu.  Both sums take one vector per line
   (wt(a c) = wt(c); mu over a line is mu*), each gathered from a table of
   F_q dot products, so a subspace costs (q**s - 1)/(q - 1) lookups with
   s = min(r, k - r);
 * the point count (``support_defect``; the tests' oracle): the basis rows
-  times G, all-zero columns counted;
+  times the generator matrix G, stacked from codewords, all-zero columns
+  counted.  Only this oracle builds G;
 * the closed forms (``support_defect_closed`` per subspace, ``ghw_closed``
   for d_r; production);
 * the character sum (``support_defect_char``), an audit.
@@ -42,7 +43,6 @@ from .fields import Elem, FiniteField, _min_dtype
 __all__ = [
     "gaussian_binomial",
     "subspace_bases",
-    "generator_matrix",
     "support_defect",
     "support_defect_closed",
     "support_defect_char",
@@ -104,7 +104,8 @@ def generator_matrix(spec: CodeSpec, params=None) -> np.ndarray:
 
     With descent ``params`` (``descent.DescentParams``) the rows are the
     psi-expanded codewords of the k*m unit digit messages, as F_p indices,
-    flattened coordinate-major (the column index fastest).
+    flattened coordinate-major (the column index fastest).  The tests'
+    independent oracle: no production path builds G.
     """
     Fq, Fq2 = spec.tower.Fq, spec.tower.Fq2
     field = Fq if params is None else spec.tower.Fp
@@ -317,14 +318,33 @@ def scan(spec: CodeSpec, params, r: int, budget: int) -> tuple[int, tuple]:
 
 @lru_cache(maxsize=None)
 def _column_multiset(F: FiniteField, spec: CodeSpec, params) -> _Multiset:
-    """mu[v] = the number of columns of the generator matrix with encoding v
-    (sum_t v_t |F|**t): an exhaustive bincount."""
-    G = generator_matrix(spec, params)
-    enc = np.zeros(G.shape[1], dtype=np.int64)
-    for row in G[::-1]:  # Horner's rule
-        enc *= F.order
-        enc += row
-    return _Multiset(F, len(G), np.bincount(enc, minlength=F.order ** len(G)))
+    """mu[v] = the number of columns of G with encoding v (sum_t v_t |F|**t).
+
+    The column at (x, y) is (Q(x), Tr(e_t y) for the basis e_t of index
+    q**(t-1), 1 for the affine code), and y -> (Tr(e_t y))_t is a bijection
+    onto F_q**m2: mu(v0, w, 1) = H[v0] for every w, H the value histogram.
+    The homogeneous code drops the origin, whose column is 0.  Under descent
+    ``params`` the column (v, i) is sum_s q**s D_i[v_s], D_i[g] = sum_j
+    Tr(theta**i b_j g) p**j, b_j of index p**j: mu is pushed forward."""
+    Fq, k = spec.tower.Fq, spec.dimension
+    q = Fq.order
+    if params is None:
+        mu = np.zeros(q**k, dtype=np.int64)
+        affine = spec.variant is Variant.AFFINE
+        hist = spec.analysis.form.value_histogram
+        mu.reshape(-1, q**spec.tower.m2, q)[1 if affine else 0] = hist  # [c, w, v0]
+        if not affine:
+            mu[0] -= 1
+        return _Multiset(F, k, mu)
+    src = _column_multiset(Fq, spec, None).mu
+    beta = spec.tower.p ** np.arange(spec.tower.m)
+    D = params.columns[Fq.op_table("mul")[beta]].astype(np.int64)  # (j, g, i)
+    D = np.tensordot(beta, D, axes=1)  # D[g, i] = D_i[g]
+    support = np.flatnonzero(src)
+    enc = sum(q**s * D[support // q**s % q] for s in range(k))  # (support, i)
+    mu = np.zeros(q**k, dtype=np.int64)
+    np.add.at(mu, enc, src[support, None])
+    return _Multiset(F, message_dim(spec, params), mu)
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +357,7 @@ def _distinct_columns(F: FiniteField, spec: CodeSpec, params) -> tuple[np.ndarra
     """The distinct columns of the generator matrix as one F_p matrix
     (``linalg.expand``) and how often each occurs."""
     cols, counts = np.unique(generator_matrix(spec, params), axis=1, return_counts=True)
-    cols = linalg.expand(F, cols)
-    for table in (cols, counts):  # cached: shared by every caller
-        table.setflags(write=False)
-    return cols, counts
+    return _frozen(linalg.expand(F, cols)), _frozen(counts)
 
 
 def point_count(spec: CodeSpec, params, rows):

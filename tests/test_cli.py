@@ -227,6 +227,15 @@ def test_theta_override_flag(capsys):
         (["code", "--config", '{"form": {"gram": 5}}'], "form.gram"),
         (["code", "--config", '{"form": {"gram": [5]}}'], "form.gram"),
         (["code", "--config", '{"form": {"gram": [[0, 0], [0, 0]]}}'], "form"),
+        (["code", "--config", '{"tower": {"p": 3, "m": true, "m1": 2, "m2": 1}}'], "tower.m"),
+        (["code", "--config", '{"form": {"frobenius": [{"i": true}]}}'], "form.frobenius[0].i"),
+        (["code", "--config", '{"form": {"terms": [{"kind": "frob", "i": false}]}}'],
+         "form.terms[0].i"),
+        (["descend", "--config", '{"descent": {"N": true}}'], "descent.N"),
+        (["descend", "--config", '{"descent": {"N": 3, "r_max": true}}'], "descent.r_max"),
+        (["ghw", "--config", '{"ghw_r_max": true}'], "ghw_r_max"),
+        (["code", "--config", '{"budget": true}'], "budget"),
+        (["code", "--config", '{"form": {"terms": [{"kind": ["frob"]}]}}'], "form.terms[0].kind"),
     ],
 )
 def test_malformed_inputs_exit_one(tmp_path, capsys, argv, field):
@@ -248,6 +257,25 @@ def test_malformed_inputs_exit_one(tmp_path, capsys, argv, field):
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and f"config field '{field}'" in err
     assert '"' not in err
+
+
+@pytest.mark.parametrize("name", ["example-3.6", "descent-7-2-1-1-3"])
+def test_no_production_path_builds_the_generator_matrix(capsys, monkeypatch, name):
+    """With the generator matrix made to raise and the multiset caches empty,
+    a preset run prints the same bytes, with the same exit code."""
+    from qfcodes import ghw
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the generator matrix is a test oracle")
+
+    def run():
+        ghw._column_multiset.cache_clear()
+        return _run(capsys, "preset", name, "--format", "json")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ghw, "generator_matrix", refuse)
+        guarded = run()
+    assert guarded == run()
 
 
 def test_internal_key_error_propagates(monkeypatch):

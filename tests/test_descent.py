@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from functools import partial
 
+import numpy as np
 import pytest
 
 from qfcodes import (
@@ -30,7 +31,8 @@ from qfcodes.descent import (
     descended_support_defect,
     descended_support_defect_closed,
 )
-from qfcodes.ghw import subspace_bases
+from qfcodes import linalg
+from qfcodes.ghw import _Multiset, generator_matrix, subspace_bases
 
 from conftest import reference_scan, spec_for
 
@@ -130,6 +132,26 @@ def test_descend_lengths_and_dimension(fix7):
     # zero message maps to the zero matrix
     tw = spec.tower
     assert all(v == 0 for v in code.codeword(tw.Fq.zero, tw.Fq2.zero))
+
+
+def test_descend_rank_is_the_rank_of_the_generator_matrix(fix7):
+    spec, params = fix7
+    assert descend(spec, params).dimension == linalg.rank(
+        spec.tower.Fp, generator_matrix(spec, params)
+    )
+
+
+def test_descend_refuses_a_multiset_on_a_hyperplane(fix7, monkeypatch):
+    """Columns that all lie in the hyperplane v_3 = 0 have rank 3 < 4: the
+    descent would not be injective."""
+    spec, params = fix7
+    mu = np.zeros(7**4, dtype=np.int64)
+    mu[: 7**3] = 1
+    monkeypatch.setattr(
+        "qfcodes.descent._column_multiset", lambda F, spec, params: _Multiset(F, 4, mu)
+    )
+    with pytest.raises(ArithmeticError, match="descended rank 3 != m \\* k = 4"):
+        descend(spec, params)
 
 
 def test_descend_small_prime_tower():
