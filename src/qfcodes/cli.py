@@ -12,6 +12,7 @@ disagree (a three-way table is printed), 1 usage or resource errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -714,7 +715,10 @@ def _load(args, tasks: list[str] | None) -> tuple[dict, dict]:
     return cfg, reference
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The qfcodes parser, built on the first call and kept: parsing reads it
+    and never changes it."""
     ap = _Parser(prog="qfcodes", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 

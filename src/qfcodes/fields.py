@@ -24,6 +24,9 @@ M_c = sum of digit_l(c) * E[l] mod p.  The generator search powers a batch
 of M_c at once, the exp table is made block by block with one such matrix,
 and the trace tables apply the F_p-linear trace to the digits of every
 index.  No scalar polynomial product is taken once the modulus is known.
+The modulus search tests each candidate by Rabin's test on one Frobenius
+chain x**(B**d), d = 1..n, after a root test (one gcd) that rejects most
+reducible candidates.
 Every table a field holds has |F| entries, except the q x q
 op tables of the F_q kernels; each is held once, as a read-only numpy array
 that whole-field gathers index and scalar ops read with ``ndarray.item`` (so
@@ -498,6 +501,9 @@ class PrimeField(FiniteField):
     def neg(self, i):
         return (-i) % self.p
 
+    def sub(self, i, j):
+        return (i - j) % self.p
+
     def mul(self, i, j):
         return (i * j) % self.p
 
@@ -577,81 +583,93 @@ def _poly_trim(a):
 
 
 def _poly_mulmod(base, a, b, f):
+    """a * b mod the monic f, over base."""
+    add, mul, sub = base.add, base.mul, base.sub
     d = len(f) - 1
     conv = [0] * (len(a) + len(b) - 1) if a and b else []
     for x, ax in enumerate(a):
-        if ax == 0:
-            continue
-        for y, by in enumerate(b):
-            if by:
-                conv[x + y] = base.add(conv[x + y], base.mul(ax, by))
-    # reduce mod monic f
-    for k in range(len(conv) - 1, d - 1, -1):
-        c = conv[k]
+        if ax:
+            for y, by in enumerate(b):
+                if by:
+                    conv[x + y] = add(conv[x + y], mul(ax, by))
+    for k in range(len(conv) - 1, d - 1, -1):  # x**k = x**(k-d) * (x**d - f)
+        c = conv.pop()
         if c:
-            conv[k] = 0
             for t in range(d):
                 if f[t]:
-                    conv[k - d + t] = base.sub(conv[k - d + t], base.mul(c, f[t]))
-    return _poly_trim(conv[:d] if len(conv) > d else conv)
+                    conv[k - d + t] = sub(conv[k - d + t], mul(c, f[t]))
+    return _poly_trim(conv)
 
 
 def _poly_powmod(base, a, e, f):
     r = [1]
-    b = list(a)
-    while e:
+    while True:
         if e & 1:
-            r = _poly_mulmod(base, r, b, f)
-        b = _poly_mulmod(base, b, b, f)
+            r = _poly_mulmod(base, r, a, f)
         e >>= 1
-    return r
+        if not e:
+            return r
+        a = _poly_mulmod(base, a, a, f)
 
 
 def _poly_gcd(base, a, b):
+    add, mul, neg = base.add, base.mul, base.neg
     a, b = list(a), list(b)
     while b:
-        # a mod b
-        inv_lead = base.inv(b[-1])
-        while len(a) >= len(b) and a:
-            c = base.mul(a[-1], inv_lead)
-            shift = len(a) - len(b)
-            for t in range(len(b)):
-                a[shift + t] = base.sub(a[shift + t], base.mul(c, b[t]))
+        inv_lead, nb = base.inv(b[-1]), len(b)
+        while len(a) >= nb:  # cancel the lead of a by a multiple of b
+            c = neg(mul(a.pop(), inv_lead))
+            shift = len(a) - nb + 1
+            for t in range(nb - 1):
+                if b[t]:
+                    a[shift + t] = add(a[shift + t], mul(c, b[t]))
             _poly_trim(a)
         a, b = b, a
     return a
 
 
 def _is_irreducible(base: FiniteField, poly: tuple[int, ...]) -> bool:
-    """Monic poly irreducible over base, certified by Frobenius divisibility.
+    """Monic poly of degree n irreducible over base (of order B), by Rabin's
+    test: x**(B**n) = x mod poly, and gcd(x**(B**d) - x, poly) = 1 for each
+    d = n/ell, ell a prime dividing n (M. O. Rabin, "Probabilistic algorithms
+    in finite fields", SIAM J. Comput. 9(2), 1980).
 
-    poly divides x^(B^n) - x, and gcd(x^(B^d) - x, poly) = 1 for every
-    proper divisor d of n (it suffices to check d = n/ell for prime ell).
+    d = 1 is checked first: gcd(x**B - x, poly) != 1 iff poly has a root in
+    base, which rejects most reducible candidates.  The powers
+    h_d = x**(B**d) mod poly are one Frobenius chain: c**B = c on base, so
+    h**B = sum of h_j * (x**B)**j, and with the powers (x**B)**j, j < n,
+    computed once, each link is one matrix-vector product over base.
     """
     n = len(poly) - 1
     if n == 1:
         return True
-    B = base.order
     if poly[0] == 0:  # divisible by x
         return False
-    x = [0, 1]
-    xq = _poly_powmod(base, x, B**n, poly)
-    # x^(B^n) == x mod poly
-    diff = list(xq) + [0] * max(0, 2 - len(xq))
-    diff[1] = base.sub(diff[1], 1)
-    if _poly_trim(diff):
-        return False
-    for ell in _prime_factors(n):
-        d = n // ell
-        xqd = _poly_powmod(base, x, B**d, poly)
-        g = list(xqd) + [0] * max(0, 2 - len(xqd))
+
+    def coprime(h):  # gcd(h - x, poly) == 1
+        g = h + [0] * (2 - len(h))
         g[1] = base.sub(g[1], 1)
-        _poly_trim(g)
-        if not g:
+        return len(_poly_gcd(base, poly, _poly_trim(g))) == 1
+
+    x_B = _poly_powmod(base, [0, 1], base.order, poly)
+    if not coprime(x_B):
+        return False
+    cols = [[1], x_B]
+    while len(cols) < n:
+        cols.append(_poly_mulmod(base, cols[-1], x_B, poly))
+    add, mul = base.add, base.mul
+    checks, h = {n // ell for ell in _prime_factors(n)}, x_B
+    for d in range(2, n + 1):
+        nxt = [0] * n
+        for hj, col in zip(h, cols):
+            if hj:
+                for k, c in enumerate(col):
+                    if c:
+                        nxt[k] = add(nxt[k], mul(hj, c))
+        h = _poly_trim(nxt)
+        if d in checks and not coprime(h):
             return False
-        if len(_poly_gcd(base, poly, g)) > 1:
-            return False
-    return True
+    return h == [0, 1]
 
 
 @lru_cache(maxsize=None)

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import MixedFieldError, ZeroFormError
-from .fields import Elem, FieldTower, rel_trace
+from .fields import Elem, FieldTower
 from .linalg import nullspace
 
 __all__ = [
@@ -116,14 +116,15 @@ class QuadraticForm:
                     if xj:
                         acc = Fq.add(acc, Fq.mul(Fq.mul(xi, xj), self._gram_input[i][j]))
             return Elem(Fq, acc)
-        q = Fq.order
-        acc = Fq.zero
+        q, tr = Fq.order, Fq1.trace_table(Fq)
+        acc = 0
         for t in self.frobenius_terms:
-            acc = acc + rel_trace(t.coeff * x ** (q**t.power + 1), Fq)
+            y = Fq1.mul(t.coeff.idx, Fq1.pow(x.idx, q**t.power + 1))
+            acc = Fq.add(acc, tr.item(y))
         for t in self.trace_square_terms:
-            tr = rel_trace(t.coeff * x, Fq)
-            acc = acc + t.scale * tr * tr
-        return acc
+            v = tr.item(Fq1.mul(t.coeff.idx, x.idx))
+            acc = Fq.add(acc, Fq.mul(t.scale.idx, Fq.mul(v, v)))
+        return Elem(Fq, acc)
 
     @cached_property
     def value_table(self) -> np.ndarray:
@@ -190,16 +191,21 @@ class QuadraticForm:
 
     @cached_property
     def gram(self) -> tuple[tuple[int, ...], ...]:
+        """G[i][j] = B(b_i, b_j), the polarization on the power basis.
+
+        Q is evaluated once at each b_i and once at each b_i + b_j, i <= j,
+        so m1(m1+3)/2 scalar evaluations fill both triangles.
+        """
         if self._gram_input is not None:
             return self._gram_input
         basis = self._basis()
-        m1 = self.tower.m1
-        rows = []
-        for i in range(m1):
-            rows.append(
-                tuple(self.bilinear(basis[i], basis[j]).idx for j in range(m1))
-            )
-        return tuple(rows)
+        at, two_inv = [self(b) for b in basis], self.tower.Fq.one / 2
+        rows = [[0] * len(basis) for _ in basis]
+        for i, b in enumerate(basis):
+            for j in range(i, len(basis)):
+                g = (self(b + basis[j]) - at[i] - at[j]) * two_inv
+                rows[i][j] = rows[j][i] = g.idx
+        return tuple(map(tuple, rows))
 
     @cached_property
     def analysis(self) -> "QuadFormAnalysis":

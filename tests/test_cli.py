@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from qfcodes.cli import main, preset_config, run_config, validate_config
+from qfcodes.cli import build_parser, main, preset_config, run_config, validate_config
 from qfcodes.errors import ConfigError
 from qfcodes.presets import preset_names
 
@@ -101,6 +101,31 @@ def test_usage_errors_exit_one(capsys):
     assert "unknown preset" in err
     code, _, err = _run(capsys, "code")
     assert code == 1
+
+
+def _exit_and_bytes(capsys, argv):
+    """Exit code (returned, or raised by the parser), stdout and stderr."""
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    """After a usage error, the kept parser gives the same exit codes and bytes
+    as a fresh parser for each call."""
+    assert build_parser() is build_parser()
+    argvs = (["preset", "--format", "xml"], ["preset", "example-3.1", "--format", "json"])
+    reused = [_exit_and_bytes(capsys, argv) for argv in argvs]
+    fresh = []
+    for argv in argvs:
+        build_parser.cache_clear()
+        fresh.append(_exit_and_bytes(capsys, argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [1, 0]
+    assert "invalid choice: 'xml'" in reused[0][2]
 
 
 def test_config_file_flow(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -38,8 +39,6 @@ from qfcodes.cli import main
 
 def _trial_division_irreducible(base, coeffs):
     """Oracle: no monic divisor of degree 1..deg/2 (exhaustive trial division)."""
-    import itertools
-
     deg = len(coeffs) - 1
     for d in range(1, deg // 2 + 1):
         for low in itertools.product(range(base.order), repeat=d):
@@ -102,6 +101,40 @@ def test_moduli_certified_by_trial_division(p, deg):
 def test_modulus_over_extension_field():
     t = build_tower(3, 2, 3, 2)
     assert _trial_division_irreducible(t.Fq, t.Fq1.modulus)
+
+
+def _modulus_scan(base, degree):
+    """The monic candidates of the modulus search, in scan order:
+    (c_{d-1}, ..., c_0) lexicographic in dense index order."""
+    for high in itertools.product(range(base.order), repeat=degree):
+        yield tuple(reversed(high)) + (1,)
+
+
+@pytest.mark.parametrize(
+    "p,m,max_degree", [(3, 1, 4), (5, 1, 4), (7, 1, 4), (3, 2, 3), (5, 2, 3)],
+    ids=["F3", "F5", "F7", "F9", "F25"],
+)
+def test_modulus_is_the_first_irreducible(p, m, max_degree):
+    """Every candidate before the modulus is reducible and the modulus is
+    irreducible, by exhaustive trial division."""
+    base = build_tower(p, m, 1, 1).Fq
+    for degree in range(1, max_degree + 1):
+        modulus = smallest_irreducible(base, degree)
+        for cand in _modulus_scan(base, degree):
+            if cand == modulus:
+                break
+            assert not _trial_division_irreducible(base, cand), cand
+        assert _trial_division_irreducible(base, modulus)
+
+
+@pytest.mark.parametrize(
+    "p,m,degree", [(3, 1, 2), (3, 1, 4), (3, 1, 5), (5, 1, 4), (7, 1, 3), (3, 2, 2), (3, 2, 3)]
+)
+def test_irreducibility_test_agrees_with_trial_division(p, m, degree):
+    """Rabin's test, on every monic candidate of the degree."""
+    base = build_tower(p, m, 1, 1).Fq
+    for cand in _modulus_scan(base, degree):
+        assert fields._is_irreducible(base, cand) == _trial_division_irreducible(base, cand), cand
 
 
 def test_construction_deterministic():

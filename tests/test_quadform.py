@@ -15,6 +15,7 @@ from qfcodes import (
     quad_char,
     rel_trace,
 )
+from qfcodes.presets import preset_names
 
 from conftest import spec_for, EXAMPLE_NAMES
 
@@ -107,6 +108,62 @@ def test_gram_symmetric(example_spec):
     for i in range(m1):
         for j in range(m1):
             assert G[i][j] == G[j][i]
+
+
+def _polarization_table(form):
+    basis = form._basis()
+    return tuple(tuple(form.bilinear(x, y).idx for y in basis) for x in basis)
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_gram_is_the_polarization_table(name):
+    form = spec_for(name).analysis.form
+    assert form.gram == _polarization_table(form)
+
+
+# p in {3, 5, 7}, m in {1, 2}, m1 <= 4, with at most 2 * 10**4 elements in F_{q^m1}
+GRAM_TOWERS = [
+    (p, m, m1, 1)
+    for p in (3, 5, 7) for m in (1, 2) for m1 in range(1, 5) if p ** (m * m1) <= 2 * 10**4
+]
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_gram_is_the_polarization_on_random_towers(data):
+    tw = build_tower(*data.draw(st.sampled_from(GRAM_TOWERS), label="tower"))
+    Fq, Fq1 = tw.Fq, tw.Fq1
+    q1 = st.one_of(st.just(0), st.integers(0, Fq1.order - 1))
+    frobs = data.draw(
+        st.lists(st.tuples(q1, st.integers(0, tw.m1 - 1)), max_size=3), label="frobenius"
+    )
+    scales = st.one_of(st.just(0), st.integers(0, Fq.order - 1))
+    trsq = data.draw(st.lists(st.tuples(scales, q1), max_size=2), label="trace squares")
+    try:
+        form = QuadraticForm(
+            tw,
+            tuple(FrobeniusTerm(Elem(Fq1, a), i) for a, i in frobs),
+            tuple(TraceSquareTerm(Elem(Fq, c), Elem(Fq1, b)) for c, b in trsq),
+        )
+    except ZeroFormError:
+        return
+    assert form.gram == _polarization_table(form)
+
+
+@pytest.mark.parametrize("shape", [(3, 1, 1, 1), (3, 1, 4, 1), (5, 2, 2, 1), (3, 1, 7, 1)])
+def test_gram_evaluates_the_form_m1_m1_plus_3_over_2_times(shape, monkeypatch):
+    """Once at each b_i and once at each b_i + b_j, i <= j."""
+    tw = build_tower(*shape)
+    form = _random_form(tw, random.Random(1))
+    calls, call = [], QuadraticForm.__call__
+
+    def counted(self, x):
+        calls.append(x)
+        return call(self, x)
+
+    monkeypatch.setattr(QuadraticForm, "__call__", counted)
+    form.gram
+    assert len(calls) == tw.m1 * (tw.m1 + 3) // 2
 
 
 def test_tr_x_squared_on_f9_has_full_rank():
