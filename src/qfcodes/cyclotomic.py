@@ -217,19 +217,11 @@ def eta_twisted_sum_brute(Fq: FiniteField, k: int, b: Elem) -> CycInt:
     if b.field is not Fq:
         raise MixedFieldError("b must lie in F_q")
     p = Fq.p
-    prime = Fq.subfield_chain()[-1]
-    tr = Fq.trace_table(prime)
-    pos = [0] * p
-    neg = [0] * p
-    for z in range(1, Fq.order):
-        t = int(tr[Fq.mul(z, b.idx)])
-        if Fq.eta(z) == 1:
-            pos[t] += 1
-        else:
-            neg[t] += 1
-    if k % 2 == 0:
-        return cyc_from_trace_counts(p, [a + c for a, c in zip(pos, neg)])
-    return cyc_from_trace_counts(p, [a - c for a, c in zip(pos, neg)])
+    # z runs over F_q* in omega order, z = g**j: eta(z) = (-1)**j
+    traces = Fq.trace_table(Fq.subfield_chain()[-1])[Fq.op_table("mul")[b.idx, Fq.omega[1:]]]
+    pos = np.bincount(traces[0::2], minlength=p)
+    neg = np.bincount(traces[1::2], minlength=p)
+    return cyc_from_trace_counts(p, (pos + neg if k % 2 == 0 else pos - neg).tolist())
 
 
 def eta_twisted_sum_closed(Fq: FiniteField, k: int, b: Elem) -> CycInt:
@@ -256,15 +248,9 @@ def qf_exp_sum_brute(form: QuadraticForm, z: Elem) -> CycInt:
     Fq = tower.Fq
     if z.field is not Fq:
         raise MixedFieldError("z must lie in F_q")
-    tr = Fq.trace_table(tower.Fp)
-    p = tower.p
-    counts = [0] * p
-    hist = form.value_histogram
-    for v in range(Fq.order):
-        c = int(hist[v])
-        if c:
-            counts[int(tr[Fq.mul(z.idx, v)])] += c
-    return cyc_from_trace_counts(p, counts)
+    counts = np.zeros(tower.p, dtype=np.int64)
+    np.add.at(counts, Fq.trace_table(tower.Fp)[Fq.op_table("mul")[z.idx]], form.value_histogram)
+    return cyc_from_trace_counts(tower.p, counts.tolist())
 
 
 def qf_exp_sum_closed(analysis: QuadFormAnalysis, z: Elem) -> CycInt:

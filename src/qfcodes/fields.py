@@ -1,4 +1,4 @@
-"""Finite-field towers F_p < F_q < F_{q^s} with exact table-driven arithmetic.
+"""Finite-field towers F_p < F_q < F_{q^s} with exact arithmetic.
 
 Every field stores its elements as dense integer indices 0 .. order-1.  A
 prime field indexes an element by its least nonnegative residue.  An
@@ -16,23 +16,16 @@ for the canonical generator.  Every field keeps Zech logarithms,
 |F| x |F| addition table.  An extension field adds through them; a prime
 field adds, negates and multiplies residues.
 
-Construction is F_p linear algebra on base-p digits.  Each field holds its
-F_p multiplication basis E, dim x dim x dim for dim = [F : F_p] (E[l] is the
-matrix of x -> p**l * x, built for an extension from its base's E and the
-modulus), so multiplication by any c is the matrix
-M_c = sum of digit_l(c) * E[l] mod p.  The generator search powers a batch
-of M_c at once, the exp table is made block by block with one such matrix,
-and the trace tables apply the F_p-linear trace to the digits of every
-index.  No scalar polynomial product is taken once the modulus is known.
-The modulus search tests each candidate by Rabin's test on one Frobenius
-chain x**(B**d), d = 1..n, after a root test (one gcd) that rejects most
-reducible candidates.
-Every table a field holds has |F| entries, except the q x q
-op tables of the F_q kernels; each is held once, as a read-only numpy array
-that whole-field gathers index and scalar ops read with ``ndarray.item`` (so
-they return Python ints), and field handles are safe to share across
-threads.  A field whose tables would exceed ``DEFAULT_BUDGET`` cells is
-refused before any is built.
+Construction is the modulus search (``_is_irreducible``) and F_p linear
+algebra on base-p digits: E[l] is the matrix of x -> p**l * x
+(``mul_matrices``), and no scalar polynomial product is taken once the
+modulus is known.  The tables (log/exp/Zech, omega, traces, the q x q op
+tables of the F_q kernels) are built on the first read of any of them, each
+held once as a read-only numpy array that scalar ops read with
+``ndarray.item`` (so they return Python ints); two threads that build them
+build the same bytes.  Tables of more than ``DEFAULT_BUDGET`` cells are
+refused before they are built, and a field of 2**63 elements or more at
+construction.
 
 Two element orders coexist:
 
@@ -49,7 +42,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -119,6 +112,8 @@ def _p_digits(indices, p: int, d: int) -> np.ndarray:
 # Tables of |F| entries a field keeps: omega (exp is a view of it), log, Zech,
 # and a trace table and trace row for each of up to two subfields.
 _TABLES_KEPT = 7
+_LAZY_TABLES = {"_gen", "_omega", "_exp", "_log", "_zech", "_trace_tables", "_trace_rows",
+                "_op_tables"}
 # Indices per block when a table is computed on base-p digits.
 _DIGIT_BLOCK = 1 << 16
 
@@ -145,6 +140,13 @@ class FiniteField:
     degree: int
     base: "FiniteField | None"
     modulus: tuple[int, ...] | None
+
+    def __getattr__(self, name):
+        """The first read of a table or table cache builds them all."""
+        if name not in _LAZY_TABLES:
+            raise AttributeError(name)
+        self._finish_init()
+        return self.__dict__[name]
 
     # -- scalar index arithmetic ---------------------------------------
 
@@ -330,21 +332,6 @@ class FiniteField:
             row[1:] = np.roll(by_log, -self._log.item(b))
         return row
 
-    def monomial_table(self, a: int, e: int) -> np.ndarray:
-        """Index of a * x**e for every x in dense order, for e >= 1.
-
-        a * x**e = g**((log a + e * log x) mod n) with n = |F| - 1 for x != 0,
-        and 0 at x = 0.  e is reduced mod n first, so the int64 product stays
-        below n**2.
-        """
-        if e < 1:
-            raise ParameterError(f"exponent {e} must be >= 1")
-        out = np.zeros(self.order, dtype=np.int64)
-        if a:
-            n1 = self.order - 1
-            out[1:] = self._exp[(self._log.item(a) + e % n1 * self._log[1:]) % n1]
-        return out
-
     def op_table(self, op: str) -> np.ndarray:
         """``table[i, j] = op(i, j)`` (int64, read-only) for the scalar op
         named ``op``: "add", "sub" or "mul".
@@ -379,16 +366,23 @@ class FiniteField:
 
         M_c = sum over l of digit_l(c) * E[l] mod p, with E the field's F_p
         multiplication basis (E[l] multiplies by the index p**l), so a whole
-        batch of elements is one tensordot.
+        batch of elements is one matrix product.
         """
-        E = self._mul_basis
-        return np.tensordot(_p_digits(cs, self.p, len(E)), E, axes=1) % self.p
+        E, dim = self._mul_basis, len(self._mul_basis)
+        return (_p_digits(cs, self.p, dim) @ E.reshape(dim, -1)).reshape(-1, dim, dim) % self.p
+
+    @cached_property
+    def frobenius_matrix(self) -> np.ndarray:
+        """The matrix of x -> x**p on digit columns: column l is column 0 of
+        E[l]**p."""
+        return _mat_pow(self._mul_basis, self.p, self.p)[:, :, 0].T
 
     # -- shared construction pieces ----------------------------------------
 
     def _finish_init(self):
         """Generator search, log/exp tables, omega ordering."""
         n1, p, dim = self.order - 1, self.p, len(self._mul_basis)
+        _charge_tables(self.order, dim)
         assert dim * (p - 1) ** 2 < 2**63  # int64 matrix products are exact
         # g is the first c in dense order with c**(n1/ell) != 1 for every
         # prime ell | n1, tested in growing chunks: column 0 of M_c**e is the
@@ -493,7 +487,6 @@ class PrimeField(FiniteField):
         self.modulus = None
         self._mul_basis = np.ones((1, 1, 1), dtype=np.int64)
         self._mul_basis.setflags(write=False)
-        self._finish_init()
 
     def add(self, i, j):
         return (i + j) % self.p
@@ -533,7 +526,8 @@ class ExtField(FiniteField):
                  modulus: tuple[int, ...] | None = None):
         if degree < 2:
             raise ParameterError("extension degree must be >= 2")
-        _charge_tables(base.order**degree, degree * _digit_count(base.order, base.p))
+        if base.order**degree >= 2**63:  # indices and their digits are int64
+            raise ParameterError(f"GF({base.order}**{degree}) is too large: indices exceed 63 bits")
         self.p = base.p
         self.base = base
         self.degree = degree
@@ -545,7 +539,6 @@ class ExtField(FiniteField):
         B = base.order
         self._powers = tuple(B**k for k in range(degree))
         self._mul_basis = _extension_mul_basis(base, modulus)
-        self._finish_init()
 
     def coeffs(self, i):
         B = self.base.order

@@ -15,13 +15,13 @@ derived sign constant that drives all downstream character-sum formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import MixedFieldError, ZeroFormError
-from .fields import Elem, FieldTower
-from .linalg import nullspace
+from .errors import DEFAULT_BUDGET, BudgetError, MixedFieldError, ZeroFormError
+from .fields import Elem, FieldTower, _mat_pow
+from .linalg import _coefficients, nullspace
 
 __all__ = [
     "FrobeniusTerm",
@@ -46,6 +46,30 @@ class TraceSquareTerm:
 
     scale: Elem
     coeff: Elem
+
+
+_BLOCK = 1 << 18  # values per block of the value stream
+
+
+def _q_digits(S: np.ndarray, X: np.ndarray, p: int) -> np.ndarray:
+    """The batch evaluator: digit k of Q(x) = x^T S[k] x mod p at each row x
+    of X, indexed [k, row]."""
+    return (X @ S % p * X).sum(axis=-1) % p
+
+
+@lru_cache(maxsize=None)
+def _linear_maps(tower: FieldTower) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Frob, W, Eq) on base-p digits: Frob[i] is x -> x**(q**i) on F_{q^m1},
+    W[k][l, j] is digit k of Tr(p**l * p**j), Eq is F_q's E."""
+    Fq1, p, m, m1 = tower.Fq1, tower.p, tower.m, tower.m1
+    step = _mat_pow(Fq1.frobenius_matrix[None], m, p)[0]  # x -> x**q
+    frob = [np.eye(m * m1, dtype=np.int64)]
+    while len(frob) < m1:
+        frob.append(frob[-1] @ step % p)
+    frob = np.stack(frob)
+    E = Fq1.mul_matrices(p ** np.arange(m * m1))
+    W = np.einsum("kd,ldj->klj", frob.sum(axis=0)[:m] % p, E) % p
+    return frob, W, tower.Fq.mul_matrices(p ** np.arange(m))
 
 
 def epsilon_sign(p: int, m: int, r_q: int, eps_q: int) -> int:
@@ -107,7 +131,7 @@ class QuadraticForm:
         if x.field is not Fq1:
             raise MixedFieldError("argument must lie in F_{q^m1}")
         if self._gram_input is not None:
-            xb = self._coords(x.idx)
+            xb = [x.idx // Fq.order**i % Fq.order for i in range(tower.m1)]  # F_q coordinates
             acc = 0
             for i, xi in enumerate(xb):
                 if xi == 0:
@@ -127,47 +151,69 @@ class QuadraticForm:
         return Elem(Fq, acc)
 
     @cached_property
-    def value_table(self) -> np.ndarray:
-        """Q over every element of F_{q^m1}, as F_q indices (dense order).
-
-        Each term is a whole-field gather: a * x**e from the log/exp tables
-        (``monomial_table``), its trace from ``trace_table``, and the F_q
-        arithmetic from the q x q op tables.  A Gram input is x^T G x on the
-        base-q digits of the index.
-        """
+    def _digit_form(self) -> np.ndarray:
+        """S with digit k of Q(x) = x^T S[k] x mod p on the base-p digits x,
+        from E and Frobenius matrices only: Tr(a x**(q**i) x) is
+        (M_a Frob_i x)^T W[k] x; c * Tr(b x)**2 = Tr(b x) * Tr(c b x) and a
+        Gram input's G_ij x_i x_j are products in F_q."""
         tower = self.tower
-        Fq, Fq1, q = tower.Fq, tower.Fq1, tower.q
-        add, mul = Fq.op_table("add"), Fq.op_table("mul")
-        acc = np.zeros(Fq1.order, dtype=np.int64)
+        p, m, m1 = tower.p, tower.m, tower.m1
+        frob, W, eq = _linear_maps(tower)
         if self._gram_input is not None:
-            idx = np.arange(Fq1.order)
-            x = [(idx // q**k % q).astype(np.int32) for k in range(tower.m1)]
-            for i, row in enumerate(self._gram_input):
-                gx = np.zeros(Fq1.order, dtype=np.int64)  # (G x)_i
-                for j, g in enumerate(row):
-                    if g:
-                        gx = add[gx, mul[g, x[j]]]
-                acc = add[acc, mul[x[i], gx]]
-        else:
-            tr = Fq1.trace_table(Fq)
-            for t in self.frobenius_terms:
-                if t.coeff:
-                    acc = add[acc, tr[Fq1.monomial_table(t.coeff.idx, q**t.power + 1)]]
-            squares = mul[np.arange(q), np.arange(q)]
-            for t in self.trace_square_terms:
-                if t.scale and t.coeff:
-                    scaled = mul[t.scale.idx, squares]  # c * v**2 for each v in F_q
-                    acc = add[acc, scaled[tr[Fq1.monomial_table(t.coeff.idx, 1)]]]
-        out = acc.astype(np.int32)
+            blocks = tower.Fq.mul_matrices(np.ravel(self._gram_input))[:, None] @ eq % p
+            blocks = blocks.reshape(m1, m1, m, m, m)  # (i, j, l, k, l')
+            return blocks.transpose(3, 0, 2, 1, 4).reshape(m, m * m1, m * m1)
+        frobs = [t for t in self.frobenius_terms if t.coeff]
+        squares = [t for t in self.trace_square_terms if t.scale and t.coeff]
+        n, ns = len(frobs), len(squares)
+        coeffs = [t.coeff.idx for t in frobs + squares] + [t.scale.idx for t in squares]
+        M = tower.Fq1.mul_matrices(coeffs)
+        S = np.einsum("nac,kad->kcd", M[:n] @ frob[[t.power for t in frobs]] % p, W)
+        if squares:
+            trace, Mb = W[:, 0], M[n : n + ns]  # digit k of Tr(p**j); M_b
+            cbx = np.einsum("lks,nsb->nlkb", eq, trace @ M[n + ns :] % p @ Mb % p) % p
+            S += np.einsum("nla,nlkb->kab", trace @ Mb % p, cbx)
+        return S % p
+
+    @cached_property
+    def value_table(self) -> np.ndarray:
+        """Q at every element of F_{q^m1}, as F_q indices (dense order)."""
+        out = np.concatenate(list(self._value_blocks())).astype(np.int32)
         out.setflags(write=False)
         return out
 
     @cached_property
     def value_histogram(self) -> np.ndarray:
         """Number of x with Q(x) = v, indexed by the dense F_q index v."""
-        hist = np.bincount(self.value_table, minlength=self.tower.Fq.order)
+        hist = sum(np.bincount(block, minlength=self.tower.q) for block in self._value_blocks())
         hist.setflags(write=False)
         return hist
+
+    def _value_blocks(self):
+        """Q over F_{q^m1} in dense order, as F_q indices, in blocks of about
+        ``_BLOCK``, charged |F_{q^m1}| steps.
+
+        With x = lo + hi (low and high digits), Q(x) = Q(lo) + Q(hi) +
+        beta(lo, hi), beta the polar form.  beta(., hi) is linear in hi: a
+        block's rows run over the low digits of hi (one table) at fixed high
+        digits (one vector).
+        """
+        S, p, m = self._digit_form, self.tower.p, self.tower.m
+        if self.tower.Fq1.order > DEFAULT_BUDGET:
+            raise BudgetError(self.tower.Fq1.order, DEFAULT_BUDGET, "the value stream of Q")
+        dh = S.shape[-1] // 2
+        dl = S.shape[-1] - dh
+        db = 0  # low digits of hi: p**db rows per block
+        while db < dh and p ** (db + 1 + dl) <= _BLOCK:
+            db += 1
+        lo, hi, nb = _coefficients(p, dl), _coefficients(p, dh), p**db
+        cols = _q_digits(S[:, :dl, :dl], lo, p)[:, None]  # Q(lo)
+        rows = _q_digits(S[:, dl:, dl:], hi, p)[..., None]  # Q(hi)
+        on_lo = (S + S.transpose(0, 2, 1))[:, dl:, :dl] @ lo.T % p  # beta(lo, e_j), j in hi
+        table = hi[:nb, :db] @ on_lo[:, :db] + cols
+        for top in range(0, p**dh, nb):
+            block = (table + hi[top, db:] @ on_lo[:, None, db:] + rows[:, top : top + nb]) % p
+            yield p ** np.arange(m) @ block.reshape(m, -1)
 
     def bilinear(self, x: Elem, y: Elem) -> Elem:
         """Polarization (Q(x+y) - Q(x) - Q(y)) / 2."""
@@ -176,36 +222,21 @@ class QuadraticForm:
 
     # -- Gram matrix in the power basis 1, t, ..., t^(m1-1) -------------------
 
-    def _coords(self, idx: int) -> tuple[int, ...]:
-        Fq1 = self.tower.Fq1
-        if self.tower.m1 == 1:
-            return (idx,)
-        return Fq1.coeffs(idx)
-
-    def _basis(self) -> list[Elem]:
-        Fq1, m1 = self.tower.Fq1, self.tower.m1
-        if m1 == 1:
-            return [Fq1.one]
-        t = Elem(Fq1, Fq1.t)
-        return [t**k for k in range(m1)]
-
     @cached_property
     def gram(self) -> tuple[tuple[int, ...], ...]:
-        """G[i][j] = B(b_i, b_j), the polarization on the power basis.
-
-        Q is evaluated once at each b_i and once at each b_i + b_j, i <= j,
-        so m1(m1+3)/2 scalar evaluations fill both triangles.
-        """
+        """G[i][j] = B(b_i, b_j), the polarization on the power basis, from
+        one evaluation at each b_i and each b_i + b_j, i <= j (m1(m1+3)/2
+        points); 1/2 lies in F_p, so halving is digitwise."""
         if self._gram_input is not None:
             return self._gram_input
-        basis = self._basis()
-        at, two_inv = [self(b) for b in basis], self.tower.Fq.one / 2
-        rows = [[0] * len(basis) for _ in basis]
-        for i, b in enumerate(basis):
-            for j in range(i, len(basis)):
-                g = (self(b + basis[j]) - at[i] - at[j]) * two_inv
-                rows[i][j] = rows[j][i] = g.idx
-        return tuple(map(tuple, rows))
+        p, m, m1 = self.tower.p, self.tower.m, self.tower.m1
+        i, j = np.array([(i, j) for i in range(m1) for j in range(i, m1)]).T
+        basis = np.eye(m * m1, dtype=np.int64)[::m]  # b_i = q**i: digit m*i is 1
+        at = _q_digits(self._digit_form, np.concatenate([basis, basis[i] + basis[j]]), p)
+        half = (at[:, m1:] - at[:, i] - at[:, j]) * ((p + 1) // 2) % p
+        G = np.zeros((m1, m1), dtype=np.int64)
+        G[i, j] = G[j, i] = p ** np.arange(m) @ half
+        return tuple(map(tuple, G.tolist()))
 
     @cached_property
     def analysis(self) -> "QuadFormAnalysis":
@@ -213,31 +244,8 @@ class QuadraticForm:
 
     def radical_basis(self) -> list[Elem]:
         """Basis of the radical (Gram kernel) as elements of F_{q^m1}."""
-        Fq, Fq1, m1 = self.tower.Fq, self.tower.Fq1, self.tower.m1
-        vecs = nullspace(Fq, self.gram)
-        basis = self._basis()
-        out = []
-        for v in vecs:
-            acc = Fq1.zero
-            for c, b in zip(v, basis):
-                acc = acc + Elem(Fq1, Fq1.embed_from(Fq, c)) * b
-            out.append(acc)
-        return out
-
-    def describe(self) -> dict:
-        from .fields import elem_to_data
-
-        return {
-            "frobenius_terms": [
-                {"coeff": elem_to_data(t.coeff), "i": t.power}
-                for t in self.frobenius_terms
-            ],
-            "trace_square_terms": [
-                {"c": elem_to_data(t.scale), "b": elem_to_data(t.coeff)}
-                for t in self.trace_square_terms
-            ],
-            "gram": self._gram_input,
-        }
+        q, vecs = self.tower.q, nullspace(self.tower.Fq, self.gram)
+        return [Elem(self.tower.Fq1, sum(c * q**i for i, c in enumerate(v))) for v in vecs]
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """The names the traced benchmark (``perfbench/tracing.py``) wraps must exist,
 and the hierarchies must still reach the scans through those names."""
 
+import dataclasses
 import importlib
+import random
 import sys
 from pathlib import Path
 
@@ -9,8 +11,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # perfbench/ sits next to src/
 
-from perfbench import tracing  # noqa: E402
-from qfcodes import descent, ghw  # noqa: E402
+from perfbench import api, tracing, workloads  # noqa: E402
+from qfcodes import descent, fields, ghw  # noqa: E402
 
 from conftest import spec_for  # noqa: E402
 
@@ -45,3 +47,22 @@ def test_descended_hierarchy_reaches_descended_ghw_brute_by_name(monkeypatch):
     calls = _counting(monkeypatch, descent, "descended_ghw_brute")
     descent.descended_hierarchy(spec, params)
     assert len(calls) == spec.dimension * spec.tower.m
+
+
+@pytest.mark.parametrize("shape,variant", workloads.TOWERS)
+def test_towers_pass_builds_no_f_q_m1_table(shape, variant, monkeypatch):
+    """A ``towers`` job (the form drawn by ``_draw_form``, then the analysis,
+    the value histogram, exhaustive and predicted CWE and WD) sees F_{q^m1}
+    only through its F_p algebra: none of its tables is built."""
+    cached = fields.build_tower(*shape)
+    Fq1 = fields.ExtField(cached.Fq, cached.m1, var="t", modulus=cached.Fq1.modulus)
+    built, finish = [], fields.FiniteField._finish_init
+
+    def recorded(field):
+        built.append(field)
+        finish(field)
+
+    monkeypatch.setattr(fields.FiniteField, "_finish_init", recorded)
+    monkeypatch.setattr(api, "build_tower", lambda *_: dataclasses.replace(cached, Fq1=Fq1))
+    assert workloads._tower_job(random.Random(7), shape, variant) == []
+    assert all(field is not Fq1 for field in built)

@@ -332,18 +332,44 @@ def test_weight_data_budget_exits_one(capsys):
     assert err.startswith("qfcodes: resource error: message-space enumeration")
 
 
-def test_oversized_tower_is_refused_before_allocation(capsys):
-    """F_{3^16} would need about 10^9 table cells: refused with exit 1 before
-    the modulus search or any table is built."""
+def test_oversized_tower_is_refused_before_allocation(tmp_path, capsys):
+    """The generator token "g" needs F_{3^16}'s tables, about 10^9 cells:
+    refused with exit 1 before any table is built.  field-info prints moduli
+    only and builds none."""
+    cfg = {"tower": {"p": 3, "m": 1, "m1": 16, "m2": 1},
+           "form": {"frobenius": [{"coeff": "g", "i": 0}]}}
+    path = tmp_path / "f316.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
     tracemalloc.start()
     try:
-        code, out, err = _run(capsys, "field-info", "-p", "3", "--m1", "16")
+        code, out, err = _run(capsys, "qf", "--config", str(path))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert code == 1 and out == ""
     assert err == (
         "qfcodes: resource error: building GF(43046721) needs 990074583 steps, "
+        "exceeding the budget of 100000000\n"
+    )
+    assert peak < 10 * 2**20
+
+
+def test_oversized_value_stream_is_refused_before_allocation(tmp_path, capsys):
+    """Weight data over F_{3^17} would stream 3^17 values of Q: refused with
+    exit 1 after the analysis, before any block is made."""
+    cfg = {"tower": {"p": 3, "m": 1, "m1": 17, "m2": 1},
+           "form": {"frobenius": [{"coeff": 1, "i": 0}]}, "tasks": ["wd"]}
+    path = tmp_path / "f317.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        code, out, err = _run(capsys, "code", "--config", str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    assert err == (
+        "qfcodes: resource error: the value stream of Q needs 129140163 steps, "
         "exceeding the budget of 100000000\n"
     )
     assert peak < 10 * 2**20

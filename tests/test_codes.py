@@ -430,6 +430,7 @@ _REACH_SCRIPT = textwrap.dedent(
 )
 
 
+@pytest.mark.reach
 def test_exhaustive_cwe_at_f_3_12():
     """The affine F_{3^12} x F_{3^3} code (531,441-element F_{q^m1}): the
     exhaustive CWE equals the closed form, in a fresh process, in under 2 s

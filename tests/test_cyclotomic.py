@@ -18,6 +18,8 @@ from qfcodes import (
     qf_exp_sum_brute,
     qf_exp_sum_closed,
 )
+from qfcodes.cyclotomic import cyc_from_trace_counts
+from qfcodes.presets import preset_names
 
 from conftest import spec_for
 
@@ -83,6 +85,25 @@ def test_eta_twisted_sum_all_b_both_parities(p, m):
             assert eta_twisted_sum_brute(Fq, k, be) == eta_twisted_sum_closed(
                 Fq, k, be
             )
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_eta_twisted_sum_brute_is_the_scalar_sum(name):
+    """The gathered sum is the scalar sum over every z in F_q* of
+    eta(z)**k * zeta**Tr(z*b), for every b and both parities, on each field
+    of the preset's tower with at most 243 elements."""
+    tw = spec_for(name).tower
+    for F in {tw.Fp, tw.Fq, tw.Fq1, tw.Fq2}:
+        if F.order > 243:
+            continue
+        tr = F.trace_table(tw.Fp)
+        for b in range(F.order):
+            for k in (0, 1):
+                counts = [0] * tw.p
+                for z in range(1, F.order):
+                    counts[tr[F.mul(z, b)]] += F.eta(z) ** k
+                expected = cyc_from_trace_counts(tw.p, counts)
+                assert eta_twisted_sum_brute(F, k, Elem(F, b)) == expected
 
 
 def test_eta_twisted_pinned_values():

@@ -33,7 +33,7 @@ from qfcodes import (
     rel_trace,
     smallest_irreducible,
 )
-from qfcodes import fields
+from qfcodes import FrobeniusTerm, QuadraticForm, fields, quadform
 from qfcodes.cli import main
 
 
@@ -439,15 +439,23 @@ def test_trace_table_is_the_frobenius_sum(shape):
 
 
 @pytest.mark.parametrize("shape", [(3, 2, 3, 2), (5, 1, 3, 2), (7, 1, 1, 1)])
-def test_monomial_table_is_the_scalar_power(shape):
-    F = build_tower(*shape).Fq1
-    n1 = F.order - 1
-    for a in (0, 1, F.gen, F.order - 1):
-        for e in (1, 2, F.p + 1, n1, n1 + 3, F.order**3 + 1):
-            expected = [F.mul(a, F.pow(x, e)) for x in range(F.order)]
-            assert F.monomial_table(a, e).tolist() == expected
-    with pytest.raises(ParameterError):
-        F.monomial_table(1, 0)
+def test_frobenius_term_is_the_scalar_power(shape):
+    """The evaluator's Frobenius term against scalar pow, at every x: Frob_i
+    is x -> x**(q**i) on digits, and Tr(a * x**(q**i + 1)) from the form's
+    digit tensor is the trace of the scalar power."""
+    tw = build_tower(*shape)
+    F, p, q = tw.Fq1, tw.p, tw.q
+    frob = quadform._linear_maps(tw)[0]
+    dim = len(frob[0])
+    X = fields._p_digits(np.arange(F.order), p, dim)
+    tr = F.trace_table(tw.Fq)
+    for i in range(tw.m1):
+        powers = fields._p_digits([F.pow(x, q**i) for x in range(F.order)], p, dim)
+        assert (X @ frob[i].T % p).tolist() == powers.tolist()
+        for a in (1, F.gen, F.order - 1):
+            form = QuadraticForm(tw, (FrobeniusTerm(Elem(F, a), i),))
+            got = p ** np.arange(tw.m) @ quadform._q_digits(form._digit_form, X, p)
+            assert got.tolist() == [tr[F.mul(a, F.pow(x, q**i + 1))] for x in range(F.order)]
 
 
 def test_op_tables_are_built_once_and_read_only():
@@ -466,13 +474,21 @@ def test_trace_table_blocks_do_not_move_the_table(monkeypatch):
         assert fresh.trace_table(sub).tobytes() == cached.trace_table(sub).tobytes()
 
 
-def test_oversized_fields_are_refused_before_construction():
-    with pytest.raises(BudgetError, match=r"building GF\(43046721\)"):
-        extension_field(prime_field(3), 16)
+def test_oversized_field_tables_are_refused_before_allocation():
+    """An extension keeps its modulus and E; the first read of a table charges
+    the tables, and a field whose indices would not fit in int64 is refused
+    at construction."""
+    F16 = extension_field(prime_field(3), 16)
+    for _ in range(2):
+        with pytest.raises(BudgetError, match=r"building GF\(43046721\) needs 990074583 "):
+            F16.gen
     with pytest.raises(BudgetError, match=r"building GF\(4782969\)"):
-        extension_field(prime_field(3), 14)
+        extension_field(prime_field(3), 14).omega
     with pytest.raises(BudgetError, match=r"building GF\(1000000007\)"):
         prime_field(1000000007)
+    assert ExtField(prime_field(3), 39).order < 2**63  # 3**40 >= 2**63: indices are int64
+    with pytest.raises(ParameterError, match=r"GF\(3\*\*40\) is too large"):
+        ExtField(prime_field(3), 40)
 
 
 # -- scalar ops on the one copy of each table ---------------------------------
@@ -484,8 +500,8 @@ PROPERTY_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2), (3, 4
 @settings(max_examples=30, deadline=None, database=None)
 @given(data=st.data())
 def test_scalar_ops_are_field_arithmetic_on_read_only_tables(p, degree, data):
-    """Scalar ops return Python ints, agree with the op and monomial tables
-    and satisfy the field axioms; eta is multiplicative; the tables they read
+    """Scalar ops return Python ints, agree with the op tables and the
+    Frobenius matrix and satisfy the field axioms; eta is multiplicative; the tables they read
     are read-only arrays."""
     F = extension_field(prime_field(p), degree)
     x, y, z = (data.draw(st.integers(0, F.order - 1), label=name) for name in "xyz")
@@ -500,7 +516,10 @@ def test_scalar_ops_are_field_arithmetic_on_read_only_tables(p, degree, data):
     if F.order <= 81:  # the q x q tables of the F_q kernels
         for op in ("add", "sub", "mul"):
             assert F.op_table(op)[x, y] == got[op]
-    assert F.monomial_table(y, e)[x] == F.mul(y, got["pow"])
+    j, dim = e % degree, len(F.frobenius_matrix)  # x -> x**(p**j) on digits
+    frob = fields._mat_pow(F.frobenius_matrix[None], j, p)[0]
+    digits = fields._p_digits([x, F.pow(x, p**j)], p, dim)
+    assert (frob @ digits[0] % p == digits[1]).all()
     assert F.add(got["add"], z) == F.add(x, F.add(y, z))
     assert F.mul(got["mul"], z) == F.mul(x, F.mul(y, z))
     assert F.mul(x, F.add(y, z)) == F.add(got["mul"], F.mul(x, z))

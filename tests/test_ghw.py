@@ -449,6 +449,7 @@ _HIERARCHY_REACH = textwrap.dedent(
 )
 
 
+@pytest.mark.reach
 def test_hierarchy_at_f_3_13():
     """The affine Tr(x**2) code over F_{3^13} x F_{3^3} (n = 43,046,721): the
     scan gives every d_r, equal to the closed form, in a fresh process, under
@@ -464,4 +465,46 @@ def test_hierarchy_at_f_3_13():
     assert [r for r, _, _ in run["rows"]] == [1, 2, 3, 4, 5]
     assert all(brute == closed for _, brute, closed in run["rows"]), run
     assert run["seconds"] < 4, run
+    assert run["peak_mb"] < 200, run
+
+
+_STREAM_REACH = textwrap.dedent(
+    """
+    import json, resource, time
+    from qfcodes import (CodeSpec, FrobeniusTerm, QuadraticForm, Variant, build_tower,
+                         cwe_brute, cwe_predicted, hierarchy)
+    start = time.perf_counter()
+    tw = build_tower(3, 1, 16, 3)
+    form = QuadraticForm(tw, (FrobeniusTerm(tw.Fq1.one, 0),))
+    spec = CodeSpec(analysis=form.analysis, variant=Variant.AFFINE)
+    rows = hierarchy(spec).rows
+    print(json.dumps({
+        "cwe_equal": cwe_brute(spec) == cwe_predicted(spec),
+        "rows": [[row.r, row.d_brute, row.d_closed] for row in rows],
+        "zeros": int(form.value_histogram[0]),
+        "seconds": time.perf_counter() - start,
+        "peak_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    }))
+    """
+)
+
+
+@pytest.mark.reach
+def test_cwe_and_hierarchy_at_f_3_16():
+    """The affine Tr(x**2) code over F_{3^16} x F_{3^3}: the value histogram
+    is streamed without any F_{3^16} table (N(0) = 3^15 - 2 * 3^7), the CWE
+    and every d_r equal the closed forms, in a fresh process, in under 10 s
+    and 200 MB."""
+    src = str(Path(qfcodes.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", _STREAM_REACH], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    run = json.loads(proc.stdout)
+    assert run["cwe_equal"] and run["zeros"] == 3**15 - 2 * 3**7
+    assert [r for r, _, _ in run["rows"]] == [1, 2, 3, 4, 5]
+    assert all(brute == closed for _, brute, closed in run["rows"]), run
+    assert run["seconds"] < 10, run
     assert run["peak_mb"] < 200, run

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from qfcodes import quadform
 from qfcodes import (
     Elem,
     FrobeniusTerm,
@@ -111,7 +112,7 @@ def test_gram_symmetric(example_spec):
 
 
 def _polarization_table(form):
-    basis = form._basis()
+    basis = [Elem(form.tower.Fq1, form.tower.q**i) for i in range(form.tower.m1)]
     return tuple(tuple(form.bilinear(x, y).idx for y in basis) for x in basis)
 
 
@@ -152,18 +153,19 @@ def test_gram_is_the_polarization_on_random_towers(data):
 
 @pytest.mark.parametrize("shape", [(3, 1, 1, 1), (3, 1, 4, 1), (5, 2, 2, 1), (3, 1, 7, 1)])
 def test_gram_evaluates_the_form_m1_m1_plus_3_over_2_times(shape, monkeypatch):
-    """Once at each b_i and once at each b_i + b_j, i <= j."""
+    """One batch evaluation: once at each b_i and once at each b_i + b_j,
+    i <= j."""
     tw = build_tower(*shape)
     form = _random_form(tw, random.Random(1))
-    calls, call = [], QuadraticForm.__call__
+    points, evaluate = [], quadform._q_digits
 
-    def counted(self, x):
-        calls.append(x)
-        return call(self, x)
+    def counted(S, X, p):
+        points.extend(X.tolist())
+        return evaluate(S, X, p)
 
-    monkeypatch.setattr(QuadraticForm, "__call__", counted)
+    monkeypatch.setattr(quadform, "_q_digits", counted)
     form.gram
-    assert len(calls) == tw.m1 * (tw.m1 + 3) // 2
+    assert len(points) == tw.m1 * (tw.m1 + 3) // 2
 
 
 def test_tr_x_squared_on_f9_has_full_rank():
@@ -409,6 +411,72 @@ def test_value_table_property_over_random_forms(data):
     except ZeroFormError:
         return
     _assert_table_is_scalar(form)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    p=st.sampled_from([3, 5, 7]),
+    m=st.sampled_from([1, 2]),
+    m1=st.integers(1, 3),
+    gram_input=st.booleans(),
+    block=st.sampled_from([1, 10, quadform._BLOCK]),
+    data=st.data(),
+)
+def test_value_stream_is_the_scalar_oracle_on_random_towers(p, m, m1, gram_input, block, data):
+    """The streamed histogram and the materialised value table equal the
+    scalar evaluation at every x, for both term kinds and for Gram inputs,
+    whatever the block size."""
+    assume(p ** (m * m1) <= 2401)
+    tw = build_tower(p, m, m1, 1)
+    Fq, Fq1, q = tw.Fq, tw.Fq1, tw.q
+    if gram_input:
+        upper = data.draw(st.lists(st.integers(0, q - 1), min_size=m1 * m1, max_size=m1 * m1))
+        gram = tuple(tuple(upper[min(i, j) * m1 + max(i, j)] for j in range(m1)) for i in range(m1))
+        form = QuadraticForm(tw, gram=gram)
+    else:
+        q1 = st.integers(0, Fq1.order - 1)
+        frobs = data.draw(st.lists(st.tuples(q1, st.integers(0, m1 - 1)), max_size=3))
+        trsq = data.draw(st.lists(st.tuples(st.integers(0, q - 1), q1), max_size=2))
+        try:
+            form = QuadraticForm(
+                tw,
+                tuple(FrobeniusTerm(Elem(Fq1, a), i) for a, i in frobs),
+                tuple(TraceSquareTerm(Elem(Fq, c), Elem(Fq1, b)) for c, b in trsq),
+            )
+        except ZeroFormError:
+            return
+    values = _scalar_values(form)
+    saved, quadform._BLOCK = quadform._BLOCK, block
+    try:
+        assert form.value_histogram.tolist() == np.bincount(values, minlength=q).tolist()
+        assert form.value_table.tolist() == values
+    finally:
+        quadform._BLOCK = saved
+
+
+def test_digit_form_is_exact_for_a_large_prime():
+    """p = 3000017, so p**3 > 2**63: the evaluator and the Gram matrix stay
+    exact because every product is reduced mod p before it is summed."""
+    p = 3000017
+    tw = build_tower(p, 1, 1, 1)
+    F = tw.Fq
+    form = QuadraticForm(
+        tw, (FrobeniusTerm(Elem(F, p - 2), 0),), (TraceSquareTerm(Elem(F, p - 3), Elem(F, p - 5)),)
+    )
+    assert form.gram == ((form(F.one).idx,),)
+    xs = [1, 2, p - 1, 123457, 2999999]
+    got = quadform._q_digits(form._digit_form, np.array(xs)[:, None], p)[0]
+    assert got.tolist() == [form(Elem(F, x)).idx for x in xs]
+
+
+def test_trace_form_has_full_rank_at_f_3_39():
+    """Tr(x**2) over F_{3^39}, the largest F_{3^m1} whose indices fit in
+    int64: the digit form is exact there, so the trace form is nondegenerate."""
+    tw = build_tower(3, 1, 39, 1)
+    frob, W, _ = quadform._linear_maps(tw)
+    assert (tw.Fq1.mul_matrices(3 ** np.arange(39)) == tw.Fq1._mul_basis).all()
+    assert (quadform._mat_pow(frob[1:2], 39, 3)[0] == np.eye(39)).all()  # x**(3**39) = x
+    assert QuadraticForm(tw, (FrobeniusTerm(tw.Fq1.one, 0),)).analysis.r_q == 39
 
 
 CONGRUENCE_TOWERS = [
