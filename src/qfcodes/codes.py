@@ -207,8 +207,8 @@ def _codeword_array(spec: CodeSpec, a: Elem, b: Elem, c: Elem | None) -> np.ndar
         )
     if c is not None and c.field is not Fq:
         raise ParameterError("c must lie in F_q")
-    add, mul = Fq.op_table("add"), Fq.op_table("mul")
-    qvals = spec.analysis.form.value_table[Fq1.omega]
+    add, mul, omega = Fq.op_table("add"), Fq.op_table("mul"), Fq1.omega  # tables before Q's
+    qvals = spec.analysis.form.value_table[omega]
     ax = add[mul[a.idx, qvals], c.idx if c is not None else 0]  # a Q(x) + c
     word = add[ax[:, None], Fq2.trace_row(b.idx, Fq)].reshape(-1)
     if spec.variant is Variant.HOMOGENEOUS:

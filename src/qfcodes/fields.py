@@ -142,7 +142,8 @@ class FiniteField:
     modulus: tuple[int, ...] | None
 
     def __getattr__(self, name):
-        """The first read of a table or table cache builds them all."""
+        """The first read of a table or table cache builds them all; threads
+        that race here build the same tables and share one set of caches."""
         if name not in _LAZY_TABLES:
             raise AttributeError(name)
         self._finish_init()
@@ -399,7 +400,7 @@ class FiniteField:
             if live.any():
                 break
             start, size = start + size, 2 * size
-        self._gen = gen = int(cands[live.argmax()])
+        gen = int(cands[live.argmax()])
         # exp[k] = g**k.  The digit rows of g**0 .. g**s come from doubling
         # (rows times M_g**(2**j) give the next 2**j powers); after them each
         # block of s powers is the block before it times M_(g**s) mod p.  Each
@@ -423,15 +424,16 @@ class FiniteField:
         log = np.zeros(self.order, dtype=np.int64)
         log[omega[1 : 1 + n1]] = np.arange(n1)
         log.setflags(write=False)
-        self._omega, self._exp, self._log = omega[: 1 + n1], omega[1 : 1 + n1], log
+        exp = omega[1 : 1 + n1]
         # Zech table Z(k) = log(1 + g**k), -1 where 1 + g**k = 0: adding one
         # adds 1 mod p to base-p digit 0 and changes no other digit.
-        plus_one = self._exp - self._exp % p + (self._exp + 1) % p
-        self._zech = np.where(plus_one == 0, -1, log[plus_one])
-        self._zech.setflags(write=False)
-        self._trace_tables: dict[FiniteField, np.ndarray] = {}
-        self._trace_rows: dict[FiniteField, np.ndarray] = {}
-        self._op_tables: dict[str, np.ndarray] = {}
+        plus_one = exp - exp % p + (exp + 1) % p
+        zech = np.where(plus_one == 0, -1, log[plus_one])
+        zech.setflags(write=False)
+        # published at once; a racing build keeps the caches already there
+        self.__dict__.update(_gen=gen, _omega=omega[: 1 + n1], _exp=exp, _log=log, _zech=zech)
+        for name in ("_trace_tables", "_trace_rows", "_op_tables"):
+            self.__dict__.setdefault(name, {})
 
 
 def _mat_pow(mats: np.ndarray, e: int, p: int) -> np.ndarray:

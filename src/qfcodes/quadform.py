@@ -10,6 +10,10 @@ also be supplied directly.  The analysis diagonalizes the Gram matrix of the
 polarization by symmetric congruence and reports the rank, the discriminant
 (product of the nonzero diagonal entries), its quadratic character, and the
 derived sign constant that drives all downstream character-sum formulas.
+
+Q is F_p-quadratic on base-p digits, digit k of Q(x) being x^T S[k] x mod p
+(``_digit_form``, from the fields' F_p algebra, reading no table of
+F_{q^m1}); the scalar ``__call__`` is the independent oracle.
 """
 
 from __future__ import annotations
@@ -49,27 +53,71 @@ class TraceSquareTerm:
 
 
 _BLOCK = 1 << 18  # values per block of the value stream
+_WHOLE = 1 << 8  # up to this many points one evaluation is cheaper than a split
 
 
-def _q_digits(S: np.ndarray, X: np.ndarray, p: int) -> np.ndarray:
-    """The batch evaluator: digit k of Q(x) = x^T S[k] x mod p at each row x
-    of X, indexed [k, row]."""
-    return (X @ S % p * X).sum(axis=-1) % p
+def _monomials(X: np.ndarray, p: int) -> np.ndarray:
+    """Row n: x_c * x_d mod p for every digit pair (c, d) of row n of X."""
+    return (X[:, :, None] * X[:, None, :] % p).reshape(len(X), -1)
+
+
+def _q_digits(S: np.ndarray, P: np.ndarray, p: int) -> np.ndarray:
+    """The evaluator: digit k of Q at each row of monomials P, at [row, k]."""
+    return P @ S.reshape(len(S), -1).T % p
+
+
+@lru_cache(maxsize=16)
+def _digit_rows(p: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    X = _coefficients(p, d)
+    return X, _monomials(X, p)
+
+
+@lru_cache(maxsize=None)
+def _weights(p: int, m: int) -> np.ndarray:
+    return p ** np.arange(m)  # F_q index of a digit row
+
+
+def _digits(i: int, p: int, d: int) -> list[int]:
+    return [i // p**l % p for l in range(d)]
 
 
 @lru_cache(maxsize=None)
 def _linear_maps(tower: FieldTower) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Frob, W, Eq) on base-p digits: Frob[i] is x -> x**(q**i) on F_{q^m1},
-    W[k][l, j] is digit k of Tr(p**l * p**j), Eq is F_q's E."""
+    """Frob[i]: x -> x**(q**i); Y[t, k, c, d]: digit k of Tr(p**t p**c p**d);
+    K[t, k, l, s]: digit k of p**t p**l p**s in F_q."""
     Fq1, p, m, m1 = tower.Fq1, tower.p, tower.m, tower.m1
-    step = _mat_pow(Fq1.frobenius_matrix[None], m, p)[0]  # x -> x**q
+    E, Eq = Fq1._mul_basis, tower.Fq._mul_basis
+    step = _mat_pow(Fq1.frobenius_matrix[None], m, p)[0]
     frob = [np.eye(m * m1, dtype=np.int64)]
     while len(frob) < m1:
         frob.append(frob[-1] @ step % p)
     frob = np.stack(frob)
-    E = Fq1.mul_matrices(p ** np.arange(m * m1))
-    W = np.einsum("kd,ldj->klj", frob.sum(axis=0)[:m] % p, E) % p
-    return frob, W, tower.Fq.mul_matrices(p ** np.arange(m))
+    W = np.einsum("kd,ldj->klj", frob.sum(axis=0)[:m] % p, E) % p  # Tr(p**l p**j)
+    Y = np.einsum("tac,kad->tkcd", E, W) % p
+    return frob, Y, np.einsum("tal,ska->tkls", Eq, Eq) % p
+
+
+@lru_cache(maxsize=None)
+def _frobenius_form(tower: FieldTower, i: int) -> np.ndarray:
+    """Row t: S of Tr(p**t x**(q**i) x), that is Frob_i^T Y[t, k]."""
+    frob, Y, _ = _linear_maps(tower)
+    return (frob[i].T @ Y % tower.p).reshape(len(Y), -1)
+
+
+@lru_cache(maxsize=None)
+def _gram_points(p: int, m: int, m1: int) -> tuple[np.ndarray, np.ndarray]:
+    """Monomials of b_i, then of b_i + b_j, i <= j (b_i = q**i), and H with
+    H @ Q(points) = (Q(b_i + b_j) - Q(b_i) - Q(b_j)) / 2 = G_ij mod p."""
+    pairs = np.triu_indices(m1)
+    basis = np.eye(m * m1, dtype=np.int64)[::m]
+    H = np.zeros((m1, m1, m1 + len(pairs[0])), dtype=np.int64)
+    for n, (i, j) in enumerate(zip(*pairs)):
+        for a, b in {(i, j), (j, i)}:
+            H[a, b, m1 + n] += 1
+            H[a, b, i] -= 1
+            H[a, b, j] -= 1
+    X = np.concatenate([basis, basis[pairs[0]] + basis[pairs[1]]])
+    return _monomials(X, p), H.reshape(m1 * m1, -1) * ((p + 1) // 2)
 
 
 def epsilon_sign(p: int, m: int, r_q: int, eps_q: int) -> int:
@@ -131,7 +179,7 @@ class QuadraticForm:
         if x.field is not Fq1:
             raise MixedFieldError("argument must lie in F_{q^m1}")
         if self._gram_input is not None:
-            xb = [x.idx // Fq.order**i % Fq.order for i in range(tower.m1)]  # F_q coordinates
+            xb = _digits(x.idx, Fq.order, tower.m1)  # F_q coordinates
             acc = 0
             for i, xi in enumerate(xb):
                 if xi == 0:
@@ -152,28 +200,26 @@ class QuadraticForm:
 
     @cached_property
     def _digit_form(self) -> np.ndarray:
-        """S with digit k of Q(x) = x^T S[k] x mod p on the base-p digits x,
-        from E and Frobenius matrices only: Tr(a x**(q**i) x) is
-        (M_a Frob_i x)^T W[k] x; c * Tr(b x)**2 = Tr(b x) * Tr(c b x) and a
-        Gram input's G_ij x_i x_j are products in F_q."""
+        """S: Tr(a x**(q**i) x) is digits(a) @ ``_frobenius_form``; c Tr(bx)**2
+        and a Gram input's G_ij x_i x_j are K_c and K_(G_ij) on F_q digits."""
         tower = self.tower
         p, m, m1 = tower.p, tower.m, tower.m1
-        frob, W, eq = _linear_maps(tower)
+        dim, (_, Y, K) = m * m1, _linear_maps(tower)
+        K = K.reshape(m, -1)
         if self._gram_input is not None:
-            blocks = tower.Fq.mul_matrices(np.ravel(self._gram_input))[:, None] @ eq % p
-            blocks = blocks.reshape(m1, m1, m, m, m)  # (i, j, l, k, l')
-            return blocks.transpose(3, 0, 2, 1, 4).reshape(m, m * m1, m * m1)
-        frobs = [t for t in self.frobenius_terms if t.coeff]
-        squares = [t for t in self.trace_square_terms if t.scale and t.coeff]
-        n, ns = len(frobs), len(squares)
-        coeffs = [t.coeff.idx for t in frobs + squares] + [t.scale.idx for t in squares]
-        M = tower.Fq1.mul_matrices(coeffs)
-        S = np.einsum("nac,kad->kcd", M[:n] @ frob[[t.power for t in frobs]] % p, W)
-        if squares:
-            trace, Mb = W[:, 0], M[n : n + ns]  # digit k of Tr(p**j); M_b
-            cbx = np.einsum("lks,nsb->nlkb", eq, trace @ M[n + ns :] % p @ Mb % p) % p
-            S += np.einsum("nla,nlkb->kab", trace @ Mb % p, cbx)
-        return S % p
+            S = np.dot([_digits(g, p, m) for g in np.ravel(self._gram_input)], K) % p
+            return S.reshape(m1, m1, m, m, m).transpose(2, 0, 3, 1, 4).reshape(m, dim, dim)
+        S = np.zeros(m * dim * dim, dtype=np.int64)
+        for t in self.frobenius_terms:
+            if t.coeff:
+                S = (S + np.dot(_digits(t.coeff.idx, p, dim), _frobenius_form(tower, t.power))) % p
+        S = S.reshape(m, dim, dim)
+        for t in self.trace_square_terms:
+            if t.scale and t.coeff:
+                U = Y[0] @ _digits(t.coeff.idx, p, dim) % p  # Tr(b p**c) at [k, c]
+                Kc = np.dot(_digits(t.scale.idx, p, m), K).reshape(m, m, m) % p
+                S = (S + U.T @ Kc % p @ U) % p
+        return S
 
     @cached_property
     def value_table(self) -> np.ndarray:
@@ -185,35 +231,39 @@ class QuadraticForm:
     @cached_property
     def value_histogram(self) -> np.ndarray:
         """Number of x with Q(x) = v, indexed by the dense F_q index v."""
-        hist = sum(np.bincount(block, minlength=self.tower.q) for block in self._value_blocks())
+        q = self.tower.q
+        if self.tower.Fq1.order <= _BLOCK:
+            hist = np.bincount(self.value_table, minlength=q)
+        else:
+            hist = sum(np.bincount(block, minlength=q) for block in self._value_blocks())
         hist.setflags(write=False)
         return hist
 
     def _value_blocks(self):
-        """Q over F_{q^m1} in dense order, as F_q indices, in blocks of about
-        ``_BLOCK``, charged |F_{q^m1}| steps.
-
-        With x = lo + hi (low and high digits), Q(x) = Q(lo) + Q(hi) +
-        beta(lo, hi), beta the polar form.  beta(., hi) is linear in hi: a
-        block's rows run over the low digits of hi (one table) at fixed high
-        digits (one vector).
-        """
+        """Q in dense order, as F_q indices, in blocks of at most ``_BLOCK``
+        values (or p**ceil(dim/2), if more), charged |F_{q^m1}| steps: x is
+        lo + hi on its low dl and high digits, and a block runs over every
+        lo at p**db values of hi that differ in their low db digits."""
         S, p, m = self._digit_form, self.tower.p, self.tower.m
         if self.tower.Fq1.order > DEFAULT_BUDGET:
             raise BudgetError(self.tower.Fq1.order, DEFAULT_BUDGET, "the value stream of Q")
-        dh = S.shape[-1] // 2
-        dl = S.shape[-1] - dh
-        db = 0  # low digits of hi: p**db rows per block
+        dim, w = S.shape[-1], _weights(p, m)
+        dl = dim if p**dim <= min(_WHOLE, _BLOCK) else (dim + 1) // 2
+        lo, lo_mono = _digit_rows(p, dl)
+        low = _q_digits(S[:, :dl, :dl], lo_mono, p)
+        if dl == dim:
+            yield low @ w
+            return
+        dh, db = dim - dl, 0
         while db < dh and p ** (db + 1 + dl) <= _BLOCK:
             db += 1
-        lo, hi, nb = _coefficients(p, dl), _coefficients(p, dh), p**db
-        cols = _q_digits(S[:, :dl, :dl], lo, p)[:, None]  # Q(lo)
-        rows = _q_digits(S[:, dl:, dl:], hi, p)[..., None]  # Q(hi)
-        on_lo = (S + S.transpose(0, 2, 1))[:, dl:, :dl] @ lo.T % p  # beta(lo, e_j), j in hi
-        table = hi[:nb, :db] @ on_lo[:, :db] + cols
+        (hi, hi_mono), nb = _digit_rows(p, dh), p**db
+        high = _q_digits(S[:, dl:, dl:], hi_mono, p).T[..., None]
+        on_lo = (S + S.transpose(0, 2, 1))[:, dl:, :dl] @ lo.T % p  # beta(e_j, lo), j >= dl
+        table = hi[:nb, :db] @ on_lo[:, :db] + low.T[:, None]
         for top in range(0, p**dh, nb):
-            block = (table + hi[top, db:] @ on_lo[:, None, db:] + rows[:, top : top + nb]) % p
-            yield p ** np.arange(m) @ block.reshape(m, -1)
+            block = table + hi[top, db:] @ on_lo[:, None, db:] + high[:, top : top + nb]
+            yield w @ (block % p).reshape(m, -1)
 
     def bilinear(self, x: Elem, y: Elem) -> Elem:
         """Polarization (Q(x+y) - Q(x) - Q(y)) / 2."""
@@ -230,13 +280,9 @@ class QuadraticForm:
         if self._gram_input is not None:
             return self._gram_input
         p, m, m1 = self.tower.p, self.tower.m, self.tower.m1
-        i, j = np.array([(i, j) for i in range(m1) for j in range(i, m1)]).T
-        basis = np.eye(m * m1, dtype=np.int64)[::m]  # b_i = q**i: digit m*i is 1
-        at = _q_digits(self._digit_form, np.concatenate([basis, basis[i] + basis[j]]), p)
-        half = (at[:, m1:] - at[:, i] - at[:, j]) * ((p + 1) // 2) % p
-        G = np.zeros((m1, m1), dtype=np.int64)
-        G[i, j] = G[j, i] = p ** np.arange(m) @ half
-        return tuple(map(tuple, G.tolist()))
+        P, H = _gram_points(p, m, m1)
+        G = H @ _q_digits(self._digit_form, P, p) % p @ _weights(p, m)
+        return tuple(map(tuple, G.reshape(m1, m1).tolist()))
 
     @cached_property
     def analysis(self) -> "QuadFormAnalysis":

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -291,6 +292,24 @@ def test_weight_data_budget_is_the_kernel_cost(ex31):
     with pytest.raises(BudgetError, match="message-space enumeration"):
         cwe_brute(ex31, budget=cost - 1)
     assert cwe_brute(ex31, budget=cost) == cwe_predicted(ex31)
+
+
+def test_oversized_codeword_is_refused_before_the_value_table():
+    """The codeword oracle over F_{3^16} reads the omega order first, whose
+    tables are refused, so Q's 3^16 values are never made."""
+    from qfcodes import CodeSpec, FrobeniusTerm, QuadraticForm, build_tower
+
+    tw = build_tower(3, 1, 16, 1)
+    form = QuadraticForm(tw, frobenius_terms=(FrobeniusTerm(tw.Fq1.one, 0),))
+    spec = CodeSpec(analysis=form.analysis, variant=Variant.HOMOGENEOUS)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match=r"building GF\(43046721\)"):
+            codeword(spec, tw.Fq.one, tw.Fq2.one)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_zero_weight_message_is_refused(ex31, monkeypatch):

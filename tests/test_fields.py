@@ -448,13 +448,13 @@ def test_frobenius_term_is_the_scalar_power(shape):
     frob = quadform._linear_maps(tw)[0]
     dim = len(frob[0])
     X = fields._p_digits(np.arange(F.order), p, dim)
-    tr = F.trace_table(tw.Fq)
+    monomials, tr = quadform._monomials(X, p), F.trace_table(tw.Fq)
     for i in range(tw.m1):
         powers = fields._p_digits([F.pow(x, q**i) for x in range(F.order)], p, dim)
         assert (X @ frob[i].T % p).tolist() == powers.tolist()
         for a in (1, F.gen, F.order - 1):
             form = QuadraticForm(tw, (FrobeniusTerm(Elem(F, a), i),))
-            got = p ** np.arange(tw.m) @ quadform._q_digits(form._digit_form, X, p)
+            got = quadform._q_digits(form._digit_form, monomials, p) @ p ** np.arange(tw.m)
             assert got.tolist() == [tr[F.mul(a, F.pow(x, q**i + 1))] for x in range(F.order)]
 
 
@@ -472,6 +472,16 @@ def test_trace_table_blocks_do_not_move_the_table(monkeypatch):
     fresh = ExtField(cached.base, 3, modulus=cached.modulus)
     for sub in cached.subfield_chain()[1:]:
         assert fresh.trace_table(sub).tobytes() == cached.trace_table(sub).tobytes()
+
+
+def test_a_racing_table_build_keeps_the_caches():
+    """Two threads may both build a field's tables: the later build publishes
+    the same tables and keeps the caches the first one has filled."""
+    F = ExtField(prime_field(3), 3)
+    trace, log = F.trace_table(F.base), F._log
+    F._finish_init()
+    assert F.trace_table(F.base) is trace
+    assert F._log.tobytes() == log.tobytes()
 
 
 def test_oversized_field_tables_are_refused_before_allocation():
