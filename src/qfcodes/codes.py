@@ -24,12 +24,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import BudgetError, DEFAULT_BUDGET, ParameterError
 from .fields import Elem
-from .quadform import QuadFormAnalysis
+from .quadform import QuadFormAnalysis, QuadraticForm
 
 __all__ = [
     "Variant",
@@ -39,6 +40,7 @@ __all__ = [
     "codeword",
     "weight_distribution_brute",
     "weight_distribution_predicted",
+    "value_profile",
     "cwe_brute",
     "cwe_predicted",
     "griesmer_check",
@@ -222,10 +224,8 @@ def _codeword_array(spec: CodeSpec, a: Elem, b: Elem, c: Elem | None) -> np.ndar
 
 
 def _check_budget(spec: CodeSpec, budget: int):
-    """Refuse before any table is built.  The kernel gathers one trace per
-    element of F_{q^m2}, multiplies q**3 histogram cells per class of b and
-    writes q**2 composition cells per (class, c); each step writes at most
-    one int64 cell, so the same count bounds its memory."""
+    """Refuse before any table is built: the value profile plus q**2 cells
+    per (class, c)."""
     q, q2 = spec.tower.q, spec.tower.Fq2.order
     n_c = q if spec.variant is Variant.AFFINE else 1
     cost = q2 + 2 * (q**3 + n_c * q * q)
@@ -233,33 +233,41 @@ def _check_budget(spec: CodeSpec, budget: int):
         raise BudgetError(cost, budget, "message-space enumeration")
 
 
-def _compositions(spec: CodeSpec, budget: int = DEFAULT_BUDGET):
-    """Yield ``(c, comp)`` for each constant c of the variant (only c = 0 for
-    the homogeneous code); ``comp[a, j]`` is the composition of message
-    (a, b, c), the count of each symbol in omega order over the points, for
-    b = 0 (j = 0) and for every b != 0 (j = 1).
+def value_profile(form: QuadraticForm, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    """``P[a, j, v] = #{(x, y) : a Q(x) + Tr(b_j y) = v}``, b_0 = 0, b_1 = 1:
+    sum_u Ha[a, u] Hb[j, v - u] for Ha[a, u] = #{x : a Q(x) = u} and
+    Hb[j, w] = #{y : Tr(b_j y) = w} over every y.  y -> y/b carries each
+    b != 0 onto b_1, and a constant c shifts v.  Read-only, cached per form,
+    charged q**m2 + 2 q**3 steps (one trace per y, q**3 cells per class),
+    each writing at most one int64 cell."""
+    cost = form.tower.Fq2.order + 2 * form.tower.q**3
+    if cost > budget:
+        raise BudgetError(cost, budget, "value profile")
+    return _value_profile(form)
 
-    For beta != 0, y -> y/beta permutes the y coordinates (fixing y = 0) and
-    carries the codeword of (a, b, c) onto that of (a, beta*b, c), so every
-    b != 0 has the composition of b = 1.  A class's composition comes from
-    the histograms ``Ha[a, u] = #{x : a Q(x) = u}`` and
-    ``Hb[j, w] = #{y : Tr(b_j y) = w}`` of its representative b_j = j,
-    counted over every y (nothing assumes that Tr(y) is balanced), through
-    the value profile ``P[a, j, v] = sum_u Ha[a, u] Hb[j, v - u]``.  Adding
-    c permutes the columns of P.
-    """
-    _check_budget(spec, budget)
-    tower = spec.tower
-    Fq, Fq2 = tower.Fq, tower.Fq2
+
+@lru_cache(maxsize=None)
+def _value_profile(form: QuadraticForm) -> np.ndarray:
+    Fq, Fq2 = form.tower.Fq, form.tower.Fq2
     q = Fq.order
     ha = np.zeros((q, q), dtype=np.int64)
-    hist = spec.analysis.form.value_histogram.astype(np.int64)
-    np.add.at(ha, (np.arange(q)[:, None], Fq.op_table("mul")), hist)
+    np.add.at(ha, (np.arange(q)[:, None], Fq.op_table("mul")), form.value_histogram)
     hb = np.array([np.bincount(Fq2.trace_row(b, Fq), minlength=q) for b in (0, 1)])
-    sub = Fq.op_table("sub")  # sub[v, u] = v - u
-    profile = np.einsum("au,juv->ajv", ha, hb[:, sub.T])
-    omega = Fq.omega
-    for c in range(q) if spec.variant is Variant.AFFINE else (0,):
+    profile = np.einsum("au,juv->ajv", ha, hb[:, Fq.op_table("sub").T])
+    profile.setflags(write=False)
+    return profile
+
+
+def _compositions(spec: CodeSpec, budget: int = DEFAULT_BUDGET):
+    """Yield ``(c, comp)`` for each constant c of the variant (only c = 0 for
+    the homogeneous code); ``comp[a, j]``, the composition of message
+    (a, b, c) in omega order for b = 0 (j = 0) and every b != 0 (j = 1), is
+    the value profile at omega - c."""
+    _check_budget(spec, budget)
+    profile = value_profile(spec.analysis.form, budget)
+    Fq = spec.tower.Fq
+    sub, omega = Fq.op_table("sub"), Fq.omega
+    for c in range(Fq.order) if spec.variant is Variant.AFFINE else (0,):
         comp = profile[:, :, sub[omega, c]]
         if spec.variant is Variant.HOMOGENEOUS:
             comp[:, :, 0] -= 1  # the excluded origin always evaluates to zero

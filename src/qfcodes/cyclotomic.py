@@ -8,17 +8,16 @@ coordinate comparison.
 Half-integer powers of p* = (-1)**((p-1)/2) * p are expressed through the
 prime-field quadratic Gauss sum g_p = sum(zeta**(x*x)), whose square is p*.
 Every closed form used here then clears its p-power denominator exactly, so
-no floating point appears anywhere; solution counts additionally pass through
-``fractions.Fraction`` and assert denominator 1.
+no floating point appears anywhere; solution counts are sums of powers of q
+with exponents asserted >= 0 (``q ** e``, e < 0, would be a float).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
-from .errors import BudgetError, DEFAULT_BUDGET, MixedFieldError
+from .codes import value_profile
+from .errors import DEFAULT_BUDGET, MixedFieldError
 from .fields import Elem, FiniteField, rel_trace
 from .quadform import QuadFormAnalysis, QuadraticForm
 
@@ -289,18 +288,15 @@ def count_solutions(
         return q**M if beta_idx == 0 else 0
     if b.idx != 0:
         return q ** (M - 1)
-    r_q, eps = analysis.r_q, analysis.eps
+    r_q = analysis.r_q  # q**(M-1) * (1 + eps t q**-h)
     if r_q % 2 == 0:
-        val = Fraction(q) ** (M - 1) * (
-            1 + eps * Fraction(1, q ** (r_q // 2)) * upsilon(q, beta_idx)
-        )
+        h, t = r_q // 2, upsilon(q, beta_idx)
     else:
-        eta_term = Fq.eta(Fq.mul(Fq.neg(a.idx), beta_idx))
-        val = Fraction(q) ** (M - 1) * (
-            1 + eps * eta_term * Fraction(q) ** ((1 - r_q) // 2)
-        )
-    assert val.denominator == 1 and val >= 0, val
-    return int(val)
+        h, t = (r_q - 1) // 2, Fq.eta(Fq.mul(Fq.neg(a.idx), beta_idx))
+    assert M - 1 - h >= 0, (M, r_q)  # r_q <= m1 <= M - 1
+    val = q ** (M - 1) + analysis.eps * t * q ** (M - 1 - h)
+    assert val >= 0, val
+    return val
 
 
 def count_solutions_brute(
@@ -311,22 +307,7 @@ def count_solutions_brute(
     c: Elem | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> int:
-    """Exhaustive count over all q**M pairs (x, y), via exact histograms.
-
-    The x side enters only through Q(x) and the y side only through
-    Tr(b*y), so the double enumeration is organized as a convolution of the
-    two value histograms; every pair is still counted exactly once.
-    """
-    tower = form.tower
-    Fq, Fq2 = tower.Fq, tower.Fq2
-    total = tower.Fq1.order * Fq2.order
-    if total > budget:
-        raise BudgetError(total, budget, "solution count enumeration")
-    q = Fq.order
-    hist_q = np.zeros(q, dtype=np.int64)  # histogram of a*Q(x) over x
-    np.add.at(hist_q, Fq.op_table("mul")[a.idx], form.value_histogram)
-    # histogram of Tr(b*y) over y
-    by = Fq.op_table("mul")[b.idx] if Fq2 is Fq else Fq2.trace_row(b.idx, Fq)
-    hist_t = np.bincount(by, minlength=q)
+    """Exhaustive count: ``codes.value_profile`` at (a, b != 0, beta - c)."""
+    Fq = form.tower.Fq
     target = beta.idx if c is None else Fq.sub(beta.idx, c.idx)
-    return int(hist_q @ hist_t[Fq.op_table("sub")[target]])
+    return int(value_profile(form, budget)[a.idx, int(b.idx != 0), target])

@@ -80,6 +80,20 @@ class DescentParams:
         cols.setflags(write=False)
         return cols
 
+    @cached_property
+    def orbit_traces(self) -> np.ndarray:
+        """``K[c, s, t]``: how many o = lam * theta**i (lam in F_p*, i < L) have
+        Tr_{q/p}(o c) = t and eta(o) = 1 (s = 0) or -1 (s = 1), every c in F_q."""
+        Fq, Fp = self.tower.Fq, self.tower.Fp
+        mul, trace = Fq.op_table("mul"), Fq.trace_table(Fp)
+        K, rows = np.zeros((Fq.order, 2, Fp.order), dtype=np.int64), np.arange(Fq.order)
+        for lam in range(1, Fp.order):
+            for i in range(self.L):
+                o = Fq.mul(Fq.embed_from(Fp, lam), Fq.pow(self.theta.idx, i))
+                K[rows, int(Fq.eta(o) == -1), trace[mul[o]]] += 1  # one cell per row
+        K.setflags(write=False)
+        return K
+
 
 def make_descent(tower: FieldTower, N: int, theta: Elem | None = None) -> DescentParams:
     """Validate N, pin theta = g**N (or a certified override)."""
@@ -275,35 +289,15 @@ class IdentityCheckResult:
 
 
 def char_identity_check(params: DescentParams, c: Elem, a: Elem) -> IdentityCheckResult:
-    """Both coset character identities, compared exactly in Z[zeta_p]."""
-    tower = params.tower
-    Fq, Fp = tower.Fq, tower.Fp
+    """Both coset character identities, compared exactly in Z[zeta_p], from
+    the row c of ``params.orbit_traces``: eta(o a) = eta(o) eta(a)."""
+    Fq, p = params.tower.Fq, params.tower.p
     if c.field is not Fq or a.field is not Fq or c.idx == 0 or a.idx == 0:
         raise ParameterError("need c, a in F_q*")
-    p = tower.p
-    trp = Fq.trace_table(Fp) if Fq is not Fp else None
-    th = params.theta.idx
-    plain = [0] * p
-    twisted_pos = [0] * p
-    twisted_neg = [0] * p
-    for lam_p in range(1, p):
-        lam = Fq.embed_from(Fp, lam_p)
-        v = Fq.mul(lam, c.idx)
-        u = Fq.mul(lam, a.idx)
-        for _ in range(params.L):
-            t = int(trp[v]) if trp is not None else v
-            plain[t] += 1
-            if Fq.eta(u) == 1:
-                twisted_pos[t] += 1
-            else:
-                twisted_neg[t] += 1
-            v = Fq.mul(v, th)
-            u = Fq.mul(u, th)
-    plain_lhs = cyc_from_trace_counts(p, plain)
+    pairs, eta_a = list(zip(*params.orbit_traces[c.idx].tolist())), Fq.eta(a.idx)
+    plain_lhs = cyc_from_trace_counts(p, [sq + ns for sq, ns in pairs])
     plain_rhs = CycInt.from_int(p, -(p - 1) // params.N)
-    twisted_lhs = cyc_from_trace_counts(p, twisted_pos) - cyc_from_trace_counts(
-        p, twisted_neg
-    )
+    twisted_lhs = cyc_from_trace_counts(p, [eta_a * (sq - ns) for sq, ns in pairs])
     g1 = eta_twisted_sum_brute(Fq, 1, Fq.one)
     eta_ac = Fq.eta(Fq.mul(a.idx, c.idx))
     twisted_rhs = g1 * (eta_ac * (p - 1) // params.N)

@@ -303,6 +303,45 @@ def test_no_production_path_builds_the_generator_matrix(capsys, monkeypatch, nam
     assert guarded == run()
 
 
+def test_verify_counts_checks_every_cell(capsys, monkeypatch):
+    """A closed count that is off by one at the single cell
+    (a, b, beta) = (1, 0, 0) of example-3.3 is caught: the check reads every
+    (a, class of b, beta), not a sample of them."""
+    import qfcodes.cli
+
+    real = qfcodes.cli.count_solutions
+
+    def off_by_one(an, a, b, beta, c=None):
+        n = real(an, a, b, beta, c=c)
+        return n + 1 if c is None and (a.idx, b.idx, beta.idx) == (1, 0, 0) else n
+
+    monkeypatch.setattr(qfcodes.cli, "count_solutions", off_by_one)
+    code, out, _ = _run(capsys, "verify", "counts", "--preset", "example-3.3")
+    assert code == 2
+    assert "verify counts: FAILED" in out and "verify counts: brute != closed" in out
+
+
+def test_descend_checks_every_c(capsys, monkeypatch):
+    """An identity check that fails for c = 2 alone turns the descent-7
+    report to identities_ok: false, exit 2: every c in F_q* is checked."""
+    import dataclasses
+
+    import qfcodes.cli
+
+    real = qfcodes.cli.char_identity_check
+
+    def fail_at_two(params, c, a):
+        res = real(params, c, a)
+        return dataclasses.replace(res, plain_rhs=res.plain_rhs + 1) if c.idx == 2 else res
+
+    monkeypatch.setattr(qfcodes.cli, "char_identity_check", fail_at_two)
+    code, out, _ = _run(capsys, "preset", "descent-7-2-1-1-3", "--format", "json")
+    bundle = json.loads(out)
+    assert code == 2
+    assert bundle["descend"]["identities_ok"] is False
+    assert "coset character identities failed" in bundle["disagreements"]
+
+
 def test_internal_key_error_propagates(monkeypatch):
     """A KeyError is a bug, not a usage error: main must not swallow it."""
 

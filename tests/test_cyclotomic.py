@@ -257,16 +257,15 @@ def test_count_solutions_brute_is_the_scalar_convolution(name):
 
 
 def test_count_solutions_random_samples(example_spec):
+    """Every cell (a, class of b, beta) of each example spec: b = 0 and b = 1
+    stand for the two classes, as every b != 0 counts like b = 1."""
     an = example_spec.analysis
     tw = an.tower
-    rng = random.Random(hash(tw.q) % 1000)
-    for _ in range(60):
-        a = Elem(tw.Fq, rng.randrange(tw.Fq.order))
-        b = Elem(tw.Fq2, rng.randrange(tw.Fq2.order))
-        beta = Elem(tw.Fq, rng.randrange(tw.Fq.order))
-        assert count_solutions(an, a, b, beta) == count_solutions_brute(
-            an.form, a, b, beta
-        )
+    for a in range(tw.Fq.order):
+        for b in (0, 1):
+            for beta in range(tw.Fq.order):
+                args = (Elem(tw.Fq, a), Elem(tw.Fq2, b), Elem(tw.Fq, beta))
+                assert count_solutions(an, *args) == count_solutions_brute(an.form, *args)
 
 
 def test_budget_guard():

@@ -471,15 +471,20 @@ def test_hierarchy_at_f_3_13():
 _STREAM_REACH = textwrap.dedent(
     """
     import json, resource, time
-    from qfcodes import (CodeSpec, FrobeniusTerm, QuadraticForm, Variant, build_tower,
-                         cwe_brute, cwe_predicted, hierarchy)
+    from qfcodes import (CodeSpec, Elem, FrobeniusTerm, QuadraticForm, Variant, build_tower,
+                         count_solutions, count_solutions_brute, cwe_brute, cwe_predicted,
+                         hierarchy)
     start = time.perf_counter()
     tw = build_tower(3, 1, 16, 3)
     form = QuadraticForm(tw, (FrobeniusTerm(tw.Fq1.one, 0),))
     spec = CodeSpec(analysis=form.analysis, variant=Variant.AFFINE)
     rows = hierarchy(spec).rows
+    cells = [(Elem(tw.Fq, a), Elem(tw.Fq2, b), Elem(tw.Fq, beta))
+             for a in range(3) for b in (0, 1) for beta in range(3)]
     print(json.dumps({
         "cwe_equal": cwe_brute(spec) == cwe_predicted(spec),
+        "counts_equal": [count_solutions_brute(form, *cell) == count_solutions(form.analysis, *cell)
+                         for cell in cells],
         "rows": [[row.r, row.d_brute, row.d_closed] for row in rows],
         "zeros": int(form.value_histogram[0]),
         "seconds": time.perf_counter() - start,
@@ -492,9 +497,9 @@ _STREAM_REACH = textwrap.dedent(
 @pytest.mark.reach
 def test_cwe_and_hierarchy_at_f_3_16():
     """The affine Tr(x**2) code over F_{3^16} x F_{3^3}: the value histogram
-    is streamed without any F_{3^16} table (N(0) = 3^15 - 2 * 3^7), the CWE
-    and every d_r equal the closed forms, in a fresh process, in under 10 s
-    and 200 MB."""
+    is streamed without any F_{3^16} table (N(0) = 3^15 - 2 * 3^7), the CWE,
+    every d_r and the solution count at all 18 cells (a, class of b, beta)
+    equal the closed forms, in a fresh process, in under 10 s and 200 MB."""
     src = str(Path(qfcodes.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
@@ -504,6 +509,7 @@ def test_cwe_and_hierarchy_at_f_3_16():
     assert proc.returncode == 0, proc.stderr
     run = json.loads(proc.stdout)
     assert run["cwe_equal"] and run["zeros"] == 3**15 - 2 * 3**7
+    assert run["counts_equal"] == [True] * 18, run
     assert [r for r, _, _ in run["rows"]] == [1, 2, 3, 4, 5]
     assert all(brute == closed for _, brute, closed in run["rows"]), run
     assert run["seconds"] < 10, run
