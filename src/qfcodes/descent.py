@@ -12,7 +12,9 @@ code (the trace kernel then sits inside a single square class), and with it
 every downstream weight and hierarchy formula.
 
 The scan and ``descend``'s rank check read the descended code only through
-its column multiset (``ghw._column_multiset``), never its generator matrix.
+its quotient multiset (``ghw._quotient``): the value histogram pushed
+forward through the trace columns, at most q**2 cells, never its generator
+matrix or a multiset over F_p**k.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .codes import CodeSpec, Variant, WeightDistribution, cwe_brute, codeword, \
 from .cyclotomic import CycInt, cyc_from_trace_counts, eta_twisted_sum_brute
 from .errors import DEFAULT_BUDGET, ParameterError
 from .fields import Elem, FieldTower
-from .ghw import GhwReport, _column_multiset, b_part_zero_span, message_dim, point_count
+from .ghw import GhwReport, _quotient, b_part_zero_span, message_dim, point_count
 from .ghw import scan, strata, tabulate
 
 __all__ = [
@@ -164,12 +166,14 @@ class DescendedCode:
 
 def descend(spec: CodeSpec, params: DescentParams) -> DescendedCode:
     """Map the source code through psi; the F_p dimension is certified by the
-    rank of the distinct columns, the support of the column multiset."""
+    rank of the distinct columns: every w of the y block W occurs with every
+    value of the quotient multiset f, so it is rank(supp f) + dim W."""
     if params.tower is not spec.tower:
         raise ParameterError("descent parameters built for a different tower")
     n_p, Fp = message_dim(spec, params), spec.tower.Fp
-    support = np.flatnonzero(_column_multiset(Fp, spec, params).mu)
-    rank = linalg.rank(Fp, support[:, None] // Fp.order ** np.arange(n_p) % Fp.order)
+    f = _quotient(Fp, spec, params)
+    support = np.flatnonzero(f.mu)[:, None] // Fp.order ** np.arange(f.k) % Fp.order
+    rank = linalg.rank(Fp, support) + n_p - f.k
     if rank != n_p:
         raise ArithmeticError(
             f"descended rank {rank} != m * k = {n_p}; descent is not injective"

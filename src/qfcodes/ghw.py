@@ -8,15 +8,12 @@ coordinates where every codeword of D vanishes; the r-th generalized Hamming
 weight is the code length minus the maximum defect.
 
 Four routes compute N(D):
-* the scan (``ghw_brute``; production) sees only the field, k and the column
-  multiset mu(v) = #{columns of G equal to v}, read off the form's value
-  histogram (``_column_multiset``).  N(D) is the sum of mu over the
-  annihilator of D (Tsfasman-Vladut); for 2r <= k it is n - |supp D| by
-  Wei's identity sum over D of wt(c) = q**(r-1) (q-1) |supp D|, with wt
-  computed once per code from mu.  Both sums take one vector per line
-  (wt(a c) = wt(c); mu over a line is mu*), each gathered from a table of
-  F_q dot products, so a subspace costs (q**s - 1)/(q - 1) lookups with
-  s = min(r, k - r);
+* the scan (``ghw_brute``; production) sees only the field and the column
+  multiset f of the quotient by the y block (``_quotient``, ``scan``), d <= 2
+  blocks: one annihilator scan of F**d per dimension, (q**s - 1)/(q - 1)
+  gathers from a table of F_q dot products per subspace, s = dim annihilator,
+  charged as sum_j [d, j]_q subspaces and q**d cells; the witness is the
+  quotient's first maximiser lifted to F**k, not a scan of F**k;
 * the point count (``support_defect``; the tests' oracle): the basis rows
   times the generator matrix G, stacked from codewords, all-zero columns
   counted.  Only this oracle builds G;
@@ -74,19 +71,9 @@ def subspace_bases(n: int, r: int, field: FiniteField):
     """
     if not 0 <= r <= n:
         raise ParameterError(f"need 0 <= r <= n, got r={r}, n={n}")
-    if r == 0:
-        yield ()
-        return
-    order = field.order
     for pivots in itertools.combinations(range(n), r):
-        free_cells = _free_cells(n, pivots)
-        for values in itertools.product(range(order), repeat=len(free_cells)):
-            rows = [[0] * n for _ in range(r)]
-            for i in range(r):
-                rows[i][pivots[i]] = 1
-            for (i, c), v in zip(free_cells, values):
-                rows[i][c] = v
-            yield tuple(tuple(row) for row in rows)
+        for values in itertools.product(range(field.order), repeat=len(_free_cells(n, pivots))):
+            yield _basis(n, pivots, values)
 
 
 def row_to_message(spec: CodeSpec, row, field: FiniteField | None = None) -> tuple[int, int, int]:
@@ -129,7 +116,7 @@ def message_dim(spec: CodeSpec, params=None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the column-multiset scan
+# the quotient scan
 # ---------------------------------------------------------------------------
 
 _CHUNK = 1 << 13  # span elements per numpy batch: bounds every temporary
@@ -190,58 +177,57 @@ def _free_digits(q: int, f: int, t: np.ndarray) -> np.ndarray:
     return t[:, None] // q ** np.arange(f)[::-1] % q
 
 
-def _bases(q: int, k: int, pivots, t: np.ndarray) -> np.ndarray:
-    """(len(t), r, k): the RREF bases with these pivots whose free entries
-    are numbered t."""
-    free = _free_cells(k, pivots)
-    R = np.zeros((len(t), len(pivots), k), dtype=np.int64)
-    R[:, np.arange(len(pivots)), list(pivots)] = 1
-    if free:
-        R[(slice(None), *zip(*free))] = _free_digits(q, len(free), t)
-    return R
+def _basis(k: int, pivots, values) -> tuple:
+    """The RREF basis (tuple of row tuples) with these pivots and the free
+    entries ``values``, in ``_free_cells`` order."""
+    rows = [[0] * k for _ in pivots]
+    for i, c in enumerate(pivots):
+        rows[i][c] = 1
+    for (i, c), v in zip(_free_cells(k, pivots), values):
+        rows[i][c] = v
+    return tuple(map(tuple, rows))
 
 
-def _span_sums(F: FiniteField, k: int, r: int, table: np.ndarray, dual: bool):
+def _span_sums(F: FiniteField, k: int, r: int, table: np.ndarray):
     """Yield ``(pivots, t, S)`` chunk by chunk, in ``subspace_bases`` order:
-    ``_bases(q, k, pivots, t)`` are RREF bases of r-dim subspaces D of F**k,
-    S the sums of ``table`` over one nonzero vector per line of D (``dual``
-    False) or of its annihilator (``dual`` True).
+    the free entries numbered t (``_free_digits``) give RREF bases of r-dim
+    subspaces D of F**k, and S the sums of ``table`` over one nonzero vector
+    per line of the annihilator of D.
 
     The vector with coefficients lam (a line representative) is lam on the
-    basis' unit columns and v_c . lam on each other column c, with v_c the
-    column c of R (D) or the row of R on the free columns, negated (the
-    annihilator): a gather from the dot tables, no span is formed."""
+    free columns and v_c . lam on each pivot column c, with v_c the row of R
+    on the free columns, negated: a gather from the dot tables, no span is
+    formed."""
     q = F.order
-    s = k - r if dual else r
+    s = k - r
     step = max(1, _CHUNK // q**s)
     lam = _line_reps(q, s)[:, None] // q ** np.arange(s) % q  # (L, s)
     neg = F.op_table("sub")[0]
     for pivots in itertools.combinations(range(k), r):
         free = _free_cells(k, pivots)
         rest = [c for c in range(k) if c not in pivots]
-        units, others = (rest, list(pivots)) if dual else (list(pivots), rest)
-        base = lam @ q ** np.array(units, dtype=np.int64)  # lam on the unit columns
-        columns = q ** np.array(others, dtype=np.int64)
-        to_v = np.zeros((len(free), len(others)), dtype=np.int64)  # free digits -> v_c
+        base = lam @ q ** np.array(rest, dtype=np.int64)  # lam on the free columns
+        columns = q ** np.array(pivots, dtype=np.int64)
+        to_v = np.zeros((len(free), r), dtype=np.int64)  # free digits -> v_c
         for n, (i, c) in enumerate(free):
-            j, coord = (i, rest.index(c)) if dual else (others.index(c), i)
-            to_v[n, j] = q**coord
+            to_v[n, i] = q ** rest.index(c)
         for lo in range(0, q ** len(free), step):
             t = np.arange(lo, min(lo + step, q ** len(free)))
-            digits = _free_digits(q, len(free), t)
-            V = (neg[digits] if dual else digits) @ to_v
+            V = neg[_free_digits(q, len(free), t)] @ to_v
             enc = base + columns @ _dots(F, V, s, max(1, k // 2))
             yield pivots, t, table[enc].sum(axis=1)
 
 
 class _Multiset:
-    """The column multiset mu over F**k and the tables the scan derives from
-    it, each built on first use and kept read-only."""
+    """A column multiset mu over F**k and what the scan derives from it,
+    each built on first use and kept: mu* (read-only) and the maximum defect
+    per r."""
 
     def __init__(self, F: FiniteField, k: int, mu):
         self.F, self.k = F, k
         self.mu = _frozen(np.array(mu, dtype=np.int64))
         self.n = int(self.mu.sum())
+        self._best: dict[int, tuple[int, tuple]] = {}
 
     @cached_property
     def star(self) -> np.ndarray:
@@ -258,93 +244,92 @@ class _Multiset:
             star += cur
         return _frozen(star)
 
-    @cached_property
-    def weights(self) -> np.ndarray:
-        """wt(m) = n - N(line through m) for every message m in encoding
-        order, N from the annihilator side, spread over the line."""
-        q, k = self.F.order, self.k
-        mul = self.F.op_table("mul")
-        wt = np.zeros(q**k, dtype=np.int64)
-        for pivots, t, S in _span_sums(self.F, k, 1, self.star, dual=True):
-            line = mul[1:][:, _bases(q, k, pivots, t)[:, 0]] @ q ** np.arange(k)
-            wt[line] = self.n - int(self.mu[0]) - S
-        return _frozen(wt)
-
-
-def _defects(ms: _Multiset, r: int):
-    """Yield ``(pivots, t, N)`` per chunk, as ``_span_sums``: N(D) = the sum
-    of mu over the annihilator of D (Tsfasman-Vladut), i.e. mu(0) plus mu*
-    over its lines; or for 2r <= k, n - |supp D| by Wei's identity: wt(c) is
-    constant on the lines of D, so the sum of wt over one vector per line is
-    q**(r-1) |supp D|.  A subspace costs (q**s - 1)/(q - 1) gathers from a
-    dot table, s = min(r, k - r)."""
-    F, k = ms.F, ms.k
-    if 2 * r > k:
-        for pivots, t, S in _span_sums(F, k, r, ms.star, dual=True):
-            yield pivots, t, int(ms.mu[0]) + S
-        return
-    scale = F.order ** (r - 1)
-    for pivots, t, S in _span_sums(F, k, r, ms.weights, dual=False):
-        assert not (S % scale).any(), "Wei's identity must divide exactly"
-        yield pivots, t, ms.n - S // scale
+    def best(self, r: int) -> tuple[int, tuple]:
+        """``_max_defect(self, r)``, computed once per r."""
+        if r not in self._best:
+            self._best[r] = _max_defect(self, r)
+        return self._best[r]
 
 
 def _max_defect(ms: _Multiset, r: int) -> tuple[int, tuple]:
     """(n - max N(D), first maximiser in enumeration order) over the r-dim
-    subspaces of F**k, from the field, k and the column multiset mu only."""
-    best, witness = -1, None
-    for pivots, t, N in _defects(ms, r):
-        i = int(N.argmax())
-        if N[i] > best:
-            rows = _bases(ms.F.order, ms.k, pivots, t[i : i + 1])[0]
-            best, witness = int(N[i]), tuple(map(tuple, rows.tolist()))
-    return ms.n - best, witness
+    subspaces D of F**k, from the field, k and the column multiset mu only.
+    N(D) is the sum of mu over the annihilator of D (Tsfasman-Vladut): mu(0)
+    plus mu* over its lines, (q**(k-r) - 1)/(q - 1) gathers from a dot
+    table per subspace."""
+    best, witness, k = -1, None, ms.k
+    for pivots, t, S in _span_sums(ms.F, k, r, ms.star):
+        i = int(S.argmax())
+        if S[i] > best:
+            values = _free_digits(ms.F.order, len(_free_cells(k, pivots)), t[i : i + 1])[0]
+            best, witness = int(S[i]), _basis(k, pivots, values.tolist())
+    return ms.n - int(ms.mu[0]) - best, witness
+
+
+def _blocks(spec: CodeSpec, e: int) -> tuple[list[int], list[int]]:
+    """(kept, W) for message blocks of e digits: the coordinates of a and, for
+    the affine code, c, which pi keeps, and those of the y block b."""
+    W = range(e, e * (1 + spec.tower.m2))
+    return [c for c in range(e * spec.dimension) if c not in W], list(W)
 
 
 def scan(spec: CodeSpec, params, r: int, budget: int) -> tuple[int, tuple]:
-    """(d_r, witness) of the F_q code, or of its descent under ``params``."""
+    """(d_r, witness) of the F_q code, or of its descent under ``params``.
+
+    The column multiset is mu = f o pi - z delta_0 (``_quotient``), so an
+    annihilator U of dim u = k - r has mu(U) = q**(u - j) f(pi U) - z with
+    j = dim pi U (Tsfasman-Vladut), and d_r = q**(k-d) n_f - max over j of
+    q**(u-j) F_j, F_j the maximum of f over the j-dim subspaces of F**d, for
+    j from max(0, u - dim W) to min(d, u).  The witness is the RREF of the
+    quotient's first maximiser on pi's coordinates and the first r - d + j
+    unit vectors of W: its annihilator is the best j-dim subspace lifted,
+    plus the rest of W."""
     F = spec.tower.Fq if params is None else spec.tower.Fp
-    k = message_dim(spec, params)
+    k, q = message_dim(spec, params), F.order
     if not 1 <= r <= k:
         raise ParameterError(f"need 1 <= r <= {k}")
-    count = gaussian_binomial(k, r, F.order)
+    kept, W = _blocks(spec, k // spec.dimension)
+    d, u = len(kept), k - r
+    js = range(max(0, u - len(W)), min(d, u) + 1)
+    count = sum(gaussian_binomial(d, j, q) for j in js)
     if count > budget:
-        raise BudgetError(count, budget, f"subspace enumeration [{k} choose {r}]_{F.order}")
-    # mu, mu*, the weight vector and each dot table have at most q**k cells
-    if F.order**k > budget:
-        raise BudgetError(F.order**k, budget, f"column multiset over F_{F.order}^{k}")
-    return _max_defect(_column_multiset(F, spec, params), r)
+        what = f"subspace enumeration [{d} choose j]_{q}, j = {js[0]}..{js[-1]}"
+        raise BudgetError(count, budget, what)
+    # f, f* and each dot table have at most q**d cells
+    if q**d > budget:
+        raise BudgetError(q**d, budget, f"column multiset over F_{q}^{d}")
+    ms = _quotient(F, spec, params)
+    defect = {j: q ** (u - j) * (ms.n - ms.best(d - j)[0]) for j in js}
+    j = max(js, key=defect.get)  # the first maximiser
+    rows = np.zeros((r, k), dtype=np.int64)
+    rows[: d - j, kept] = np.reshape(ms.best(d - j)[1], (d - j, d))
+    rows[np.arange(d - j, r), W[: r - d + j]] = 1
+    return q ** len(W) * ms.n - defect[j], tuple(map(tuple, linalg.rref(F, rows)[0].tolist()))
 
 
 @lru_cache(maxsize=None)
-def _column_multiset(F: FiniteField, spec: CodeSpec, params) -> _Multiset:
-    """mu[v] = the number of columns of G with encoding v (sum_t v_t |F|**t).
+def _quotient(F: FiniteField, spec: CodeSpec, params) -> _Multiset:
+    """f over F**d, the column multiset of the quotient by W (``_blocks``).
 
     The column at (x, y) is (Q(x), Tr(e_t y) for the basis e_t of index
     q**(t-1), 1 for the affine code), and y -> (Tr(e_t y))_t is a bijection
-    onto F_q**m2: mu(v0, w, 1) = H[v0] for every w, H the value histogram.
-    The homogeneous code drops the origin, whose column is 0.  Under descent
-    ``params`` the column (v, i) is sum_s q**s D_i[v_s], D_i[g] = sum_j
-    Tr(theta**i b_j g) p**j, b_j of index p**j: mu is pushed forward."""
-    Fq, k = spec.tower.Fq, spec.dimension
-    q = Fq.order
+    onto W: mu = f o pi - z delta_0 with f(v0, 1) = H[v0] (affine) or
+    f = H (homogeneous), H the value histogram, and z = 1 for the
+    homogeneous code, which drops the origin.  Under descent ``params`` the
+    column (v, i) is sum_s q**s D_i[v_s], D_i[g] = sum_j Tr(theta**i b_j g)
+    p**j, b_j of index p**j, a bijection on each block: f is pushed forward
+    through every D_i (and z = L)."""
+    Fq, q, d = spec.tower.Fq, spec.tower.q, 2 if spec.variant is Variant.AFFINE else 1
+    f = np.zeros(q**d, dtype=np.int64)
+    f.reshape(-1, q)[d - 1] = spec.analysis.form.value_histogram  # [c, v0]
     if params is None:
-        mu = np.zeros(q**k, dtype=np.int64)
-        affine = spec.variant is Variant.AFFINE
-        hist = spec.analysis.form.value_histogram
-        mu.reshape(-1, q**spec.tower.m2, q)[1 if affine else 0] = hist  # [c, w, v0]
-        if not affine:
-            mu[0] -= 1
-        return _Multiset(F, k, mu)
-    src = _column_multiset(Fq, spec, None).mu
+        return _Multiset(F, d, f)
     beta = spec.tower.p ** np.arange(spec.tower.m)
     D = params.columns[Fq.op_table("mul")[beta]].astype(np.int64)  # (j, g, i)
-    D = np.tensordot(beta, D, axes=1)  # D[g, i] = D_i[g]
-    support = np.flatnonzero(src)
-    enc = sum(q**s * D[support // q**s % q] for s in range(k))  # (support, i)
-    mu = np.zeros(q**k, dtype=np.int64)
-    np.add.at(mu, enc, src[support, None])
-    return _Multiset(F, message_dim(spec, params), mu)
+    D, v = np.tensordot(beta, D, axes=1), np.arange(q**d)  # D[g, i] = D_i[g]
+    pushed = np.zeros(q**d, dtype=np.int64)
+    np.add.at(pushed, sum(q**s * D[v // q**s % q] for s in range(d)), f[:, None])
+    return _Multiset(F, d * spec.tower.m, pushed)
 
 
 # ---------------------------------------------------------------------------
@@ -382,12 +367,18 @@ def support_defect(spec: CodeSpec, rows) -> int:
 
 
 def b_part_zero_span(spec: CodeSpec, rows, field: FiniteField | None = None) -> list[tuple[int, int]]:
-    """Elements (a, c) of the span of ``rows`` whose b-part vanishes."""
+    """Elements (a, c) of the span of ``rows`` whose b-part vanishes.
+
+    In the RREF of the rows with the b columns moved first, the rows with a
+    pivot in the b block have independent b-parts and the others none, so
+    only the others are spanned: at most q**2 elements."""
     if len(rows) == 0:
         return [(0, 0)]
-    q, m2 = spec.tower.q, spec.tower.m2
-    enc = linalg.span(field or spec.tower.Fq, rows)
-    enc = enc[enc // q % q**m2 == 0]
+    F, q, m2 = field or spec.tower.Fq, spec.tower.q, spec.tower.m2
+    kept, W = _blocks(spec, len(rows[0]) // spec.dimension)  # e = 1, or m digits
+    R, pivots = linalg.rref(F, np.asarray(rows, dtype=np.int64)[:, W + kept])
+    R = R[[i for i, c in enumerate(pivots) if c >= len(W)]][:, np.argsort(W + kept)]
+    enc = linalg.span(F, R) if len(R) else np.zeros(1, dtype=np.int64)
     return list(zip((enc % q).tolist(), (enc // q ** (1 + m2)).tolist()))
 
 

@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+from qfcodes import Variant, build_spec, get_preset
 from qfcodes.cli import build_parser, main, preset_config, run_config, validate_config
 from qfcodes.errors import ConfigError
 from qfcodes.presets import preset_names
@@ -286,21 +287,32 @@ def test_malformed_inputs_exit_one(tmp_path, capsys, argv, field):
 
 @pytest.mark.parametrize("name", ["example-3.6", "descent-7-2-1-1-3"])
 def test_no_production_path_builds_the_generator_matrix(capsys, monkeypatch, name):
-    """With the generator matrix made to raise and the multiset caches empty,
-    a preset run prints the same bytes, with the same exit code."""
+    """With the generator matrix made to raise and the quotient cache empty,
+    a preset run prints the same bytes, with the same exit code; every
+    multiset it builds has at most q**d cells (d = 2 affine, 1 homogeneous),
+    none is over the message space F^k."""
     from qfcodes import ghw
 
     def refuse(*args, **kwargs):
         raise AssertionError("the generator matrix is a test oracle")
 
     def run():
-        ghw._column_multiset.cache_clear()
+        ghw._quotient.cache_clear()
         return _run(capsys, "preset", name, "--format", "json")
+
+    cells, init = [], ghw._Multiset.__init__
+
+    def spy(self, F, k, mu):
+        init(self, F, k, mu)
+        cells.append(self.mu.size)
 
     with monkeypatch.context() as patch:
         patch.setattr(ghw, "generator_matrix", refuse)
+        patch.setattr(ghw._Multiset, "__init__", spy)
         guarded = run()
     assert guarded == run()
+    spec = build_spec(get_preset(name))
+    assert cells and max(cells) <= spec.tower.q ** (2 if spec.variant is Variant.AFFINE else 1)
 
 
 def test_verify_counts_checks_every_cell(capsys, monkeypatch):
@@ -412,3 +424,17 @@ def test_oversized_value_stream_is_refused_before_allocation(tmp_path, capsys):
         "exceeding the budget of 100000000\n"
     )
     assert peak < 10 * 2**20
+
+
+def test_ghw_reaches_k_20(tmp_path, capsys):
+    """The affine Tr(x**2) code on (3,1,2,18) has k = 20 over F_3: every
+    d_r comes from the quotient F_3^2, brute == closed on all 20 rows."""
+    cfg = {"tower": {"p": 3, "m": 1, "m1": 2, "m2": 18},
+           "form": {"frobenius": [{"coeff": 1, "i": 0}]}, "variant": "affine"}
+    path = tmp_path / "k20.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    code, out, err = _run(capsys, "ghw", "--config", str(path), "--format", "json")
+    assert code == 0 and err == ""
+    rows = json.loads(out)["ghw"]["rows"]
+    assert [row["r"] for row in rows] == list(range(1, 21))
+    assert all(row["brute"] == row["closed"] for row in rows), rows

@@ -1,9 +1,18 @@
+import json
+import os
 import random
+import resource
+import subprocess
+import sys
+import textwrap
 import tracemalloc
-from functools import partial
+from functools import lru_cache, partial
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import qfcodes
 
 from qfcodes import (
     CodeSpec,
@@ -17,6 +26,7 @@ from qfcodes import (
     char_identity_check,
     descend,
     descended_ghw_brute,
+    descended_ghw_closed,
     descended_hierarchy,
     descended_wd,
     ghw_brute,
@@ -31,8 +41,9 @@ from qfcodes.descent import (
     descended_support_defect,
     descended_support_defect_closed,
 )
-from qfcodes import linalg
+from qfcodes import ghw, linalg
 from qfcodes.ghw import _Multiset, generator_matrix, subspace_bases
+from qfcodes.errors import BudgetError
 
 from conftest import reference_scan, spec_for
 
@@ -142,14 +153,13 @@ def test_descend_rank_is_the_rank_of_the_generator_matrix(fix7):
 
 
 def test_descend_refuses_a_multiset_on_a_hyperplane(fix7, monkeypatch):
-    """Columns that all lie in the hyperplane v_3 = 0 have rank 3 < 4: the
-    descent would not be injective."""
+    """A quotient multiset on the line v_1 = 0 of F_7^2 has rank 1, so the
+    columns have rank 1 + dim W = 3 < 4: the descent would not be
+    injective."""
     spec, params = fix7
-    mu = np.zeros(7**4, dtype=np.int64)
-    mu[: 7**3] = 1
-    monkeypatch.setattr(
-        "qfcodes.descent._column_multiset", lambda F, spec, params: _Multiset(F, 4, mu)
-    )
+    f = np.zeros(7**2, dtype=np.int64)
+    f[:7] = 1
+    monkeypatch.setattr("qfcodes.descent._quotient", lambda F, spec, params: _Multiset(F, 2, f))
     with pytest.raises(ArithmeticError, match="descended rank 3 != m \\* k = 4"):
         descend(spec, params)
 
@@ -298,12 +308,16 @@ def test_descended_per_subspace_closed(fix7):
 
 
 def test_descended_budget():
-    from qfcodes import BudgetError
-
+    """r = 2 of the (7,2,1,1) descent scans [2, 0] + [2, 1] + [2, 2] = 10
+    subspaces of the quotient F_7^2 and its 49 cells; below either charge
+    the scan refuses, at both it runs."""
     spec = _spec(7, 2, 1, 1)
     params = make_descent(spec.tower, 3)
-    with pytest.raises(BudgetError):
-        descended_ghw_brute(spec, params, 2, budget=10)
+    with pytest.raises(BudgetError, match="subspace enumeration .* needs 10 steps"):
+        descended_ghw_brute(spec, params, 2, budget=9)
+    with pytest.raises(BudgetError, match="column multiset over F_7\\^2 needs 49 steps"):
+        descended_ghw_brute(spec, params, 2, budget=48)
+    assert descended_ghw_brute(spec, params, 2, budget=49)[0] == descended_ghw_closed(spec, params, 2)
 
 
 @pytest.mark.parametrize("name", ["example-3.1", "example-3.2"])
@@ -327,9 +341,12 @@ def test_prime_field_descent_is_the_source_scan(name):
 
 
 @pytest.mark.parametrize("fixture", ["descent-7", "affine-5-1-1-1"])
-def test_descended_scan_is_the_first_maximiser_of_the_point_count(fixture, fix7):
-    """Value and witness of descended_ghw_brute against the first maximiser
-    of the descended point count over subspace_bases, for every r."""
+def test_descended_scan_is_the_first_maximiser_of_the_point_count(fixture, fix7, monkeypatch):
+    """The value of descended_ghw_brute is the length minus the maximum of
+    the descended point count over subspace_bases, for every r; the
+    witness, the lift of the quotient's first maximiser, is a canonical
+    RREF basis of dim r that attains it, and the same with one subspace per
+    batch and the quotient's cache empty."""
     if fixture == "descent-7":
         spec, params = fix7
     else:
@@ -339,10 +356,17 @@ def test_descended_scan_is_the_first_maximiser_of_the_point_count(fixture, fix7)
     k = spec.dimension * tw.m
     length = spec.length * params.L
     for r in range(1, k + 1):
-        best, witness = reference_scan(
-            partial(descended_support_defect, spec, params), subspace_bases(k, r, tw.Fp)
-        )
-        assert descended_ghw_brute(spec, params, r) == (length - best, witness), r
+        count = partial(descended_support_defect, spec, params)
+        best, _ = reference_scan(count, subspace_bases(k, r, tw.Fp))
+        d_r, witness = descended_ghw_brute(spec, params, r)
+        assert d_r == length - best, r
+        R, pivots = linalg.rref(tw.Fp, witness)
+        assert len(pivots) == r and tuple(map(tuple, R.tolist())) == witness
+        assert count(witness) == best, r
+    found = [descended_ghw_brute(spec, params, r) for r in range(1, k + 1)]
+    monkeypatch.setattr(ghw, "_CHUNK", 1)
+    monkeypatch.setattr(ghw, "_quotient", lru_cache(ghw._quotient.__wrapped__))
+    assert [descended_ghw_brute(spec, params, r) for r in range(1, k + 1)] == found
 
 
 def test_descended_scan_memory_stays_flat(fix7):
@@ -354,3 +378,122 @@ def test_descended_scan_memory_stays_flat(fix7):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 2**20
+
+
+# -- reach ---------------------------------------------------------------------
+
+
+def _fresh(args, limit_bytes=None, **kwargs):
+    """Run python ``args`` in a fresh process on this checkout, optionally
+    under an address-space limit set on the child alone."""
+    src = str(Path(qfcodes.__file__).resolve().parents[1])
+    limit = None if limit_bytes is None else (
+        lambda: resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes)))
+    return subprocess.run(
+        [sys.executable, *args], env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, timeout=120, preexec_fn=limit, **kwargs,
+    )
+
+
+def test_descend_m3_under_3_gb(tmp_path):
+    """The affine Tr(x**2) descent on (3,3,2,4), N = 1, has k = 18 over F_3:
+    ``descend --config`` exits 0 under a 3 GB address-space limit with all
+    18 rows brute == closed.  The optimizer note spans only the b-part-zero
+    rows (at most 3**6 elements), not the 3**r elements of the span."""
+    cfg = {"tower": {"p": 3, "m": 3, "m1": 2, "m2": 4},
+           "form": {"frobenius": [{"coeff": 1, "i": 0}]}, "variant": "affine",
+           "descent": {"N": 1}}
+    path = tmp_path / "m3.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    proc = _fresh(["-m", "qfcodes.cli", "descend", "--config", str(path), "--format", "json"],
+                  limit_bytes=3 * 10**9)
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(proc.stdout)["descend"]["hierarchy"]
+    assert [row["r"] for row in rows] == list(range(1, 19))
+    assert all(row["brute"] == row["closed"] for row in rows), rows
+
+
+_DESCENT_REACH = textwrap.dedent(
+    """
+    import json, time
+    from qfcodes import (CodeSpec, FrobeniusTerm, QuadraticForm, Variant, build_tower,
+                         descended_hierarchy, make_descent)
+    start = time.perf_counter()
+    tw = build_tower(7, 2, 1, 1)
+    form = QuadraticForm(tw, (FrobeniusTerm(tw.Fq1.one, 0),))
+    spec = CodeSpec(analysis=form.analysis, variant=Variant.AFFINE)
+    rows = descended_hierarchy(spec, make_descent(tw, 3)).rows
+    print(json.dumps({
+        "rows": [[row.r, row.d_brute, row.d_closed] for row in rows],
+        "seconds": time.perf_counter() - start,
+    }))
+    """
+)
+
+
+@pytest.mark.reach
+def test_descended_hierarchy_7_2_1_1_3():
+    """The affine descended hierarchy of (7,2,1,1), N = 3 (k = 6 over F_7,
+    61.9 M subspaces over the message space): every d_r from the quotient
+    F_7^4, equal to the closed form, in under 1 s in a fresh process."""
+    proc = _fresh(["-c", _DESCENT_REACH])
+    assert proc.returncode == 0, proc.stderr
+    run = json.loads(proc.stdout)
+    assert [r for r, _, _ in run["rows"]] == [1, 2, 3, 4, 5, 6]
+    assert all(brute == closed for _, brute, closed in run["rows"]), run
+    assert run["seconds"] < 1, run
+
+
+_ODD_RANK_SWEEP = textwrap.dedent(
+    """
+    import json, time
+    from qfcodes import (CodeSpec, Elem, FrobeniusTerm, ParameterError, QuadraticForm,
+                         TraceSquareTerm, Variant, build_tower, descended_hierarchy, make_descent)
+    start = time.perf_counter()
+    towers = [(p, m, m1, m2) for p, m in [(3, 2), (5, 2), (7, 2), (11, 2), (3, 3)]
+              for m1 in range(1, 4) for m2 in range(1, 5) if (p**m) ** (m1 + m2) <= 3**16]
+    rows, bad, refused, notes = 0, 0, 0, 0
+    for p, m, m1, m2 in towers:
+        tw = build_tower(p, m, m1, m2)
+        Fq, Fq1 = tw.Fq, tw.Fq1
+        forms = [  # Tr(x^2), Tr(g x^2), Tr(x)^2 and g Tr(x)^2
+            ((FrobeniusTerm(Fq1.one, 0),), ()),
+            ((FrobeniusTerm(Elem(Fq1, Fq1.gen), 0),), ()),
+            ((), (TraceSquareTerm(Fq.one, Fq1.one),)),
+            ((), (TraceSquareTerm(Elem(Fq, Fq.gen), Fq1.one),)),
+        ]
+        for frob, trsq in forms:
+            an = QuadraticForm(tw, frob, trsq).analysis
+            if an.r_q % 2 == 0:
+                continue
+            spec = CodeSpec(analysis=an, variant=Variant.AFFINE)
+            for N in range(1, p):
+                try:
+                    params = make_descent(tw, N)
+                except ParameterError:
+                    continue
+                for row in descended_hierarchy(spec, params).rows:
+                    rows += 1
+                    bad += row.d_brute != row.d_closed
+                    refused += row.d_brute is None
+                    notes += "needs brute confirmation" in row.note
+    print(json.dumps({"towers": len(towers), "rows": rows, "bad": bad, "refused": refused,
+                      "notes": notes, "seconds": time.perf_counter() - start}))
+    """
+)
+
+
+@pytest.mark.reach
+def test_odd_rank_descent_sweep():
+    """The odd-rank affine descended hierarchies, whose rows r > m(m2+1)
+    carry the note "closed form needs brute confirmation": p in
+    {3, 5, 7, 11} with m = 2 and p = 3 with m = 3, m1 <= 3, m2 <= 4 and
+    q**(m1+m2) <= 3**16, the forms Tr(x**2), Tr(g x**2), Tr(x)**2 and
+    g Tr(x)**2 of odd rank, every admissible N: 39 towers, 1784 rows, every
+    one brute == closed, none refused."""
+    proc = _fresh(["-c", _ODD_RANK_SWEEP])
+    assert proc.returncode == 0, proc.stderr
+    run = json.loads(proc.stdout)
+    assert (run["towers"], run["rows"], run["bad"], run["refused"]) == (39, 1784, 0, 0), run
+    assert run["notes"] > 0, run
+    assert run["seconds"] < 30, run

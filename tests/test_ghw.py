@@ -4,7 +4,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +42,7 @@ from qfcodes import (
     weight_distribution_brute,
 )
 
+from qfcodes import linalg
 from qfcodes.errors import DEFAULT_BUDGET
 from qfcodes.fields import _min_dtype
 
@@ -186,13 +187,19 @@ def test_monotonicity(example_spec):
 
 
 def test_budget_error_keeps_closed_values(ex36):
-    rep = hierarchy(ex36, budget=100)
+    """At budget 5 every row refuses with its note and keeps its closed
+    value: on example-3.6 (k = 6, d = 2, dim W = 4 over F_3) the rows
+    r = 2, 3, 4 need [2, 0] + [2, 1] + [2, 2] = 6 quotient subspaces, the
+    others at most 5 subspaces but the 9 cells of the quotient multiset."""
+    rep = hierarchy(ex36, budget=5)
     for row in rep.rows:
-        assert row.d_closed > 0
-        if gaussian_binomial(ex36.dimension, row.r, 3) > 100:
-            assert row.d_brute is None and "budget" in row.note
+        assert row.d_closed > 0 and row.d_brute is None
+        if row.r in (2, 3, 4):
+            assert "subspace enumeration [2 choose j]_3, j = 0..2 needs 6 steps" in row.note
+        else:
+            assert "column multiset over F_3^2 needs 9 steps" in row.note
     with pytest.raises(BudgetError):
-        ghw_brute(ex36, 3, budget=10)
+        ghw_brute(ex36, 3, budget=5)
 
 
 def test_witness_attains_maximum(ex31):
@@ -200,18 +207,33 @@ def test_witness_attains_maximum(ex31):
     assert support_defect(ex31, witness) == ex31.length - d2
 
 
+def _assert_canonical_maximiser(F, r, witness, defect, d_r, n):
+    """The witness is a canonical RREF basis of dim r whose point count
+    ``defect`` attains n - d_r."""
+    R, pivots = linalg.rref(F, witness)
+    assert len(pivots) == r and tuple(map(tuple, R.tolist())) == witness
+    assert defect(witness) == n - d_r
+
+
 @pytest.mark.parametrize("name", EXAMPLE_NAMES)
-def test_scan_is_the_first_maximiser_of_the_point_count(name):
-    """Value and witness of ghw_brute against the first maximiser of the
-    point count over subspace_bases, for every r with at most 10**5
-    subspaces (q = 9 on example-3.3)."""
+def test_scan_is_the_first_maximiser_of_the_point_count(name, monkeypatch):
+    """The value of ghw_brute is n minus the maximum of the point count over
+    subspace_bases, for every r with at most 10**5 subspaces (q = 9 on
+    example-3.3).  The witness is the lift of the quotient's first
+    maximiser, not the first maximiser over subspace_bases: a canonical
+    RREF basis of dim r that attains the maximum, and the same with one
+    subspace per batch and the quotient's cache empty."""
     spec = spec_for(name)
     k, Fq = spec.dimension, spec.tower.Fq
-    for r in range(1, k + 1):
-        if gaussian_binomial(k, r, Fq.order) > 10**5:
-            continue
-        best, witness = reference_scan(partial(support_defect, spec), subspace_bases(k, r, Fq))
-        assert ghw_brute(spec, r) == (spec.length - best, witness), r
+    found = [ghw_brute(spec, r) for r in range(1, k + 1)]
+    for r, (d_r, witness) in enumerate(found, 1):
+        _assert_canonical_maximiser(Fq, r, witness, partial(support_defect, spec), d_r, spec.length)
+        if gaussian_binomial(k, r, Fq.order) <= 10**5:
+            best, _ = reference_scan(partial(support_defect, spec), subspace_bases(k, r, Fq))
+            assert d_r == spec.length - best, r
+    monkeypatch.setattr(ghw, "_CHUNK", 1)
+    monkeypatch.setattr(ghw, "_quotient", lru_cache(ghw._quotient.__wrapped__))
+    assert [ghw_brute(spec, r) for r in range(1, k + 1)] == found
 
 
 @pytest.mark.parametrize(
@@ -248,9 +270,11 @@ def test_scan_memory_stays_flat(ex36):
 
 
 def test_column_multiset_is_charged_to_the_budget(ex36):
-    """r = k has one subspace, but mu and the weight vector have q**k cells."""
-    with pytest.raises(BudgetError, match="column multiset"):
-        ghw_brute(ex36, ex36.dimension, budget=100)
+    """r = k has one quotient subspace, but the quotient multiset f and f*
+    have q**d = 9 cells."""
+    with pytest.raises(BudgetError, match="column multiset over F_3\\^2 needs 9 steps"):
+        ghw_brute(ex36, ex36.dimension, budget=8)
+    assert ghw_brute(ex36, ex36.dimension, budget=9)[0] == ex36.length
 
 
 # -- the engine alone ------------------------------------------------------------
@@ -321,11 +345,12 @@ def test_dot_tables_are_cached_read_only_scalar_dot_products():
 
 
 def test_multiset_tables_are_cached_and_read_only(ex36):
-    ms = ghw._column_multiset(ex36.tower.Fq, ex36, None)
-    assert ghw._column_multiset(ex36.tower.Fq, ex36, None) is ms
-    for name in ("mu", "star", "weights"):
+    ms = ghw._quotient(ex36.tower.Fq, ex36, None)
+    assert ghw._quotient(ex36.tower.Fq, ex36, None) is ms
+    for name in ("mu", "star"):
         table = getattr(ms, name)
         assert getattr(ms, name) is table and not table.flags.writeable
+    assert ms.best(1) is ms.best(1)
 
 
 @pytest.mark.parametrize(
@@ -349,7 +374,7 @@ def test_generator_matrix_is_the_stacked_codeword_lists(name, descended):
     assert G.dtype == expected.dtype and G.tobytes() == expected.tobytes()
 
 
-# -- the column multiset against the generator matrix -----------------------------
+# -- the quotient multiset against the generator matrix -------------------------
 
 
 def _bincount(F, G):
@@ -361,21 +386,39 @@ def _bincount(F, G):
     return np.bincount(enc, minlength=F.order ** len(G))
 
 
-def _assert_multisets_are_bincounts(spec):
-    """mu read off the value histogram is the bincount of G; for every
-    admissible N the pushed-forward F_p multiset is the bincount of the
-    descended G."""
-    tw = spec.tower
-    ms = ghw._column_multiset(tw.Fq, spec, None)
-    assert (ms.mu == _bincount(tw.Fq, ghw.generator_matrix(spec))).all()
-    assert ms.n == spec.length
+def _admissible(tw):
+    """None (the F_q code) and the descent of every admissible N."""
+    out = [None]
     for N in range(1, tw.p):
         try:
-            params = make_descent(tw, N)
+            out.append(make_descent(tw, N))
         except ParameterError:
-            continue
-        mu = ghw._column_multiset(tw.Fp, spec, params).mu
-        assert (mu == _bincount(tw.Fp, ghw.generator_matrix(spec, params))).all(), N
+            pass
+    return out
+
+
+def _assert_multisets_are_bincounts(spec):
+    """For the F_q code and for every admissible descent, the full column
+    multiset mu, the bincount of G, is f o pi - z delta_0 with f the
+    quotient multiset and z = 0 (affine), 1 (homogeneous) or L
+    (homogeneous, descended); so the bincount of pi(columns of G) is
+    q**dim(W) f - z delta_0."""
+    tw = spec.tower
+    for params in _admissible(tw):
+        F, G = (tw.Fq, ghw.generator_matrix(spec)) if params is None else (
+            tw.Fp, ghw.generator_matrix(spec, params))
+        kept, W = ghw._blocks(spec, len(G) // spec.dimension)
+        f = ghw._quotient(F, spec, params)
+        q, k = F.order, len(G)
+        z = 0 if spec.variant is Variant.AFFINE else 1 if params is None else params.L
+        assert f.k == len(kept) and q ** len(W) * f.n - z == G.shape[1], params
+        projected = q ** len(W) * f.mu
+        projected[0] -= z
+        assert (projected == _bincount(F, G[kept])).all(), params
+        pi = (np.arange(q**k)[:, None] // q ** np.array(kept) % q) @ q ** np.arange(len(kept))
+        mu = f.mu[pi]
+        mu[0] -= z
+        assert (mu == _bincount(F, G)).all(), params
 
 
 @pytest.mark.parametrize("name", preset_names())
@@ -429,6 +472,34 @@ def test_descended_multiset_where_the_trace_basis_order_shows(data):
     spec = _random_spec(data, [(5, 2, 1, 1)])
     if spec is not None:
         _assert_multisets_are_bincounts(spec)
+
+
+SCAN_TOWERS = [(3, 1, 1, 1), (3, 1, 2, 1), (3, 1, 1, 2), (5, 1, 1, 1), (3, 2, 1, 1), (7, 2, 1, 1)]
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(data=st.data())
+def test_quotient_scan_is_the_full_space_scan(data):
+    """Random small towers, both variants, with and without descent: at
+    every r the scan over the quotient gives the value of the engine over
+    the full column multiset mu (the bincount of G, q**k cells), and a
+    witness that is a canonical basis of dim r attaining it.  Message spaces
+    with more than 6 * 10**4 subspaces are left to the closed forms."""
+    spec = _random_spec(data, SCAN_TOWERS)
+    if spec is None:
+        return
+    params = data.draw(st.sampled_from(_admissible(spec.tower)), label="descent")
+    F = spec.tower.Fq if params is None else spec.tower.Fp
+    G = ghw.generator_matrix(spec, params)
+    k = len(G)
+    if sum(gaussian_binomial(k, r, F.order) for r in range(k + 1)) > 6 * 10**4:
+        return
+    full = ghw._Multiset(F, k, _bincount(F, G))
+    for r in range(1, k + 1):
+        d_r, witness = ghw.scan(spec, params, r, DEFAULT_BUDGET)
+        assert d_r == ghw._max_defect(full, r)[0], r
+        count = partial(ghw.point_count, spec, params)
+        _assert_canonical_maximiser(F, r, witness, count, d_r, G.shape[1])
 
 
 _HIERARCHY_REACH = textwrap.dedent(
