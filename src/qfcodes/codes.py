@@ -11,8 +11,9 @@ Weight distributions and complete weight enumerators are computed two ways:
   compositions.  Permuting the y coordinates by y -> y/beta carries the
   codeword of (a, b, c) onto that of (a, beta*b, c), so the kernel takes one
   composition for b = 0 and one for all b != 0, and counts each with the
-  size of its class.  It refuses beyond the budget before building any
-  table.
+  size of its class.  The y side is a digit DP through the trace matrix of
+  F_{q^m2}, which builds no table of that field.  The kernel refuses beyond
+  the budget, or past int64 counts, before building any table.
 * ``predicted``: direct instantiation of the closed-form tables, exact
   rational arithmetic with an integrality assertion.
 
@@ -223,37 +224,40 @@ def _codeword_array(spec: CodeSpec, a: Elem, b: Elem, c: Elem | None) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
-def _check_budget(spec: CodeSpec, budget: int):
-    """Refuse before any table is built: the value profile plus q**2 cells
-    per (class, c)."""
-    q, q2 = spec.tower.q, spec.tower.Fq2.order
-    n_c = q if spec.variant is Variant.AFFINE else 1
-    cost = q2 + 2 * (q**3 + n_c * q * q)
-    if cost > budget:
-        raise BudgetError(cost, budget, "message-space enumeration")
-
-
-def value_profile(form: QuadraticForm, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+def value_profile(form: QuadraticForm, budget: int = DEFAULT_BUDGET, n_c: int = 0) -> np.ndarray:
     """``P[a, j, v] = #{(x, y) : a Q(x) + Tr(b_j y) = v}``, b_0 = 0, b_1 = 1:
     sum_u Ha[a, u] Hb[j, v - u] for Ha[a, u] = #{x : a Q(x) = u} and
     Hb[j, w] = #{y : Tr(b_j y) = w} over every y.  y -> y/b carries each
-    b != 0 onto b_1, and a constant c shifts v.  Read-only, cached per form,
-    charged q**m2 + 2 q**3 steps (one trace per y, q**3 cells per class),
-    each writing at most one int64 cell."""
-    cost = form.tower.Fq2.order + 2 * form.tower.q**3
+    b != 0 onto b_1, and a constant c shifts v.  Read-only, cached per form.
+
+    P[0, 0, 0] = q**M, so q**M >= 2**63 is refused.  The charge is m m2 p q
+    steps of the trace DP and, per class of b, q**3 cells and q**2 for each
+    of the ``n_c`` compositions the caller reads."""
+    tower = form.tower
+    q, M = tower.q, tower.M
+    if q**M >= 2**63:
+        raise ParameterError(f"q**M = {q}**{M} >= 2**63: int64 counts would wrap")
+    cost = tower.m * tower.m2 * tower.p * q + 2 * q**3 + 2 * n_c * q**2
     if cost > budget:
-        raise BudgetError(cost, budget, "value profile")
+        raise BudgetError(cost, budget, "message-space enumeration")
     return _value_profile(form)
 
 
 @lru_cache(maxsize=None)
 def _value_profile(form: QuadraticForm) -> np.ndarray:
-    Fq, Fq2 = form.tower.Fq, form.tower.Fq2
-    q = Fq.order
+    """Hb[1] enumerates y digit by digit: y's digit l adds c * T[:, l] to
+    Tr(y) for each c in F_p, T the trace matrix of F_{q^m2} over F_q."""
+    tower = form.tower
+    Fq, p, q = tower.Fq, tower.p, tower.q
+    sub = Fq.op_table("sub")
     ha = np.zeros((q, q), dtype=np.int64)
     np.add.at(ha, (np.arange(q)[:, None], Fq.op_table("mul")), form.value_histogram)
-    hb = np.array([np.bincount(Fq2.trace_row(b, Fq), minlength=q) for b in (0, 1)])
-    profile = np.einsum("au,juv->ajv", ha, hb[:, Fq.op_table("sub").T])
+    hb = np.zeros((2, q), dtype=np.int64)
+    hb[:, 0] = tower.Fq2.order, 1
+    T = tower.Fq2.trace_matrix(Fq)
+    for shift in np.arange(p)[:, None] * T.T[:, None, :] % p @ p ** np.arange(len(T)):
+        hb[1] = hb[1][sub[:, shift]].sum(axis=1)  # Hb'[w] = sum over c of Hb[w - c T[:, l]]
+    profile = np.einsum("au,juv->ajv", ha, hb[:, sub.T])
     profile.setflags(write=False)
     return profile
 
@@ -263,13 +267,13 @@ def _compositions(spec: CodeSpec, budget: int = DEFAULT_BUDGET):
     the homogeneous code); ``comp[a, j]``, the composition of message
     (a, b, c) in omega order for b = 0 (j = 0) and every b != 0 (j = 1), is
     the value profile at omega - c."""
-    _check_budget(spec, budget)
-    profile = value_profile(spec.analysis.form, budget)
     Fq = spec.tower.Fq
+    affine = spec.variant is Variant.AFFINE
+    profile = value_profile(spec.analysis.form, budget, Fq.order if affine else 1)
     sub, omega = Fq.op_table("sub"), Fq.omega
-    for c in range(Fq.order) if spec.variant is Variant.AFFINE else (0,):
+    for c in range(Fq.order) if affine else (0,):
         comp = profile[:, :, sub[omega, c]]
-        if spec.variant is Variant.HOMOGENEOUS:
+        if not affine:
             comp[:, :, 0] -= 1  # the excluded origin always evaluates to zero
         yield c, comp
 

@@ -14,6 +14,8 @@ with exponents asserted >= 0 (``q ** e``, e < 0, would be a float).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .codes import value_profile
@@ -32,6 +34,7 @@ __all__ = [
     "eta_twisted_sum_closed",
     "qf_exp_sum_brute",
     "qf_exp_sum_closed",
+    "closed_profile",
     "count_solutions",
     "count_solutions_brute",
 ]
@@ -272,41 +275,40 @@ def qf_exp_sum_closed(analysis: QuadFormAnalysis, z: Elem) -> CycInt:
 # ---------------------------------------------------------------------------
 
 
-def count_solutions(
-    analysis: QuadFormAnalysis,
-    a: Elem,
-    b: Elem,
-    beta: Elem,
-    c: Elem | None = None,
-) -> int:
-    """Closed-form number of (x, y) with a*Q(x) + Tr(b*y) (+ c) = beta."""
-    tower = analysis.tower
-    Fq = tower.Fq
-    q, M = Fq.order, tower.M
-    beta_idx = beta.idx if c is None else Fq.sub(beta.idx, c.idx)
-    if a.idx == 0 and b.idx == 0:
-        return q**M if beta_idx == 0 else 0
-    if b.idx != 0:
-        return q ** (M - 1)
-    r_q = analysis.r_q  # q**(M-1) * (1 + eps t q**-h)
-    if r_q % 2 == 0:
-        h, t = r_q // 2, upsilon(q, beta_idx)
-    else:
-        h, t = (r_q - 1) // 2, Fq.eta(Fq.mul(Fq.neg(a.idx), beta_idx))
+@lru_cache(maxsize=None)
+def closed_profile(analysis: QuadFormAnalysis) -> np.ndarray:
+    """``codes.value_profile`` in closed form, as exact Python ints (object
+    dtype, read-only, cached): q**(M-1) (1 + eps t q**-h) at a != 0, b = 0,
+    with t = upsilon(v) for rank 2h and eta(-a v) for rank 2h + 1; q**(M-1)
+    at b != 0; q**M at a = b = v = 0."""
+    tower, r_q = analysis.tower, analysis.r_q
+    Fq, q, M, h = tower.Fq, tower.q, tower.M, r_q // 2
     assert M - 1 - h >= 0, (M, r_q)  # r_q <= m1 <= M - 1
-    val = q ** (M - 1) + analysis.eps * t * q ** (M - 1 - h)
-    assert val >= 0, val
-    return val
+    if r_q % 2 == 0:
+        t = np.array([upsilon(q, v) for v in range(q)], dtype=object)
+    else:
+        eta = np.array([Fq.eta(v) for v in range(q)], dtype=object)
+        t = eta[Fq.op_table("mul")[Fq.op_table("sub")[0]]]  # eta(-a v) at [a, v]
+    C = np.empty((q, 2, q), dtype=object)
+    C[:, 0] = q ** (M - 1) + analysis.eps * q ** (M - 1 - h) * t
+    C[:, 1] = q ** (M - 1)
+    C[0, 0] = 0
+    C[0, 0, 0] = q**M
+    assert (C >= 0).all()
+    C.setflags(write=False)
+    return C
 
 
-def count_solutions_brute(
-    form: QuadraticForm,
-    a: Elem,
-    b: Elem,
-    beta: Elem,
-    c: Elem | None = None,
-    budget: int = DEFAULT_BUDGET,
-) -> int:
+def count_solutions(analysis: QuadFormAnalysis, a: Elem, b: Elem, beta: Elem,
+                    c: Elem | None = None) -> int:
+    """Closed-form number of (x, y) with a*Q(x) + Tr(b*y) (+ c) = beta:
+    ``closed_profile`` at (a, b != 0, beta - c)."""
+    target = beta.idx if c is None else analysis.tower.Fq.sub(beta.idx, c.idx)
+    return closed_profile(analysis)[a.idx, int(b.idx != 0), target]
+
+
+def count_solutions_brute(form: QuadraticForm, a: Elem, b: Elem, beta: Elem,
+                          c: Elem | None = None, budget: int = DEFAULT_BUDGET) -> int:
     """Exhaustive count: ``codes.value_profile`` at (a, b != 0, beta - c)."""
     Fq = form.tower.Fq
     target = beta.idx if c is None else Fq.sub(beta.idx, c.idx)

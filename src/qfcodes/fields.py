@@ -19,13 +19,14 @@ field adds, negates and multiplies residues.
 Construction is the modulus search (``_is_irreducible``) and F_p linear
 algebra on base-p digits: E[l] is the matrix of x -> p**l * x
 (``mul_matrices``), and no scalar polynomial product is taken once the
-modulus is known.  The tables (log/exp/Zech, omega, traces, the q x q op
-tables of the F_q kernels) are built on the first read of any of them, each
-held once as a read-only numpy array that scalar ops read with
-``ndarray.item`` (so they return Python ints); two threads that build them
-build the same bytes.  Tables of more than ``DEFAULT_BUDGET`` cells are
-refused before they are built, and a field of 2**63 elements or more at
-construction.
+modulus is known.  A relative trace is one F_p matrix on digits
+(``trace_matrix``), so no trace needs the log/exp tables.  The tables
+(log/exp/Zech, omega, the q x q op tables of the F_q kernels) are built on
+the first read of any of them, each held once as a read-only numpy array
+that scalar ops read with ``ndarray.item`` (so they return Python ints); two
+threads that build them build the same bytes.  Tables of more than
+``DEFAULT_BUDGET`` cells are refused before they are built, and a field of
+2**63 elements or more at construction.
 
 Two element orders coexist:
 
@@ -109,11 +110,10 @@ def _p_digits(indices, p: int, d: int) -> np.ndarray:
     return np.asarray(indices, dtype=np.int64)[:, None] // p ** np.arange(d) % p
 
 
-# Tables of |F| entries a field keeps: omega (exp is a view of it), log, Zech,
-# and a trace table and trace row for each of up to two subfields.
+# Tables of |F| entries a field holds: omega (exp is a view of it), log, Zech,
+# a trace table for each of up to two subfields, and a trace row's temporaries.
 _TABLES_KEPT = 7
-_LAZY_TABLES = {"_gen", "_omega", "_exp", "_log", "_zech", "_trace_tables", "_trace_rows",
-                "_op_tables"}
+_LAZY_TABLES = {"_gen", "_omega", "_exp", "_log", "_zech", "_op_tables"}
 # Indices per block when a table is computed on base-p digits.
 _DIGIT_BLOCK = 1 << 16
 
@@ -289,49 +289,62 @@ class FiniteField:
             raise MixedFieldError(f"{sub} is not a subfield of {self}")
         return _digit_count(self.order, sub.order)
 
+    def frobenius_powers(self, target: "FiniteField") -> np.ndarray:
+        """The (s, d, d) stack of x -> x**(|target|**j), j < s = [self :
+        target], on digit columns: powers of the ``frobenius_matrix``
+        (read-only, kept per target)."""
+        cache = self.__dict__.setdefault("_frobenius_powers", {})
+        if target not in cache:
+            s, p = self.degree_over(target), self.p
+            out = [np.eye(len(self._mul_basis), dtype=np.int64)]
+            if s > 1:
+                step = _mat_pow(self.frobenius_matrix[None], _digit_count(target.order, p), p)[0]
+                while len(out) < s:
+                    out.append(out[-1] @ step % p)
+            cache[target] = np.stack(out)
+            cache[target].setflags(write=False)
+        return cache[target]
+
+    def trace_matrix(self, target: "FiniteField") -> np.ndarray:
+        """Tr_{self/target} on base-p digits (read-only, kept per target):
+        the sum of ``frobenius_powers``, cut to the t digits of ``target``, in
+        which the trace lies.  Column l is the digit row of Tr(p**l)."""
+        cache = self.__dict__.setdefault("_trace_matrices", {})
+        if target not in cache:
+            t = _digit_count(target.order, self.p)
+            total = self.frobenius_powers(target).sum(axis=0) % self.p
+            assert not total[t:].any()  # Tr(x) lies in target
+            cache[target] = total[:t]
+            cache[target].setflags(write=False)
+        return cache[target]
+
+    def traces(self, indices, target: "FiniteField") -> np.ndarray:
+        """Tr_{self/target} of each index, as indices of ``target``: the
+        ``trace_matrix`` on their base-p digits."""
+        T = self.trace_matrix(target)
+        return _p_digits(indices, self.p, T.shape[1]) @ T.T % self.p @ self.p ** np.arange(len(T))
+
     def trace_table(self, target: "FiniteField") -> np.ndarray:
-        """Tr_{self/target} of every element, as indices of ``target``.
-
-        Tr is F_p-linear and the base-p digits of an index are its F_p
-        coordinates, so the Frobenius sum is taken only at the indices p**l
-        and every other trace is a digit combination of those, taken in
-        blocks of indices so the digit temporaries stay bounded.
-        """
-        tab = self._trace_tables.get(target)
-        if tab is None:
-            s, tord, p = self.degree_over(target), target.order, self.p
-
-            def trace(i):
-                acc = 0
-                for j in range(s):
-                    acc = self.add(acc, self.pow(i, tord**j))
-                return self.demote_to(acc, target)
-
-            dim, tdim = _digit_count(self.order, p), _digit_count(tord, p)
-            images = _p_digits([trace(p**l) for l in range(dim)], p, tdim)
-            weights = p ** np.arange(tdim)
-            tab = np.empty(self.order, dtype=_min_dtype(tord))
+        """``traces`` of every element (read-only, kept per target), in blocks
+        of indices so the digit temporaries stay bounded, charged as the
+        field's tables are."""
+        tables = self.__dict__.setdefault("_trace_tables", {})
+        if target not in tables:
+            _charge_tables(self.order, len(self._mul_basis))
+            tab = np.empty(self.order, dtype=_min_dtype(target.order))
             for start in range(0, self.order, _DIGIT_BLOCK):
                 block = np.arange(start, min(start + _DIGIT_BLOCK, self.order))
-                tab[block] = _p_digits(block, p, dim) @ images % p @ weights
+                tab[block] = self.traces(block, target)
             tab.setflags(write=False)
-            self._trace_tables[target] = tab
-        return tab
+            tables[target] = tab
+        return tables[target]
 
     def trace_row(self, b: int, target: "FiniteField") -> np.ndarray:
-        """Tr_{self/target}(b*y) for every y in omega order.
-
-        Tr(b * g**k) is the trace of g**(log b + k), so a row is the traces
-        in log order rotated by log b, after Tr(0) = 0 for y = 0.
-        """
-        by_log = self._trace_rows.get(target)
-        if by_log is None:
-            by_log = self.trace_table(target)[self._exp]
-            self._trace_rows[target] = by_log
-        row = np.zeros(self.order, dtype=by_log.dtype)
-        if b:
-            row[1:] = np.roll(by_log, -self._log.item(b))
-        return row
+        """Tr_{self/target}(b*y) for every y in omega order: the trace table
+        gathered at b * 0 = 0 and b * g**k = g**(log b + k)."""
+        n1 = self.order - 1
+        ys = self._exp[(np.arange(n1) + self.log(b)) % n1] if b else np.zeros(n1, dtype=np.int64)
+        return self.trace_table(target)[np.concatenate([[0], ys])]
 
     def op_table(self, op: str) -> np.ndarray:
         """``table[i, j] = op(i, j)`` (int64, read-only) for the scalar op
@@ -432,8 +445,7 @@ class FiniteField:
         zech.setflags(write=False)
         # published at once; a racing build keeps the caches already there
         self.__dict__.update(_gen=gen, _omega=omega[: 1 + n1], _exp=exp, _log=log, _zech=zech)
-        for name in ("_trace_tables", "_trace_rows", "_op_tables"):
-            self.__dict__.setdefault(name, {})
+        self.__dict__.setdefault("_op_tables", {})
 
 
 def _mat_pow(mats: np.ndarray, e: int, p: int) -> np.ndarray:
@@ -897,7 +909,7 @@ def build_tower(p: int, m: int, m1: int, m2: int) -> FieldTower:
 
 def rel_trace(x: Elem, target: FiniteField) -> Elem:
     """Tr_{F/target}(x) = sum of x**(|target|**j); lands in ``target``."""
-    return Elem(target, int(x.field.trace_table(target)[x.idx]))
+    return Elem(target, int(x.field.traces([x.idx], target)[0]))
 
 
 def quad_char(x: Elem) -> int:

@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DEFAULT_BUDGET, BudgetError, MixedFieldError, ZeroFormError
-from .fields import Elem, FieldTower, _mat_pow
+from .fields import Elem, FieldTower
 from .linalg import _coefficients, nullspace
 
 __all__ = [
@@ -85,14 +85,10 @@ def _digits(i: int, p: int, d: int) -> list[int]:
 def _linear_maps(tower: FieldTower) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Frob[i]: x -> x**(q**i); Y[t, k, c, d]: digit k of Tr(p**t p**c p**d);
     K[t, k, l, s]: digit k of p**t p**l p**s in F_q."""
-    Fq1, p, m, m1 = tower.Fq1, tower.p, tower.m, tower.m1
+    Fq1, p = tower.Fq1, tower.p
     E, Eq = Fq1._mul_basis, tower.Fq._mul_basis
-    step = _mat_pow(Fq1.frobenius_matrix[None], m, p)[0]
-    frob = [np.eye(m * m1, dtype=np.int64)]
-    while len(frob) < m1:
-        frob.append(frob[-1] @ step % p)
-    frob = np.stack(frob)
-    W = np.einsum("kd,ldj->klj", frob.sum(axis=0)[:m] % p, E) % p  # Tr(p**l p**j)
+    frob = Fq1.frobenius_powers(tower.Fq)
+    W = np.einsum("kd,ldj->klj", Fq1.trace_matrix(tower.Fq), E) % p  # Tr(p**l p**j)
     Y = np.einsum("tac,kad->tkcd", E, W) % p
     return frob, Y, np.einsum("tal,ska->tkls", Eq, Eq) % p
 

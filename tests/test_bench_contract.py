@@ -54,8 +54,28 @@ def test_towers_pass_builds_no_f_q_m1_table(shape, variant, monkeypatch):
     """A ``towers`` job (the form drawn by ``_draw_form``, then the analysis,
     the value histogram, exhaustive and predicted CWE and WD) sees F_{q^m1}
     only through its F_p algebra: none of its tables is built."""
+    built, Fq1 = _swap_field(monkeypatch, shape, "Fq1")
+    assert workloads._tower_job(random.Random(7), shape, variant) == []
+    assert all(field is not Fq1 for field in built)
+
+
+@pytest.mark.parametrize("shape,variant", workloads.WD_SHAPES)
+def test_wd_pass_builds_no_f_q_m2_table(shape, variant, monkeypatch):
+    """An ``exhaustive-wd`` job (exhaustive and predicted CWE, then sampled
+    counts, closed against the value profile) sees F_{q^m2} only through its
+    trace matrix: none of its tables is built."""
+    built, Fq2 = _swap_field(monkeypatch, shape, "Fq2")
+    assert workloads._wd_job(random.Random(7), shape, variant) == []
+    assert all(field is not Fq2 for field in built)
+
+
+def _swap_field(monkeypatch, shape, name):
+    """Hand the workloads the tower of ``shape`` with its field ``name``
+    replaced by a fresh copy (same modulus, no tables yet), and record every
+    field whose tables get built; returns the record and the copy."""
     cached = fields.build_tower(*shape)
-    Fq1 = fields.ExtField(cached.Fq, cached.m1, var="t", modulus=cached.Fq1.modulus)
+    old = getattr(cached, name)
+    fresh = fields.ExtField(old.base, old.degree, var=old.var, modulus=old.modulus)
     built, finish = [], fields.FiniteField._finish_init
 
     def recorded(field):
@@ -63,6 +83,5 @@ def test_towers_pass_builds_no_f_q_m1_table(shape, variant, monkeypatch):
         finish(field)
 
     monkeypatch.setattr(fields.FiniteField, "_finish_init", recorded)
-    monkeypatch.setattr(api, "build_tower", lambda *_: dataclasses.replace(cached, Fq1=Fq1))
-    assert workloads._tower_job(random.Random(7), shape, variant) == []
-    assert all(field is not Fq1 for field in built)
+    monkeypatch.setattr(api, "build_tower", lambda *_: dataclasses.replace(cached, **{name: fresh}))
+    return built, fresh

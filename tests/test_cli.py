@@ -321,13 +321,14 @@ def test_verify_counts_checks_every_cell(capsys, monkeypatch):
     (a, class of b, beta), not a sample of them."""
     import qfcodes.cli
 
-    real = qfcodes.cli.count_solutions
+    real = qfcodes.cli.closed_profile
 
-    def off_by_one(an, a, b, beta, c=None):
-        n = real(an, a, b, beta, c=c)
-        return n + 1 if c is None and (a.idx, b.idx, beta.idx) == (1, 0, 0) else n
+    def off_by_one(an):
+        C = real(an).copy()
+        C[1, 0, 0] += 1
+        return C
 
-    monkeypatch.setattr(qfcodes.cli, "count_solutions", off_by_one)
+    monkeypatch.setattr(qfcodes.cli, "closed_profile", off_by_one)
     code, out, _ = _run(capsys, "verify", "counts", "--preset", "example-3.3")
     assert code == 2
     assert "verify counts: FAILED" in out and "verify counts: brute != closed" in out
@@ -438,3 +439,56 @@ def test_ghw_reaches_k_20(tmp_path, capsys):
     rows = json.loads(out)["ghw"]["rows"]
     assert [row["r"] for row in rows] == list(range(1, 21))
     assert all(row["brute"] == row["closed"] for row in rows), rows
+
+
+def _affine_tr_x2(tmp_path, m2):
+    """Config path of the affine Tr(x**2) code on (3, 1, 2, m2)."""
+    cfg = {"tower": {"p": 3, "m": 1, "m1": 2, "m2": m2},
+           "form": {"frobenius": [{"coeff": 1, "i": 0}]}, "variant": "affine"}
+    path = tmp_path / f"tr_x2_{m2}.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    return str(path)
+
+
+def test_weight_data_reaches_f_3_16_without_its_tables(tmp_path, capsys, monkeypatch):
+    """On (3,1,2,16) code, cwe, ghw and verify all exit 0 with brute == closed
+    everywhere, and neither F_{3^16} nor F_9 gets tables: F_{q^m2} is read
+    through its trace matrix, F_{q^m1} through its F_p algebra."""
+    import dataclasses
+
+    import qfcodes.cli
+    from qfcodes import build_tower, fields
+
+    cached = build_tower(3, 1, 2, 16)
+    fresh = {name: fields.ExtField(F.base, F.degree, var=F.var, modulus=F.modulus)
+             for name, F in (("Fq1", cached.Fq1), ("Fq2", cached.Fq2))}
+    built, finish = [], fields.FiniteField._finish_init
+
+    def recorded(field):
+        built.append(field)
+        finish(field)
+
+    monkeypatch.setattr(fields.FiniteField, "_finish_init", recorded)
+    monkeypatch.setattr(qfcodes.cli, "build_tower", lambda **_: dataclasses.replace(cached, **fresh))
+    path = _affine_tr_x2(tmp_path, 16)
+    bundles = {}
+    for argv in (["code"], ["cwe"], ["ghw"], ["verify", "all"]):
+        code, out, err = _run(capsys, *argv, "--config", path, "--format", "json")
+        assert code == 0 and err == "", (argv, err)
+        bundles[argv[0]] = json.loads(out)
+        assert bundles[argv[0]]["disagreements"] == [], argv
+    rows = bundles["ghw"]["ghw"]["rows"]
+    assert len(rows) == 18 and all(row["brute"] == row["closed"] for row in rows)
+    assert bundles["verify"]["verify"] == {"counts": True, "lemma_basic": True, "lemma_gauss": True}
+    assert not any(F is G for F in built for G in fresh.values())
+
+
+def test_int64_counts_are_refused_at_m_40(tmp_path, capsys):
+    """On (3,1,2,38) the count q**M = 3**40 at (a, b, beta) = (0, 0, 0) does
+    not fit in int64: weight data and counts exit 1 on one line, before the
+    value profile is built, never with a wrapped count."""
+    path = _affine_tr_x2(tmp_path, 38)
+    for argv in (["cwe"], ["verify", "counts"]):
+        code, out, err = _run(capsys, *argv, "--config", path)
+        assert code == 1 and out == ""
+        assert err == "qfcodes: error: q**M = 3**40 >= 2**63: int64 counts would wrap\n"

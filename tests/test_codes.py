@@ -240,20 +240,6 @@ def test_class_kernel_is_the_cwe_of_every_codeword(shape, data):
     assert cwe_brute(spec) == CWE(dict(oracle))
 
 
-def test_kernel_reads_one_trace_row_per_class(ex35, monkeypatch):
-    """The b-histograms come from the two class representatives only."""
-    Fq2 = ex35.tower.Fq2
-    real, calls = Fq2.trace_row, []
-
-    def counted(b, target):
-        calls.append(b)
-        return real(b, target)
-
-    monkeypatch.setattr(Fq2, "trace_row", counted)
-    cwe_brute(ex35)
-    assert len(calls) <= 2
-
-
 def test_exhaustive_cwe_affine_390625_messages():
     """Every message of an affine (5,2,1,2) code, against the closed form."""
     from qfcodes import CodeSpec, FrobeniusTerm, QuadraticForm, build_tower
@@ -285,10 +271,12 @@ def test_weight_data_budget_refusal(ex31):
 
 
 def test_weight_data_budget_is_the_kernel_cost(ex31):
-    """One trace per element of F_{q^m2}, then q**3 histogram cells and
-    n_c * q**2 composition cells for each of the two classes of b."""
-    q, q2 = ex31.tower.q, ex31.tower.Fq2.order
-    cost = q2 + 2 * q**3 + 2 * 1 * q**2  # homogeneous: n_c = 1
+    """m * m2 digits of y times p * q cells of the trace DP, then q**3
+    histogram cells and n_c * q**2 composition cells for each of the two
+    classes of b."""
+    tw = ex31.tower
+    q = tw.q
+    cost = tw.m * tw.m2 * tw.p * q + 2 * q**3 + 2 * 1 * q**2  # homogeneous: n_c = 1
     with pytest.raises(BudgetError, match="message-space enumeration"):
         cwe_brute(ex31, budget=cost - 1)
     assert cwe_brute(ex31, budget=cost) == cwe_predicted(ex31)
@@ -464,3 +452,49 @@ def test_exhaustive_cwe_at_f_3_12():
     assert run["equal"]
     assert run["seconds"] < 2, run
     assert run["peak_mb"] < 300, run
+
+
+_TRACE_DP_REACH = textwrap.dedent(
+    """
+    import contextlib, io, json, resource, sys, time
+    from qfcodes.cli import main
+    start, bundles = time.perf_counter(), {}
+    for argv in (["code"], ["cwe"], ["ghw"], ["verify", "all"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([*argv, "--config", sys.argv[1], "--format", "json"])
+        bundles[argv[0]] = [code, json.loads(out.getvalue())]
+    print(json.dumps({
+        "bundles": bundles,
+        "seconds": time.perf_counter() - start,
+        "peak_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    }))
+    """
+)
+
+
+@pytest.mark.reach
+def test_weight_data_and_hierarchy_at_f_3_30(tmp_path):
+    """The affine Tr(x**2) code over F_9 x F_{3^30} (k = 32, n = 3**32): WD,
+    CWE, all 32 d_r and every verify suite agree with the closed forms, in a
+    fresh process, in under 10 s and 200 MB."""
+    cfg = {"tower": {"p": 3, "m": 1, "m1": 2, "m2": 30},
+           "form": {"frobenius": [{"coeff": 1, "i": 0}]}, "variant": "affine"}
+    path = tmp_path / "f_3_30.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    src = str(Path(qfcodes.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACE_DP_REACH, str(path)], env=env, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    run = json.loads(proc.stdout)
+    for code, bundle in run["bundles"].values():
+        assert code == 0 and bundle["disagreements"] == [], bundle
+    rows = run["bundles"]["ghw"][1]["ghw"]["rows"]
+    assert [row["r"] for row in rows] == list(range(1, 33))
+    assert all(row["brute"] == row["closed"] for row in rows), rows
+    assert all(run["bundles"]["verify"][1]["verify"].values())
+    assert run["seconds"] < 10, run
+    assert run["peak_mb"] < 200, run

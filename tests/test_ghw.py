@@ -249,14 +249,24 @@ def test_scan_is_the_first_maximiser_of_the_point_count(name, monkeypatch):
 def test_chunk_boundaries_do_not_move_the_scan(name, chunk, monkeypatch):
     """One subspace per batch, and batches (1000 // q**s subspaces) that do
     not divide the q**f bases of a pivot set, give the same values and
-    witnesses; on descent-7, for the descended scan over F_7."""
+    witnesses; on descent-7, for the descended scan over F_7.  The quotient
+    cache is cleared first, so the patched pass really scans."""
     spec = spec_for(name)
     params = make_descent(spec.tower, 3) if name.startswith("descent") else None
     brute = partial(ghw.scan, spec, params, budget=DEFAULT_BUDGET)
     rs = range(1, ghw.message_dim(spec, params) + 1)
     want = [brute(r) for r in rs]
+    ghw._quotient.cache_clear()
+    calls, real = [], ghw._span_sums
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
     monkeypatch.setattr(ghw, "_CHUNK", chunk)
+    monkeypatch.setattr(ghw, "_span_sums", spy)
     assert [brute(r) for r in rs] == want
+    assert calls
 
 
 def test_scan_memory_stays_flat(ex36):
