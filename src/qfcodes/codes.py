@@ -13,9 +13,10 @@ Weight distributions and complete weight enumerators are computed two ways:
   composition for b = 0 and one for all b != 0, and counts each with the
   size of its class.  The y side is a digit DP through the trace matrix of
   F_{q^m2}, which builds no table of that field.  The kernel refuses beyond
-  the budget, or past int64 counts, before building any table.
-* ``predicted``: direct instantiation of the closed-form tables, exact
-  rational arithmetic with an integrality assertion.
+  the budget, or past int64 counts, before building any table.  The weight
+  distribution counts the weights n - comp[..., 0] of the same compositions.
+* ``predicted``: direct instantiation of the closed-form tables in Python
+  integers: the character term q**(M-1) eps q**(-r/2) is eps q**(M-1-h).
 
 Disagreement between the two routes is surfaced, never reconciled.
 """
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -278,40 +278,56 @@ def _compositions(spec: CodeSpec, budget: int = DEFAULT_BUDGET):
         yield c, comp
 
 
-def cwe_brute(
-    spec: CodeSpec, *, audit: bool = True, budget: int = DEFAULT_BUDGET
-) -> CWE:
-    """Complete weight enumerator over every message.
-
-    ``audit`` remains only for its one caller, ``perfbench/api.py``, which
-    passes ``audit=True``; ``audit=False`` is refused.
-    """
+def _exhaustive(audit: bool):
+    """``audit`` remains only for its one caller, ``perfbench/api.py``, which
+    passes ``audit=True``; ``audit=False`` is refused."""
     if not audit:
         raise ParameterError(
             "stratum mode was removed; weight data is always exhaustive"
         )
+
+
+def _refuse_zero_weight(zero_weight: int):
+    """The zero message is allowed its zero codeword; no other message is."""
+    if zero_weight != 1:
+        raise ArithmeticError(
+            f"{zero_weight - 1} nonzero messages map to the zero codeword"
+        )
+
+
+def cwe_brute(
+    spec: CodeSpec, *, audit: bool = True, budget: int = DEFAULT_BUDGET
+) -> CWE:
+    """Complete weight enumerator over every message; ``audit`` as in
+    :func:`_exhaustive`."""
+    _exhaustive(audit)
     sizes = (1, spec.tower.Fq2.order - 1)  # messages per (a, c) in each class
     counts: dict[tuple[int, ...], int] = {}
-    zero_weight_msgs = -1  # the zero message is allowed its zero codeword
     for _, comp in _compositions(spec, budget):
         for by_class in comp.tolist():
             for row, size in zip(by_class, sizes):
                 key = tuple(row)
                 counts[key] = counts.get(key, 0) + size
-                if row[0] == spec.length:
-                    zero_weight_msgs += size
-    if zero_weight_msgs:
-        raise ArithmeticError(
-            f"{zero_weight_msgs} nonzero messages map to the zero codeword"
-        )
+    _refuse_zero_weight(counts.get((spec.length,) + (0,) * (spec.tower.q - 1), 0))
     return CWE(counts)
 
 
 def weight_distribution_brute(
     spec: CodeSpec, *, audit: bool = True, budget: int = DEFAULT_BUDGET
 ) -> WeightDistribution:
-    """Weight distribution over every message; ``audit`` as in :func:`cwe_brute`."""
-    return cwe_brute(spec, audit=audit, budget=budget).weight_marginal()
+    """Weight distribution over every message: the weights n - comp[..., 0]
+    of the compositions, counted per class of b; ``audit`` as in
+    :func:`_exhaustive`."""
+    _exhaustive(audit)
+    zeros = np.stack([comp[..., 0] for _, comp in _compositions(spec, budget)])
+    weights, cells = np.unique(spec.length - zeros, return_inverse=True)
+    cells = cells.reshape(zeros.shape)
+    per_class = [np.bincount(cells[..., j].ravel(), minlength=len(weights)) for j in (0, 1)]
+    size = spec.tower.Fq2.order - 1  # messages per (a, c) with b != 0
+    n0, n1 = (n.tolist() for n in per_class)
+    counts = {w: c0 + c1 * size for w, c0, c1 in zip(weights.tolist(), n0, n1)}
+    _refuse_zero_weight(counts.get(0, 0))
+    return WeightDistribution(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -319,44 +335,42 @@ def weight_distribution_brute(
 # ---------------------------------------------------------------------------
 
 
-def _as_int(x: Fraction) -> int:
-    assert x.denominator == 1 and x >= 0, x
-    return int(x)
+def _closed_terms(spec: CodeSpec) -> tuple[int, int]:
+    """(q**(M-1), e) with e = eps q**(M-1-h), h = floor(r_Q / 2): q**(M-1)
+    times the character term eps q**(-r_Q/2) (even rank) or eps q**((1-r_Q)/2)
+    (odd rank), an integer since r_Q <= m1 <= M - 1."""
+    tower, an = spec.tower, spec.analysis
+    q, M, h = tower.q, tower.M, an.r_q // 2
+    assert M - 1 - h >= 0, (M, an.r_q)
+    return q ** (M - 1), an.eps * q ** (M - 1 - h)
 
 
 def weight_distribution_predicted(spec: CodeSpec) -> WeightDistribution:
     """Instantiate the four weight tables; duplicate rows merge."""
     tower = spec.tower
-    q, M = tower.q, tower.M
-    an = spec.analysis
-    r, eps = an.r_q, an.eps
-    qM1 = Fraction(q) ** (M - 1)
-    rows: list[tuple[Fraction, int]] = [(Fraction(0), 1)]
+    q, M, m2 = tower.q, tower.M, tower.m2
+    qM1, e = _closed_terms(spec)
+    rows = [(0, 1)]
     if spec.variant is Variant.HOMOGENEOUS:
-        if r % 2 == 0:
-            rows.append((qM1 * (q - 1), q * (q**tower.m2 - 1)))
-            rows.append((qM1 * (q - 1) * (1 - Fraction(eps, q ** (r // 2))), q - 1))
+        if spec.analysis.r_q % 2 == 0:
+            rows.append(((q - 1) * qM1, q * (q**m2 - 1)))
+            rows.append(((q - 1) * (qM1 - e), q - 1))
         else:
-            rows.append((qM1 * (q - 1), q ** (tower.m2 + 1) - 1))
+            rows.append(((q - 1) * qM1, q ** (m2 + 1) - 1))
     else:
-        half_pow = (
-            Fraction(eps, q ** (r // 2))
-            if r % 2 == 0
-            else eps * Fraction(q) ** ((1 - r) // 2)
-        )
-        rows.append((Fraction(q**M), q - 1))
-        if r % 2 == 0:
-            rows.append((qM1 * (q - 1), q * q * (q**tower.m2 - 1)))
-            rows.append((qM1 * (q - 1) * (1 - half_pow), q - 1))
-            rows.append((qM1 * (q - 1 + half_pow), (q - 1) ** 2))
+        rows.append((q**M, q - 1))
+        if spec.analysis.r_q % 2 == 0:
+            rows.append(((q - 1) * qM1, q * q * (q**m2 - 1)))
+            rows.append(((q - 1) * (qM1 - e), q - 1))
+            rows.append(((q - 1) * qM1 + e, (q - 1) ** 2))
         else:
-            rows.append((qM1 * (q - 1), q * q * (q**tower.m2 - 1) + q - 1))
-            rows.append((qM1 * (q - 1 - half_pow), (q - 1) ** 2 // 2))
-            rows.append((qM1 * (q - 1 + half_pow), (q - 1) ** 2 // 2))
+            rows.append(((q - 1) * qM1, q * q * (q**m2 - 1) + q - 1))
+            rows.append(((q - 1) * qM1 - e, (q - 1) ** 2 // 2))
+            rows.append(((q - 1) * qM1 + e, (q - 1) ** 2 // 2))
     out: dict[int, int] = {}
     for w, f in rows:
-        wi = _as_int(w)
-        out[wi] = out.get(wi, 0) + f
+        assert w >= 0, w
+        out[w] = out.get(w, 0) + f
     return WeightDistribution(out)
 
 
@@ -364,62 +378,41 @@ def cwe_predicted(spec: CodeSpec) -> CWE:
     """Instantiate the closed-form composition formulas under the canonical
     symbol ordering (character values evaluated, not assumed)."""
     tower = spec.tower
-    Fq = tower.Fq
-    q, M = tower.q, tower.M
-    an = spec.analysis
-    r, eps = an.r_q, an.eps
-    n = spec.length
-    qM1 = Fraction(q) ** (M - 1)
+    Fq, q, M = tower.Fq, tower.q, tower.M
+    qM1, e = _closed_terms(spec)
     omega = Fq.omega
     counts: dict[tuple[int, ...], int] = {}
 
     def put(comp, mult):
-        comp = tuple(_as_int(k) for k in comp)
+        assert min(comp) >= 0, comp
+        comp = tuple(comp)
         counts[comp] = counts.get(comp, 0) + mult
 
     if spec.variant is Variant.HOMOGENEOUS:
-        put([Fraction(n)] + [Fraction(0)] * (q - 1), 1)
+        put([spec.length] + [0] * (q - 1), 1)
         put([qM1 - 1] + [qM1] * (q - 1), q * (q**tower.m2 - 1))
-        if r % 2 == 0:
-            t = Fraction(eps, q ** (r // 2))
-            put(
-                [qM1 * (1 + t * (q - 1)) - 1] + [qM1 * (1 - t)] * (q - 1),
-                q - 1,
-            )
+        if spec.analysis.r_q % 2 == 0:
+            put([qM1 + e * (q - 1) - 1] + [qM1 - e] * (q - 1), q - 1)
         else:
-            t = eps * Fraction(q) ** ((1 - r) // 2)
+            etas = [Fq.eta(Fq.neg(omega[rho])) for rho in range(1, q)]
             for sign in (1, -1):
-                comp = [qM1 - 1]
-                for rho in range(1, q):
-                    e = Fq.eta(Fq.neg(omega[rho]))
-                    comp.append(qM1 * (1 + sign * t * e))
-                put(comp, (q - 1) // 2)
+                put([qM1 - 1] + [qM1 + sign * e * t for t in etas], (q - 1) // 2)
     else:
         for i in range(q):
-            comp = [Fraction(0)] * q
-            comp[i] = Fraction(q**M)
+            comp = [0] * q
+            comp[i] = q**M
             put(comp, 1)
         put([qM1] * q, q * q * (q**tower.m2 - 1))
-        if r % 2 == 0:
-            t = Fraction(eps, q ** (r // 2))
-            t1 = qM1 * (1 + t * (q - 1))
-            t2 = qM1 * (1 - t)
+        if spec.analysis.r_q % 2 == 0:
             for i in range(q):
-                comp = [t2] * q
-                comp[i] = t1
+                comp = [qM1 - e] * q
+                comp[i] = qM1 + e * (q - 1)
                 put(comp, q - 1)
         else:
-            t = eps * Fraction(q) ** ((1 - r) // 2)
-            for i in range(q):
+            for i in range(q):  # eta(0) = 0 leaves q**(M-1) at rho = i
+                etas = [Fq.eta(Fq.sub(omega[i], omega[rho])) for rho in range(q)]
                 for sign in (1, -1):
-                    comp = []
-                    for rho in range(q):
-                        if rho == i:
-                            comp.append(qM1)
-                        else:
-                            e = Fq.eta(Fq.sub(omega[i], omega[rho]))
-                            comp.append(qM1 * (1 + sign * t * e))
-                    put(comp, (q - 1) // 2)
+                    put([qM1 + sign * e * t for t in etas], (q - 1) // 2)
     return CWE(counts)
 
 

@@ -10,6 +10,11 @@ prime-field quadratic Gauss sum g_p = sum(zeta**(x*x)), whose square is p*.
 Every closed form used here then clears its p-power denominator exactly, so
 no floating point appears anywhere; solution counts are sums of powers of q
 with exponents asserted >= 0 (``q ** e``, e < 0, would be a float).
+
+The lemma checks run over index arrays: a brute ``*_sums_brute`` gives the
+trace counts [i, t] of each sum, a closed ``*_sums_closed`` its coordinates,
+and ``sums_agree`` compares them at once; each scalar function is a one-row
+call of its array form.
 """
 
 from __future__ import annotations
@@ -30,8 +35,13 @@ __all__ = [
     "upsilon",
     "cyc_from_trace_counts",
     "additive_char_sum",
+    "sums_agree",
+    "eta_twisted_sums_brute",
+    "eta_twisted_sums_closed",
     "eta_twisted_sum_brute",
     "eta_twisted_sum_closed",
+    "qf_exp_sums_brute",
+    "qf_exp_sums_closed",
     "qf_exp_sum_brute",
     "qf_exp_sum_closed",
     "closed_profile",
@@ -165,23 +175,16 @@ def upsilon(q: int, idx: int) -> int:
 
 
 def _q_pow_pstar_neg_half(p: int, top_exp: int, j: int) -> CycInt:
-    """p**top_exp * (p*)**(-j/2) as an exact cyclotomic integer.
+    """p**top_exp * (p*)**(-j/2) as an exact cyclotomic integer, through
+    (p*)**(-j/2) = g_p * (p*)**(-(j+1)/2) for odd j.
 
     Needs 2*top_exp >= j + (j odd), which holds for every use here.
     """
-    if j % 2 == 0:
-        half = j // 2
-        sign = -1 if (pstar(p) < 0 and half % 2) else 1
-        val = sign * p ** (top_exp - half)
-        if top_exp < half:
-            raise ArithmeticError("negative p-power after clearing denominators")
-        return CycInt.from_int(p, val)
-    # (p*)**(-j/2) = g_p * (p*)**(-(j+1)/2)
     half = (j + 1) // 2
     if top_exp < half:
         raise ArithmeticError("negative p-power after clearing denominators")
-    sign = -1 if (pstar(p) < 0 and half % 2) else 1
-    return gauss_sum(p) * (sign * p ** (top_exp - half))
+    val = (-1 if pstar(p) < 0 and half % 2 else 1) * p ** (top_exp - half)
+    return gauss_sum(p) * val if j % 2 else CycInt.from_int(p, val)
 
 
 # ---------------------------------------------------------------------------
@@ -214,60 +217,99 @@ def additive_char_sum(field: FiniteField, func) -> CycInt:
     return cyc_from_trace_counts(p, counts)
 
 
+@lru_cache(maxsize=None)
+def _etas(Fq: FiniteField) -> np.ndarray:
+    """eta at every F_q index (read-only)."""
+    out = np.array([Fq.eta(v) for v in range(Fq.order)], dtype=np.int64)
+    out.setflags(write=False)
+    return out
+
+
+def sums_agree(counts, coords) -> bool:
+    """Brute trace counts [..., t] (the sums sum_t counts[t] zeta**t) equal
+    closed Z[zeta_p] coordinates [..., :] cell for cell."""
+    counts = np.asarray(counts)
+    return np.array_equal(counts[..., :-1] - counts[..., -1:], coords)
+
+
+def _counts(rows: int, p: int, traces: np.ndarray, values) -> np.ndarray:
+    """[i, t]: the sum of ``values`` (broadcast to the shape of ``traces``)
+    over the cells of row i of ``traces`` that hold t."""
+    out = np.zeros((rows, p), dtype=np.int64)
+    index = (np.arange(rows)[:, None], traces)
+    np.add.at(out, index, np.broadcast_to(values, traces.shape))
+    return out
+
+
+def eta_twisted_sums_brute(Fq: FiniteField, k, b) -> np.ndarray:
+    """Trace counts [i, t] of sum over z in F_q* of eta(z)**k_i zeta**Tr(z b_i)
+    by enumeration, for the index arrays k and b: z runs over F_q* in omega
+    order, z = g**j, so eta(z) = (-1)**j."""
+    k, b = np.broadcast_arrays(np.atleast_1d(k), np.atleast_1d(b))
+    traces = Fq.trace_table(Fq.subfield_chain()[-1])[Fq.op_table("mul")[b[:, None], Fq.omega[1:]]]
+    return _counts(len(b), Fq.p, traces, (-1) ** (k[:, None] % 2 * np.arange(Fq.order - 1)))
+
+
+def eta_twisted_sums_closed(Fq: FiniteField, k, b) -> np.ndarray:
+    """Z[zeta_p] coordinates [i, :] of the closed form at (k_i, b_i):
+    upsilon(b) for even k; the Gauss-sum expression, g_p once, for odd k."""
+    k, b = np.broadcast_arrays(np.atleast_1d(k), np.atleast_1d(b))
+    p, m = Fq.p, Fq.degree_over(Fq.subfield_chain()[-1])
+    odd = (-1) ** (m - 1) * _etas(Fq)[Fq.op_table("sub")[0, b]] * (k % 2)
+    out = odd[:, None] * np.array(_q_pow_pstar_neg_half(p, m, m).coords, dtype=object)
+    out[:, 0] += np.where(k % 2, 0, np.where(b == 0, Fq.order - 1, -1))
+    return out
+
+
 def eta_twisted_sum_brute(Fq: FiniteField, k: int, b: Elem) -> CycInt:
     """sum over z in F_q* of eta(z)**k * zeta**(Tr(z*b)) by enumeration."""
     if b.field is not Fq:
         raise MixedFieldError("b must lie in F_q")
-    p = Fq.p
-    # z runs over F_q* in omega order, z = g**j: eta(z) = (-1)**j
-    traces = Fq.trace_table(Fq.subfield_chain()[-1])[Fq.op_table("mul")[b.idx, Fq.omega[1:]]]
-    pos = np.bincount(traces[0::2], minlength=p)
-    neg = np.bincount(traces[1::2], minlength=p)
-    return cyc_from_trace_counts(p, (pos + neg if k % 2 == 0 else pos - neg).tolist())
+    return cyc_from_trace_counts(Fq.p, eta_twisted_sums_brute(Fq, k, b.idx)[0].tolist())
 
 
 def eta_twisted_sum_closed(Fq: FiniteField, k: int, b: Elem) -> CycInt:
     """Closed form: upsilon(b) for even k; the Gauss-sum expression for odd."""
     if b.field is not Fq:
         raise MixedFieldError("b must lie in F_q")
-    p = Fq.p
-    m, sz = 0, 1
-    while sz < Fq.order:
-        sz *= p
-        m += 1
-    if k % 2 == 0:
-        return CycInt.from_int(p, upsilon(Fq.order, b.idx))
-    eta_nb = Fq.eta(Fq.neg(b.idx))
-    if eta_nb == 0:
-        return CycInt.from_int(p, 0)
-    sign = (-1) ** (m - 1) * eta_nb
-    return _q_pow_pstar_neg_half(p, m, m) * sign
+    return CycInt(Fq.p, eta_twisted_sums_closed(Fq, k, b.idx)[0].tolist())
+
+
+def qf_exp_sums_brute(form: QuadraticForm, z) -> np.ndarray:
+    """Trace counts [i, t] of sum over x in F_{q^m1} of zeta**(Tr_{q/p}(z_i
+    Q(x))), by enumeration: the value histogram at Tr(z_i v), v in F_q."""
+    tower, z = form.tower, np.atleast_1d(z)
+    traces = tower.Fq.trace_table(tower.Fp)[tower.Fq.op_table("mul")[z]]
+    return _counts(len(z), tower.p, traces, form.value_histogram)
+
+
+def qf_exp_sums_closed(analysis: QuadFormAnalysis, z) -> np.ndarray:
+    """Z[zeta_p] coordinates [i, :] of the two-case closed form at z_i != 0."""
+    tower, z = analysis.tower, np.atleast_1d(z)
+    if not z.all():
+        raise MixedFieldError("z must lie in F_q*")
+    Fq, p, m, m1 = tower.Fq, tower.p, tower.m, tower.m1
+    out = np.zeros((len(z), p - 1), dtype=object)
+    if analysis.r_q % 2 == 0:
+        out[:, 0] = analysis.eps * Fq.order ** (m1 - analysis.r_q // 2)
+        return out
+    sign = (-1) ** (m - 1) * _etas(Fq)[Fq.op_table("sub")[0, z]] * analysis.eps_q
+    base = _q_pow_pstar_neg_half(p, m * m1, m * analysis.r_q)
+    return sign[:, None] * np.array(base.coords, dtype=object)
 
 
 def qf_exp_sum_brute(form: QuadraticForm, z: Elem) -> CycInt:
     """sum over x in F_{q^m1} of zeta**(Tr_{q/p}(z*Q(x))), by enumeration."""
-    tower = form.tower
-    Fq = tower.Fq
-    if z.field is not Fq:
+    if z.field is not form.tower.Fq:
         raise MixedFieldError("z must lie in F_q")
-    counts = np.zeros(tower.p, dtype=np.int64)
-    np.add.at(counts, Fq.trace_table(tower.Fp)[Fq.op_table("mul")[z.idx]], form.value_histogram)
-    return cyc_from_trace_counts(tower.p, counts.tolist())
+    return cyc_from_trace_counts(form.tower.p, qf_exp_sums_brute(form, z.idx)[0].tolist())
 
 
 def qf_exp_sum_closed(analysis: QuadFormAnalysis, z: Elem) -> CycInt:
     """The two-case closed form of the quadratic exponential sum."""
-    tower = analysis.tower
-    Fq = tower.Fq
-    if z.field is not Fq or z.idx == 0:
+    if z.field is not analysis.tower.Fq:
         raise MixedFieldError("z must lie in F_q*")
-    p, m, m1 = tower.p, tower.m, tower.m1
-    if analysis.r_q % 2 == 0:
-        return CycInt.from_int(
-            p, analysis.eps * Fq.order ** (m1 - analysis.r_q // 2)
-        )
-    sign = (-1) ** (m - 1) * Fq.eta(Fq.neg(z.idx)) * analysis.eps_q
-    return _q_pow_pstar_neg_half(p, m * m1, m * analysis.r_q) * sign
+    return CycInt(analysis.tower.p, qf_exp_sums_closed(analysis, z.idx)[0].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +329,7 @@ def closed_profile(analysis: QuadFormAnalysis) -> np.ndarray:
     if r_q % 2 == 0:
         t = np.array([upsilon(q, v) for v in range(q)], dtype=object)
     else:
-        eta = np.array([Fq.eta(v) for v in range(q)], dtype=object)
-        t = eta[Fq.op_table("mul")[Fq.op_table("sub")[0]]]  # eta(-a v) at [a, v]
+        t = _etas(Fq).astype(object)[Fq.op_table("mul")[Fq.op_table("sub")[0]]]  # eta(-a v)
     C = np.empty((q, 2, q), dtype=object)
     C[:, 0] = q ** (M - 1) + analysis.eps * q ** (M - 1 - h) * t
     C[:, 1] = q ** (M - 1)

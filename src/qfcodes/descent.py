@@ -20,7 +20,6 @@ matrix or a multiset over F_p**k.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, partial
 from math import gcd
 
@@ -29,10 +28,10 @@ import numpy as np
 from . import linalg
 from .codes import CodeSpec, Variant, WeightDistribution, cwe_brute, codeword, \
     weight_distribution_predicted
-from .cyclotomic import CycInt, cyc_from_trace_counts, eta_twisted_sum_brute
+from .cyclotomic import CycInt, _etas, cyc_from_trace_counts, eta_twisted_sum_brute
 from .errors import DEFAULT_BUDGET, ParameterError
 from .fields import Elem, FieldTower
-from .ghw import GhwReport, _quotient, b_part_zero_span, message_dim, point_count
+from .ghw import GhwReport, _exact, _quotient, b_part_zero_span, message_dim, point_count
 from .ghw import scan, strata, tabulate
 
 __all__ = [
@@ -46,6 +45,7 @@ __all__ = [
     "orbit_check",
     "OrbitCheckResult",
     "char_identity_check",
+    "char_identity_checks",
     "IdentityCheckResult",
     "descended_ghw_closed",
     "descended_ghw_brute",
@@ -292,20 +292,34 @@ class IdentityCheckResult:
         return self.plain_ok and self.twisted_ok
 
 
-def char_identity_check(params: DescentParams, c: Elem, a: Elem) -> IdentityCheckResult:
-    """Both coset character identities, compared exactly in Z[zeta_p], from
-    the row c of ``params.orbit_traces``: eta(o a) = eta(o) eta(a)."""
-    Fq, p = params.tower.Fq, params.tower.p
-    if c.field is not Fq or a.field is not Fq or c.idx == 0 or a.idx == 0:
+def char_identity_checks(params: DescentParams, c, a) -> tuple[np.ndarray, np.ndarray]:
+    """Both coset character identities at each pair (c_i, a_i) of F_q*
+    indices, for ``sums_agree``: the trace counts [i, (plain, twisted), t] of
+    the left sides, read from the rows c of ``params.orbit_traces``
+    (eta(o a) = eta(o) eta(a)), and the Z[zeta_p] coordinates of the right
+    sides, with the brute g1 computed once."""
+    Fq, p, N = params.tower.Fq, params.tower.p, params.N
+    c, a = np.broadcast_arrays(np.atleast_1d(c), np.atleast_1d(a))
+    if not (c.all() and a.all()):
         raise ParameterError("need c, a in F_q*")
-    pairs, eta_a = list(zip(*params.orbit_traces[c.idx].tolist())), Fq.eta(a.idx)
-    plain_lhs = cyc_from_trace_counts(p, [sq + ns for sq, ns in pairs])
-    plain_rhs = CycInt.from_int(p, -(p - 1) // params.N)
-    twisted_lhs = cyc_from_trace_counts(p, [eta_a * (sq - ns) for sq, ns in pairs])
-    g1 = eta_twisted_sum_brute(Fq, 1, Fq.one)
-    eta_ac = Fq.eta(Fq.mul(a.idx, c.idx))
-    twisted_rhs = g1 * (eta_ac * (p - 1) // params.N)
-    return IdentityCheckResult(plain_lhs, plain_rhs, twisted_lhs, twisted_rhs)
+    K, eta = params.orbit_traces[c], _etas(Fq)
+    lhs = np.stack([K[:, 0] + K[:, 1], eta[a][:, None] * (K[:, 0] - K[:, 1])], axis=1)
+    rhs = np.zeros((len(c), 2, p - 1), dtype=object)
+    rhs[:, 0, 0] = -(p - 1) // N
+    g1 = np.array(eta_twisted_sum_brute(Fq, 1, Fq.one).coords, dtype=object)
+    rhs[:, 1] = (eta[Fq.op_table("mul")[a, c]] * (p - 1) // N).astype(object)[:, None] * g1
+    return lhs, rhs
+
+
+def char_identity_check(params: DescentParams, c: Elem, a: Elem) -> IdentityCheckResult:
+    """Both coset character identities at one (c, a), compared exactly in
+    Z[zeta_p]: the one-row ``char_identity_checks``."""
+    Fq, p = params.tower.Fq, params.tower.p
+    if c.field is not Fq or a.field is not Fq:
+        raise ParameterError("need c, a in F_q*")
+    (lhs,), (rhs,) = char_identity_checks(params, c.idx, a.idx)
+    plain, twisted = (cyc_from_trace_counts(p, row.tolist()) for row in lhs)
+    return IdentityCheckResult(plain, CycInt(p, rhs[0]), twisted, CycInt(p, rhs[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -325,30 +339,15 @@ def descended_support_defect_closed(
     tower = spec.tower
     q, M, p, N = tower.q, tower.M, tower.p, params.N
     an = spec.analysis
-    r_q, eps = an.r_q, an.eps
+    r_q, eps, h = an.r_q, an.eps, an.r_q // 2
     r = len(rows)
     W = b_part_zero_span(spec, rows, tower.Fp)
     if spec.variant is Variant.HOMOGENEOUS:
-        L = Fraction(q - 1, N)
-        base = L * Fraction(q**M, p**r)
-        if r_q % 2 == 0:
-            t = sum(1 for a, _ in W if a != 0)
-            val = base * (1 + Fraction(eps * t, q ** (r_q // 2))) - L
-        else:
-            val = base - L
-    else:
-        t1, t2, t3, s = strata(tower.Fq, W)
-        G = Fraction(q**M, p**r * N)
-        if r_q % 2 == 0:
-            val = G * (
-                Fraction(eps * ((q - 1) * t1 - t2), q ** (r_q // 2)) + q - 1 - t3
-            )
-        else:
-            val = G * (
-                eps * s * Fraction(q) ** ((1 - r_q) // 2) + q - 1 - t3
-            )
-    assert val.denominator == 1 and val >= 0, val
-    return int(val)
+        t = sum(1 for a, _ in W if a != 0) if r_q % 2 == 0 else 0
+        return (q - 1) // N * (_exact(q**M * (q**h + eps * t), p**r * q**h) - 1)
+    t1, t2, t3, s = strata(tower.Fq, W)
+    char = (q - 1) * t1 - t2 if r_q % 2 == 0 else s  # odd rank: q**((1-r_Q)/2) = q**-h
+    return _exact(q**M * (eps * char + (q - 1 - t3) * q**h), p**r * N * q**h)
 
 
 def descended_ghw_brute(
@@ -368,50 +367,29 @@ def descended_ghw_closed(spec: CodeSpec, params: DescentParams, r: int) -> int:
     n_p = message_dim(spec, params)
     if not 1 <= r <= n_p:
         raise ParameterError(f"need 1 <= r <= {n_p}")
-    rq2 = Fraction(1, q ** (r_q // 2)) if r_q % 2 == 0 else None
-    odd_pow = Fraction(q) ** ((1 - r_q) // 2) if r_q % 2 == 1 else None
+    # every case is F times a value whose q**(-r_Q/2) or q**((1-r_Q)/2) term
+    # clears over q**h, h = floor(r_Q / 2): F = q**M (q - 1) / (p**r N) for
+    # the homogeneous code, q**M / (p**r N) for the affine one
+    h, pr = r_q // 2, p**r
     if spec.variant is Variant.HOMOGENEOUS:
-        F = Fraction(q**M * (q - 1), p**r * N)
+        base = (pr - 1) * q**h
         if r_q % 2 == 0 and eps == 1:
-            val = F * (p**r - 1) * (1 - rq2) if r <= m else F * (
-                p**r - 1 - rq2 * (q - 1)
-            )
-        elif r_q % 2 == 0:
-            if r <= m * m2:
-                val = F * (p**r - 1)
-            else:
-                val = F * (p**r - 1 + rq2 * (p ** (r - m * m2) - 1))
-        else:
-            val = F * (p**r - 1)
+            base = (pr - 1) * (q**h - 1) if r <= m else base - (q - 1)
+        elif r_q % 2 == 0 and r > m * m2:
+            base += p ** (r - m * m2) - 1
+        val = _exact(q**M * (q - 1) * base, pr * N * q**h)
     else:
-        G = Fraction(q**M, p**r * N)
         top = m * (m2 + 1)
-        if r_q % 2 == 0 and eps == 1:
-            if r <= m:
-                val = G * (q - 1) * (p**r - 1) * (1 - rq2)
-            elif r <= top:
-                val = G * (q - 1) * (p**r - 1 - rq2 * (q - 1))
-            else:
-                val = G * (
-                    p**r * (q - 1)
-                    - (q - p ** (r - top)) * (1 + rq2 * (q - 1))
-                )
-        elif r_q % 2 == 0:
-            if r <= m:
-                val = G * (p**r - 1) * (q - 1 - rq2)
-            elif r <= top:
-                val = G * (q - 1) * (p**r - 1 - rq2)
-            else:
-                val = G * (p**r * (q - 1) - (q - p ** (r - top)) * (1 + rq2))
+        u = q - 1 if r_q % 2 == 0 and eps == 1 else 1  # numerator of the q**-h term
+        if r <= m:
+            base = (pr - 1) * ((q - 1) * q**h - u)
+        elif r <= top:
+            base = (q - 1) * ((pr - 1) * q**h - u)
         else:
-            if r <= m:
-                val = G * (p**r - 1) * (q - 1 - odd_pow)
-            elif r <= top:
-                val = G * (q - 1) * (p**r - 1 - odd_pow)
-            else:
-                val = G * (p**r * (q - 1) - (q - p ** (r - top)) * (1 + odd_pow))
-    assert val.denominator == 1 and val > 0, val
-    return int(val)
+            base = pr * (q - 1) * q**h - (q - p ** (r - top)) * (q**h + u)
+        val = _exact(q**M * base, pr * N * q**h)
+    assert val > 0, val
+    return val
 
 
 def _optimizer_attains(spec: CodeSpec, params: DescentParams, r: int, d_closed: int) -> bool:

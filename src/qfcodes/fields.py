@@ -641,8 +641,9 @@ def _is_irreducible(base: FiniteField, poly: tuple[int, ...]) -> bool:
     d = n/ell, ell a prime dividing n (M. O. Rabin, "Probabilistic algorithms
     in finite fields", SIAM J. Comput. 9(2), 1980).
 
-    d = 1 is checked first: gcd(x**B - x, poly) != 1 iff poly has a root in
-    base, which rejects most reducible candidates.  The powers
+    d = 1 is checked first, by Horner evaluation at every element of base
+    (poly has a root there iff gcd(x**B - x, poly) != 1), which rejects most
+    reducible candidates before any power of x is taken.  The powers
     h_d = x**(B**d) mod poly are one Frobenius chain: c**B = c on base, so
     h**B = sum of h_j * (x**B)**j, and with the powers (x**B)**j, j < n,
     computed once, each link is one matrix-vector product over base.
@@ -652,6 +653,13 @@ def _is_irreducible(base: FiniteField, poly: tuple[int, ...]) -> bool:
         return True
     if poly[0] == 0:  # divisible by x
         return False
+    add, mul = base.add, base.mul
+    for a in range(1, base.order):
+        v = 1
+        for c in poly[-2::-1]:
+            v = add(mul(v, a), c)
+        if v == 0:  # a is a root
+            return False
 
     def coprime(h):  # gcd(h - x, poly) == 1
         g = h + [0] * (2 - len(h))
@@ -659,12 +667,9 @@ def _is_irreducible(base: FiniteField, poly: tuple[int, ...]) -> bool:
         return len(_poly_gcd(base, poly, _poly_trim(g))) == 1
 
     x_B = _poly_powmod(base, [0, 1], base.order, poly)
-    if not coprime(x_B):
-        return False
     cols = [[1], x_B]
     while len(cols) < n:
         cols.append(_poly_mulmod(base, cols[-1], x_B, poly))
-    add, mul = base.add, base.mul
     checks, h = {n // ell for ell in _prime_factors(n)}, x_B
     for d in range(2, n + 1):
         nxt = [0] * n

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 
 import numpy as np
@@ -419,8 +418,17 @@ def strata(Fq: FiniteField, W) -> tuple[int, int, int, int]:
     return t1, len(etas), t3, sum(etas)
 
 
+def _exact(num: int, den: int) -> int:
+    """num / den, asserted a nonnegative integer."""
+    val, rest = divmod(num, den)
+    assert rest == 0 and val >= 0, (num, den)
+    return val
+
+
 def support_defect_closed(spec: CodeSpec, rows) -> int:
-    """Per-subspace closed form.
+    """Per-subspace closed form, in integers over the denominator
+    q**(r + h) (q - 1), h = floor(r_Q / 2); M - r is -1 for the affine code at
+    r = k when m1 = 1.
 
     Homogeneous: q**(M-r) * (eps*t*q**(-r_Q/2) + 1) - 1 for even rank with
     t = (q-1) exactly when (1, 0) lies in the subspace, else t = 0; constant
@@ -428,34 +436,24 @@ def support_defect_closed(spec: CodeSpec, rows) -> int:
 
     Affine: the stratified sum over the b-part-zero elements, with
     t1 = #(a,0,0), t2 = #(a,0,c): ac != 0, t3 = #(0,0,c): c != 0, and the
-    character-weighted sum over the t2 stratum for odd rank.
+    character-weighted sum over the t2 stratum for odd rank (its factor
+    q**((1-r_Q)/2) is q**-h).
     """
     tower = spec.tower
     q, M = tower.q, tower.M
     an = spec.analysis
-    r_q, eps = an.r_q, an.eps
+    r_q, eps, h = an.r_q, an.eps, an.r_q // 2
     r = len(rows)
-    qMr = Fraction(q) ** (M - r)
     if spec.variant is Variant.HOMOGENEOUS and r_q % 2 != 0:
-        return int(qMr) - 1
+        return _exact(q**M, q**r) - 1
     W = b_part_zero_span(spec, rows)
     if spec.variant is Variant.HOMOGENEOUS:
         # W holds the elements (a, 0) of H: all q of them when (1, 0) is in H
         t = sum(1 for a, _ in W if a != 0)
-        val = qMr * (1 + Fraction(eps * t, q ** (r_q // 2)))
-        assert val.denominator == 1
-        return int(val) - 1
+        return _exact(q**M * (q**h + eps * t), q ** (r + h)) - 1
     t1, t2, t3, s = strata(tower.Fq, W)
-    if r_q % 2 == 0:
-        val = qMr * (1 - Fraction(t3, q - 1)) + eps * qMr * Fraction(
-            1, q ** (r_q // 2)
-        ) * (t1 - Fraction(t2, q - 1))
-    else:
-        val = qMr * (1 - Fraction(t3, q - 1)) + eps * qMr * Fraction(q) ** (
-            (1 - r_q) // 2
-        ) * Fraction(s, q - 1)
-    assert val.denominator == 1 and val >= 0, val
-    return int(val)
+    char = (q - 1) * t1 - t2 if r_q % 2 == 0 else s
+    return _exact(q**M * ((q - 1 - t3) * q**h + eps * char), q ** (r + h) * (q - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -469,36 +467,29 @@ def ghw_brute(spec: CodeSpec, r: int, budget: int = DEFAULT_BUDGET) -> tuple[int
 
 
 def ghw_closed(spec: CodeSpec, r: int) -> int:
-    """Closed-form case evaluation of d_r; asserts integrality."""
+    """Closed-form case evaluation of d_r, in integers: q**(M-r) times the
+    case value, whose q**(-r_Q/2) or q**((1-r_Q)/2) term clears over q**h,
+    h = floor(r_Q / 2); asserts integrality."""
     tower = spec.tower
     q, M = tower.q, tower.M
     an = spec.analysis
-    r_q, eps = an.r_q, an.eps
+    r_q, eps, h = an.r_q, an.eps, an.r_q // 2
     k = spec.dimension
     if not 1 <= r <= k:
         raise ParameterError(f"need 1 <= r <= {k}")
-    qMr = Fraction(q) ** (M - r)
+    base = (q**r - 1) * q**h
     if spec.variant is Variant.HOMOGENEOUS:
         if r_q % 2 == 0 and eps == 1:
-            val = qMr * (q**r - 1 - Fraction(q - 1, q ** (r_q // 2)))
-        elif r_q % 2 == 0:
-            if r < k:
-                val = qMr * (q**r - 1)
-            else:
-                val = qMr * (q**r - 1 + Fraction(q - 1, q ** (r_q // 2)))
-        else:
-            val = qMr * (q**r - 1)
+            base -= q - 1
+        elif r_q % 2 == 0 and r == k:
+            base += q - 1
+    elif r == k:
+        base = q ** (r + h)  # the value q**M
     else:
-        if r == k:
-            val = Fraction(q**M)
-        elif r_q % 2 == 0 and eps == 1:
-            val = qMr * (q**r - 1 - Fraction(q - 1, q ** (r_q // 2)))
-        elif r_q % 2 == 0:
-            val = qMr * (q**r - 1 - Fraction(1, q ** (r_q // 2)))
-        else:
-            val = qMr * (q**r - 1 - Fraction(q) ** ((1 - r_q) // 2))
-    assert val.denominator == 1 and val > 0, val
-    return int(val)
+        base -= q - 1 if r_q % 2 == 0 and eps == 1 else 1
+    val = _exact(q**M * base, q ** (r + h))
+    assert val > 0, val
+    return val
 
 
 @dataclass(frozen=True)

@@ -100,22 +100,6 @@ def _frobenius_form(tower: FieldTower, i: int) -> np.ndarray:
     return (frob[i].T @ Y % tower.p).reshape(len(Y), -1)
 
 
-@lru_cache(maxsize=None)
-def _gram_points(p: int, m: int, m1: int) -> tuple[np.ndarray, np.ndarray]:
-    """Monomials of b_i, then of b_i + b_j, i <= j (b_i = q**i), and H with
-    H @ Q(points) = (Q(b_i + b_j) - Q(b_i) - Q(b_j)) / 2 = G_ij mod p."""
-    pairs = np.triu_indices(m1)
-    basis = np.eye(m * m1, dtype=np.int64)[::m]
-    H = np.zeros((m1, m1, m1 + len(pairs[0])), dtype=np.int64)
-    for n, (i, j) in enumerate(zip(*pairs)):
-        for a, b in {(i, j), (j, i)}:
-            H[a, b, m1 + n] += 1
-            H[a, b, i] -= 1
-            H[a, b, j] -= 1
-    X = np.concatenate([basis, basis[pairs[0]] + basis[pairs[1]]])
-    return _monomials(X, p), H.reshape(m1 * m1, -1) * ((p + 1) // 2)
-
-
 def epsilon_sign(p: int, m: int, r_q: int, eps_q: int) -> int:
     """Sign constant combining eps_q with the parity of (p, m, rank)."""
     k = r_q if r_q % 2 == 0 else r_q + 1
@@ -148,6 +132,8 @@ class QuadraticForm:
                 for j in range(m1):
                     if gram[i][j] != gram[j][i]:
                         raise MixedFieldError("Gram matrix must be symmetric")
+                    if not 0 <= gram[i][j] < Fq.order:
+                        raise MixedFieldError("Gram entries must be F_q indices")
         else:
             has_nonzero = False
             for t in self.frobenius_terms:
@@ -270,15 +256,13 @@ class QuadraticForm:
 
     @cached_property
     def gram(self) -> tuple[tuple[int, ...], ...]:
-        """G[i][j] = B(b_i, b_j), the polarization on the power basis, from
-        one evaluation at each b_i and each b_i + b_j, i <= j (m1(m1+3)/2
-        points); 1/2 lies in F_p, so halving is digitwise."""
-        if self._gram_input is not None:
-            return self._gram_input
-        p, m, m1 = self.tower.p, self.tower.m, self.tower.m1
-        P, H = _gram_points(p, m, m1)
-        G = H @ _q_digits(self._digit_form, P, p) % p @ _weights(p, m)
-        return tuple(map(tuple, G.reshape(m1, m1).tolist()))
+        """G[i][j] = B(b_i, b_j), the polarization on the power basis, read
+        off S: digit k of B(x, y) is x^T (S[k] + S[k]^T) y / 2 (1/2 lies in
+        F_p), and b_i = q**i is the digit vector e_(i m); a Gram input gives
+        itself back through S."""
+        S, p, m = self._digit_form, self.tower.p, self.tower.m
+        B = (S + S.transpose(0, 2, 1))[:, ::m, ::m] * ((p + 1) // 2) % p
+        return tuple(map(tuple, np.tensordot(_weights(p, m), B, 1).tolist()))
 
     @cached_property
     def analysis(self) -> "QuadFormAnalysis":

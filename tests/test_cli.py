@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import qfcodes
 from qfcodes import Variant, build_spec, get_preset
 from qfcodes.cli import build_parser, main, preset_config, run_config, validate_config
 from qfcodes.errors import ConfigError
@@ -335,24 +340,50 @@ def test_verify_counts_checks_every_cell(capsys, monkeypatch):
 
 
 def test_descend_checks_every_c(capsys, monkeypatch):
-    """An identity check that fails for c = 2 alone turns the descent-7
-    report to identities_ok: false, exit 2: every c in F_q* is checked."""
-    import dataclasses
-
+    """A batched identity check that fails in the rows c = 2 alone turns the
+    descent-7 report to identities_ok: false, exit 2: every c in F_q* is
+    checked."""
     import qfcodes.cli
 
-    real = qfcodes.cli.char_identity_check
+    real = qfcodes.cli.char_identity_checks
 
     def fail_at_two(params, c, a):
-        res = real(params, c, a)
-        return dataclasses.replace(res, plain_rhs=res.plain_rhs + 1) if c.idx == 2 else res
+        lhs, rhs = real(params, c, a)
+        rhs = rhs.copy()
+        rhs[c == 2, 0, 0] += 1  # the plain right side, at c = 2 only
+        return lhs, rhs
 
-    monkeypatch.setattr(qfcodes.cli, "char_identity_check", fail_at_two)
+    monkeypatch.setattr(qfcodes.cli, "char_identity_checks", fail_at_two)
     code, out, _ = _run(capsys, "preset", "descent-7-2-1-1-3", "--format", "json")
     bundle = json.loads(out)
     assert code == 2
     assert bundle["descend"]["identities_ok"] is False
     assert "coset character identities failed" in bundle["disagreements"]
+
+
+@pytest.mark.parametrize("suite,name", [
+    ("lemma_basic", "eta_twisted_sums_brute"),
+    ("lemma_gauss", "qf_exp_sums_brute"),
+])
+def test_verify_lemmas_check_every_cell(suite, name, capsys, monkeypatch):
+    """One brute trace count off by one, in the last row of the eta-sum or
+    the qf-sum array of example-3.1, fails that suite alone with exit 2: the
+    suite compares every cell of the array, not a sample of them."""
+    import qfcodes.cli
+
+    real = getattr(qfcodes.cli, name)
+
+    def off_by_one(*args):
+        counts = real(*args).copy()
+        counts[-1, 0] += 1
+        return counts
+
+    monkeypatch.setattr(qfcodes.cli, name, off_by_one)
+    code, out, _ = _run(capsys, "verify", "all", "--preset", "example-3.1", "--format", "json")
+    bundle = json.loads(out)
+    assert code == 2
+    assert bundle["disagreements"] == [f"verify {suite}: brute != closed"]
+    assert [k for k, ok in bundle["verify"].items() if not ok] == [suite]
 
 
 def test_internal_key_error_propagates(monkeypatch):
@@ -492,3 +523,16 @@ def test_int64_counts_are_refused_at_m_40(tmp_path, capsys):
         code, out, err = _run(capsys, *argv, "--config", path)
         assert code == 1 and out == ""
         assert err == "qfcodes: error: q**M = 3**40 >= 2**63: int64 counts would wrap\n"
+
+
+def test_cli_import_leaves_out_fractions_and_decimal():
+    """The closed forms are exact in integers: a fresh ``import qfcodes.cli``
+    loads neither ``fractions`` nor ``decimal`` (about 3 ms of start-up)."""
+    src = str(Path(qfcodes.__file__).resolve().parents[1])
+    probe = "import sys, qfcodes.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

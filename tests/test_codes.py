@@ -30,6 +30,7 @@ from qfcodes import (
 )
 from qfcodes.codes import apply_symbol_permutation, eta_matching_permutation
 from qfcodes.errors import BudgetError
+from qfcodes.presets import preset_names
 
 from conftest import spec_for, EXAMPLE_NAMES
 
@@ -301,7 +302,8 @@ def test_oversized_codeword_is_refused_before_the_value_table():
 
 
 def test_zero_weight_message_is_refused(ex31, monkeypatch):
-    """Injectivity: a nonzero message with the zero codeword is an error."""
+    """Injectivity: a nonzero message with the zero codeword is an error, on
+    the CWE route and on the weight-distribution route alike."""
     from qfcodes import codes
 
     real = codes._compositions
@@ -312,8 +314,16 @@ def test_zero_weight_message_is_refused(ex31, monkeypatch):
             yield c, comp
 
     monkeypatch.setattr(codes, "_compositions", forged)
-    with pytest.raises(ArithmeticError, match="1 nonzero messages"):
-        cwe_brute(ex31)
+    for route in (cwe_brute, weight_distribution_brute):
+        with pytest.raises(ArithmeticError, match="1 nonzero messages"):
+            route(ex31)
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_weight_distribution_is_the_cwe_marginal(name):
+    """The weights counted off the compositions are the CWE's marginal."""
+    spec = spec_for(name)
+    assert weight_distribution_brute(spec) == cwe_brute(spec).weight_marginal()
 
 
 def test_stratum_mode_is_refused(ex31):

@@ -87,6 +87,13 @@ def test_smallest_irreducible_pinned():
     assert smallest_irreducible(F3, 7) == (2, 0, 1, 0, 0, 0, 0, 1)
     assert smallest_irreducible(F3, 8) == (2, 0, 1, 0, 0, 0, 0, 0, 1)
     assert smallest_irreducible(F5, 5) == (1, 4, 0, 0, 0, 1)
+    # every other modulus the benchmark builds
+    F7 = prime_field(7)
+    assert smallest_irreducible(F7, 4) == (1, 1, 0, 0, 1)
+    assert smallest_irreducible(F7, 3) == (2, 0, 0, 1)
+    assert smallest_irreducible(F5, 4) == (2, 0, 0, 0, 1)
+    assert smallest_irreducible(F3, 3) == (1, 2, 0, 1)
+    assert smallest_irreducible(build_tower(5, 2, 1, 1).Fq, 2) == (5, 0, 1)  # over F_25 ("w")
     assert smallest_irreducible(F3, 7) is smallest_irreducible(F3, 7)  # cached
 
 

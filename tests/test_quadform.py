@@ -122,18 +122,32 @@ def test_gram_is_the_polarization_table(name):
     assert form.gram == _polarization_table(form)
 
 
-# p in {3, 5, 7}, m in {1, 2}, m1 <= 4, with at most 2 * 10**4 elements in F_{q^m1}
+# p in {3, 5, 7}, m in {1, 2, 3}, m1 <= 4, with at most 2 * 10**4 elements in F_{q^m1}
 GRAM_TOWERS = [
     (p, m, m1, 1)
-    for p in (3, 5, 7) for m in (1, 2) for m1 in range(1, 5) if p ** (m * m1) <= 2 * 10**4
+    for p in (3, 5, 7) for m in (1, 2, 3) for m1 in range(1, 5) if p ** (m * m1) <= 2 * 10**4
 ]
 
 
-@settings(max_examples=40, deadline=None, database=None)
+@settings(max_examples=60, deadline=None, database=None)
 @given(data=st.data())
 def test_gram_is_the_polarization_on_random_towers(data):
+    """The Gram matrix read off the digit tensor S is the polarization of
+    the scalar oracle, for random terms and for random raw Gram inputs."""
     tw = build_tower(*data.draw(st.sampled_from(GRAM_TOWERS), label="tower"))
     Fq, Fq1 = tw.Fq, tw.Fq1
+    if data.draw(st.booleans(), label="raw gram"):
+        upper = data.draw(st.lists(
+            st.integers(0, Fq.order - 1), min_size=tw.m1 ** 2, max_size=tw.m1 ** 2
+        ), label="entries")
+        gram = tuple(
+            tuple(upper[min(i, j) * tw.m1 + max(i, j)] for j in range(tw.m1))
+            for i in range(tw.m1)
+        )
+        form = QuadraticForm(tw, gram=gram)
+        assert form.gram == gram
+        assert form.gram == _polarization_table(form)
+        return
     q1 = st.one_of(st.just(0), st.integers(0, Fq1.order - 1))
     frobs = data.draw(
         st.lists(st.tuples(q1, st.integers(0, tw.m1 - 1)), max_size=3), label="frobenius"
@@ -152,9 +166,9 @@ def test_gram_is_the_polarization_on_random_towers(data):
 
 
 @pytest.mark.parametrize("shape", [(3, 1, 1, 1), (3, 1, 4, 1), (5, 2, 2, 1), (3, 1, 7, 1)])
-def test_gram_evaluates_the_form_m1_m1_plus_3_over_2_times(shape, monkeypatch):
-    """One batch evaluation: once at each b_i and once at each b_i + b_j,
-    i <= j."""
+def test_gram_reads_the_digit_tensor(shape, monkeypatch):
+    """The Gram matrix evaluates Q at no point: it is read off S, and it is
+    still the polarization table."""
     tw = build_tower(*shape)
     form = _random_form(tw, random.Random(1))
     points, evaluate = [], quadform._q_digits
@@ -164,8 +178,10 @@ def test_gram_evaluates_the_form_m1_m1_plus_3_over_2_times(shape, monkeypatch):
         return evaluate(S, P, p)
 
     monkeypatch.setattr(quadform, "_q_digits", counted)
-    form.gram
-    assert len(points) == tw.m1 * (tw.m1 + 3) // 2
+    gram = form.gram
+    assert points == []
+    monkeypatch.undo()
+    assert gram == _polarization_table(form)
 
 
 def test_tr_x_squared_on_f9_has_full_rank():

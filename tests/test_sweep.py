@@ -87,8 +87,9 @@ def test_sweep_tower(pm):
     spec = CodeSpec(analysis=form.analysis, variant=variant)
 
     # weight data: every message enumerated, against the closed forms
-    assert weight_distribution_brute(spec) == weight_distribution_predicted(spec)
-    assert cwe_brute(spec) == cwe_predicted(spec)
+    wd, cwe = weight_distribution_brute(spec), cwe_brute(spec)
+    assert wd == weight_distribution_predicted(spec) == cwe.weight_marginal()
+    assert cwe == cwe_predicted(spec)
 
     # solution counts
     for _ in range(25):
