@@ -15,6 +15,9 @@ The scan and ``descend``'s rank check read the descended code only through
 its quotient multiset (``ghw._quotient``): the value histogram pushed
 forward through the trace columns, at most q**2 cells, never its generator
 matrix or a multiset over F_p**k.
+
+The descent's closed forms are ``ghw``'s (``closed_ghw``, ``closed_defect``)
+read in the frame (F_p, m, N); the F_q code is the frame (F_q, 1, q - 1).
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from .codes import CodeSpec, Variant, WeightDistribution, cwe_brute, codeword, \
 from .cyclotomic import CycInt, _etas, cyc_from_trace_counts, eta_twisted_sum_brute
 from .errors import DEFAULT_BUDGET, ParameterError
 from .fields import Elem, FieldTower
-from .ghw import GhwReport, _exact, _quotient, b_part_zero_span, message_dim, point_count
-from .ghw import scan, strata, tabulate
+from .ghw import GhwReport, _quotient, closed_defect, closed_ghw, message_dim, point_count
+from .ghw import scan, tabulate
 
 __all__ = [
     "DescentParams",
@@ -171,7 +174,7 @@ def descend(spec: CodeSpec, params: DescentParams) -> DescendedCode:
     if params.tower is not spec.tower:
         raise ParameterError("descent parameters built for a different tower")
     n_p, Fp = message_dim(spec, params), spec.tower.Fp
-    f = _quotient(Fp, spec, params)
+    f = _quotient(spec, params)
     support = np.flatnonzero(f.mu)[:, None] // Fp.order ** np.arange(f.k) % Fp.order
     rank = linalg.rank(Fp, support) + n_p - f.k
     if rank != n_p:
@@ -332,22 +335,9 @@ def descended_support_defect(spec: CodeSpec, params: DescentParams, rows) -> int
     return point_count(spec, params, rows)
 
 
-def descended_support_defect_closed(
-    spec: CodeSpec, params: DescentParams, rows
-) -> int:
-    """Per-subspace closed form for N(V), from the stratified proof sums."""
-    tower = spec.tower
-    q, M, p, N = tower.q, tower.M, tower.p, params.N
-    an = spec.analysis
-    r_q, eps, h = an.r_q, an.eps, an.r_q // 2
-    r = len(rows)
-    W = b_part_zero_span(spec, rows, tower.Fp)
-    if spec.variant is Variant.HOMOGENEOUS:
-        t = sum(1 for a, _ in W if a != 0) if r_q % 2 == 0 else 0
-        return (q - 1) // N * (_exact(q**M * (q**h + eps * t), p**r * q**h) - 1)
-    t1, t2, t3, s = strata(tower.Fq, W)
-    char = (q - 1) * t1 - t2 if r_q % 2 == 0 else s  # odd rank: q**((1-r_Q)/2) = q**-h
-    return _exact(q**M * (eps * char + (q - 1 - t3) * q**h), p**r * N * q**h)
+def descended_support_defect_closed(spec: CodeSpec, params: DescentParams, rows) -> int:
+    """Per-subspace closed form for N(V): ``closed_defect`` at (F_p, m, N)."""
+    return closed_defect(spec, params, rows)
 
 
 def descended_ghw_brute(
@@ -358,46 +348,15 @@ def descended_ghw_brute(
 
 
 def descended_ghw_closed(spec: CodeSpec, params: DescentParams, r: int) -> int:
-    """Closed-form case d_r for the descended code; asserts integrality."""
-    tower = spec.tower
-    q, M, p, N = tower.q, tower.M, tower.p, params.N
-    m, m2 = tower.m, tower.m2
-    an = spec.analysis
-    r_q, eps = an.r_q, an.eps
-    n_p = message_dim(spec, params)
-    if not 1 <= r <= n_p:
-        raise ParameterError(f"need 1 <= r <= {n_p}")
-    # every case is F times a value whose q**(-r_Q/2) or q**((1-r_Q)/2) term
-    # clears over q**h, h = floor(r_Q / 2): F = q**M (q - 1) / (p**r N) for
-    # the homogeneous code, q**M / (p**r N) for the affine one
-    h, pr = r_q // 2, p**r
-    if spec.variant is Variant.HOMOGENEOUS:
-        base = (pr - 1) * q**h
-        if r_q % 2 == 0 and eps == 1:
-            base = (pr - 1) * (q**h - 1) if r <= m else base - (q - 1)
-        elif r_q % 2 == 0 and r > m * m2:
-            base += p ** (r - m * m2) - 1
-        val = _exact(q**M * (q - 1) * base, pr * N * q**h)
-    else:
-        top = m * (m2 + 1)
-        u = q - 1 if r_q % 2 == 0 and eps == 1 else 1  # numerator of the q**-h term
-        if r <= m:
-            base = (pr - 1) * ((q - 1) * q**h - u)
-        elif r <= top:
-            base = (q - 1) * ((pr - 1) * q**h - u)
-        else:
-            base = pr * (q - 1) * q**h - (q - p ** (r - top)) * (q**h + u)
-        val = _exact(q**M * base, pr * N * q**h)
-    assert val > 0, val
-    return val
+    """Closed-form d_r of the descended code: ``closed_ghw`` at (F_p, m, N)."""
+    return closed_ghw(spec, params, r)
 
 
 def _optimizer_attains(spec: CodeSpec, params: DescentParams, r: int, d_closed: int) -> bool:
     """For the affine case r > m(m2+1), even rank, build the optimizing
     subspace named in the proof and confirm its defect reaches
     length - d_closed."""
-    tower = spec.tower
-    m, m2 = tower.m, tower.m2
+    m, m2 = spec.tower.m, spec.tower.m2
     top = m * (m2 + 1)
     if spec.variant is not Variant.AFFINE or r <= top:
         return True

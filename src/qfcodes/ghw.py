@@ -17,8 +17,10 @@ Four routes compute N(D):
 * the point count (``support_defect``; the tests' oracle): the basis rows
   times the generator matrix G, stacked from codewords, all-zero columns
   counted.  Only this oracle builds G;
-* the closed forms (``support_defect_closed`` per subspace, ``ghw_closed``
-  for d_r; production);
+* the closed forms (``closed_defect`` per subspace, ``closed_ghw`` for d_r;
+  production), one formula per job for both code families, read in the
+  frame (F, e, N) of ``_frame``: the F_q code is its own descent at
+  (F_q, 1, q - 1), and its descent under ``params`` is at (F_p, m, N);
 * the character sum (``support_defect_char``), an audit.
 """
 
@@ -94,7 +96,7 @@ def generator_matrix(spec: CodeSpec, params=None) -> np.ndarray:
     independent oracle: no production path builds G.
     """
     Fq, Fq2 = spec.tower.Fq, spec.tower.Fq2
-    field = Fq if params is None else spec.tower.Fp
+    field = _frame(spec, params)[0]
     affine = spec.variant is Variant.AFFINE
     words = []
     for unit in np.eye(message_dim(spec, params), dtype=np.int64):
@@ -109,9 +111,19 @@ def generator_matrix(spec: CodeSpec, params=None) -> np.ndarray:
     return G
 
 
+def _frame(spec: CodeSpec, params=None) -> tuple[FiniteField, int, int]:
+    """(F, e, N): the field the code is read over, its digits per message
+    coordinate and N, with (q - 1)/N trace columns per symbol.  The F_q code
+    is its own descent at (F_q, 1, q - 1), one column per symbol; the descent
+    under ``params`` (``descent.DescentParams``) is at (F_p, m, N)."""
+    if params is None:
+        return spec.tower.Fq, 1, spec.tower.q - 1
+    return spec.tower.Fp, spec.tower.m, params.N
+
+
 def message_dim(spec: CodeSpec, params=None) -> int:
     """Dimension of the message space over F_q, or over F_p for the descent."""
-    return spec.dimension * (1 if params is None else spec.tower.m)
+    return spec.dimension * _frame(spec, params)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +295,11 @@ def scan(spec: CodeSpec, params, r: int, budget: int) -> tuple[int, tuple]:
     quotient's first maximiser on pi's coordinates and the first r - d + j
     unit vectors of W: its annihilator is the best j-dim subspace lifted,
     plus the rest of W."""
-    F = spec.tower.Fq if params is None else spec.tower.Fp
-    k, q = message_dim(spec, params), F.order
+    F, e, _ = _frame(spec, params)
+    k, q = spec.dimension * e, F.order
     if not 1 <= r <= k:
         raise ParameterError(f"need 1 <= r <= {k}")
-    kept, W = _blocks(spec, k // spec.dimension)
+    kept, W = _blocks(spec, e)
     d, u = len(kept), k - r
     js = range(max(0, u - len(W)), min(d, u) + 1)
     count = sum(gaussian_binomial(d, j, q) for j in js)
@@ -297,7 +309,7 @@ def scan(spec: CodeSpec, params, r: int, budget: int) -> tuple[int, tuple]:
     # f, f* and each dot table have at most q**d cells
     if q**d > budget:
         raise BudgetError(q**d, budget, f"column multiset over F_{q}^{d}")
-    ms = _quotient(F, spec, params)
+    ms = _quotient(spec, params)
     defect = {j: q ** (u - j) * (ms.n - ms.best(d - j)[0]) for j in js}
     j = max(js, key=defect.get)  # the first maximiser
     rows = np.zeros((r, k), dtype=np.int64)
@@ -307,7 +319,7 @@ def scan(spec: CodeSpec, params, r: int, budget: int) -> tuple[int, tuple]:
 
 
 @lru_cache(maxsize=None)
-def _quotient(F: FiniteField, spec: CodeSpec, params) -> _Multiset:
+def _quotient(spec: CodeSpec, params) -> _Multiset:
     """f over F**d, the column multiset of the quotient by W (``_blocks``).
 
     The column at (x, y) is (Q(x), Tr(e_t y) for the basis e_t of index
@@ -318,17 +330,17 @@ def _quotient(F: FiniteField, spec: CodeSpec, params) -> _Multiset:
     column (v, i) is sum_s q**s D_i[v_s], D_i[g] = sum_j Tr(theta**i b_j g)
     p**j, b_j of index p**j, a bijection on each block: f is pushed forward
     through every D_i (and z = L)."""
+    F, e, _ = _frame(spec, params)
     Fq, q, d = spec.tower.Fq, spec.tower.q, 2 if spec.variant is Variant.AFFINE else 1
     f = np.zeros(q**d, dtype=np.int64)
     f.reshape(-1, q)[d - 1] = spec.analysis.form.value_histogram  # [c, v0]
-    if params is None:
-        return _Multiset(F, d, f)
-    beta = spec.tower.p ** np.arange(spec.tower.m)
-    D = params.columns[Fq.op_table("mul")[beta]].astype(np.int64)  # (j, g, i)
-    D, v = np.tensordot(beta, D, axes=1), np.arange(q**d)  # D[g, i] = D_i[g]
-    pushed = np.zeros(q**d, dtype=np.int64)
-    np.add.at(pushed, sum(q**s * D[v // q**s % q] for s in range(d)), f[:, None])
-    return _Multiset(F, d * spec.tower.m, pushed)
+    if params is not None:  # push f forward through every D_i
+        beta = spec.tower.p ** np.arange(spec.tower.m)
+        D = params.columns[Fq.op_table("mul")[beta]].astype(np.int64)  # (j, g, i)
+        D, v = np.tensordot(beta, D, axes=1), np.arange(q**d)  # D[g, i] = D_i[g]
+        H, f = f, np.zeros(q**d, dtype=np.int64)
+        np.add.at(f, sum(q**s * D[v // q**s % q] for s in range(d)), H[:, None])
+    return _Multiset(F, d * e, f)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +360,7 @@ def point_count(spec: CodeSpec, params, rows):
     """Coordinates where every codeword of the basis ``rows`` (r, k) vanishes,
     or one count per basis of a batch (B, r, k): the rows times the generator
     matrix, each distinct column counted as often as it occurs."""
-    F = spec.tower.Fq if params is None else spec.tower.Fp
+    F = _frame(spec, params)[0]
     cols, counts = _distinct_columns(F, spec, params)
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size == 0:  # r = 0: every coordinate vanishes
@@ -365,7 +377,7 @@ def support_defect(spec: CodeSpec, rows) -> int:
     return point_count(spec, None, rows)
 
 
-def b_part_zero_span(spec: CodeSpec, rows, field: FiniteField | None = None) -> list[tuple[int, int]]:
+def b_part_zero_span(spec: CodeSpec, rows, F: FiniteField) -> list[tuple[int, int]]:
     """Elements (a, c) of the span of ``rows`` whose b-part vanishes.
 
     In the RREF of the rows with the b columns moved first, the rows with a
@@ -373,8 +385,8 @@ def b_part_zero_span(spec: CodeSpec, rows, field: FiniteField | None = None) -> 
     only the others are spanned: at most q**2 elements."""
     if len(rows) == 0:
         return [(0, 0)]
-    F, q, m2 = field or spec.tower.Fq, spec.tower.q, spec.tower.m2
-    kept, W = _blocks(spec, len(rows[0]) // spec.dimension)  # e = 1, or m digits
+    q, m2 = spec.tower.q, spec.tower.m2
+    kept, W = _blocks(spec, len(rows[0]) // spec.dimension)  # e digits
     R, pivots = linalg.rref(F, np.asarray(rows, dtype=np.int64)[:, W + kept])
     R = R[[i for i, c in enumerate(pivots) if c >= len(W)]][:, np.argsort(W + kept)]
     enc = linalg.span(F, R) if len(R) else np.zeros(1, dtype=np.int64)
@@ -425,35 +437,69 @@ def _exact(num: int, den: int) -> int:
     return val
 
 
-def support_defect_closed(spec: CodeSpec, rows) -> int:
-    """Per-subspace closed form, in integers over the denominator
-    q**(r + h) (q - 1), h = floor(r_Q / 2); M - r is -1 for the affine code at
-    r = k when m1 = 1.
+def closed_defect(spec: CodeSpec, params, rows) -> int:
+    """Per-subspace closed form of N(D) in the frame (F, e, N) (``_frame``),
+    in integers over the denominator |F|**r q**h N, h = floor(r_Q / 2);
+    |F|**r is q**(M+1) for the affine code at r = k when m1 = 1.
 
-    Homogeneous: q**(M-r) * (eps*t*q**(-r_Q/2) + 1) - 1 for even rank with
-    t = (q-1) exactly when (1, 0) lies in the subspace, else t = 0; constant
-    q**(M-r) - 1 for odd rank.
+    Homogeneous: (q - 1)/N * (q**M (q**h + eps*t) / (|F|**r q**h) - 1), with
+    t = q - 1 exactly when (1, 0) lies in D for even rank, else t = 0 (odd
+    rank forms no span).
 
     Affine: the stratified sum over the b-part-zero elements, with
     t1 = #(a,0,0), t2 = #(a,0,c): ac != 0, t3 = #(0,0,c): c != 0, and the
     character-weighted sum over the t2 stratum for odd rank (its factor
     q**((1-r_Q)/2) is q**-h).
     """
-    tower = spec.tower
-    q, M = tower.q, tower.M
-    an = spec.analysis
+    F, _, N = _frame(spec, params)
+    q, M, an = spec.tower.q, spec.tower.M, spec.analysis
     r_q, eps, h = an.r_q, an.eps, an.r_q // 2
-    r = len(rows)
-    if spec.variant is Variant.HOMOGENEOUS and r_q % 2 != 0:
-        return _exact(q**M, q**r) - 1
-    W = b_part_zero_span(spec, rows)
+    den = F.order ** len(rows) * q**h
     if spec.variant is Variant.HOMOGENEOUS:
-        # W holds the elements (a, 0) of H: all q of them when (1, 0) is in H
-        t = sum(1 for a, _ in W if a != 0)
-        return _exact(q**M * (q**h + eps * t), q ** (r + h)) - 1
-    t1, t2, t3, s = strata(tower.Fq, W)
+        W = b_part_zero_span(spec, rows, F) if r_q % 2 == 0 else []  # odd rank: no span
+        t = sum(1 for a, _ in W if a != 0)  # the elements (a, 0) of D, a != 0
+        return (q - 1) // N * (_exact(q**M * (q**h + eps * t), den) - 1)
+    t1, t2, t3, s = strata(spec.tower.Fq, b_part_zero_span(spec, rows, F))
     char = (q - 1) * t1 - t2 if r_q % 2 == 0 else s
-    return _exact(q**M * ((q - 1 - t3) * q**h + eps * char), q ** (r + h) * (q - 1))
+    return _exact(q**M * ((q - 1 - t3) * q**h + eps * char), den * N)
+
+
+def closed_ghw(spec: CodeSpec, params, r: int) -> int:
+    """Closed-form case evaluation of d_r in the frame (F, e, N)
+    (``_frame``), in integers; asserts integrality.  Every case is
+    q**M / (|F|**r N) (times q - 1 for the homogeneous code) times a value
+    whose q**(-r_Q/2) or q**((1-r_Q)/2) term clears over q**h,
+    h = floor(r_Q / 2)."""
+    F, e, N = _frame(spec, params)
+    if not 1 <= r <= spec.dimension * e:
+        raise ParameterError(f"need 1 <= r <= {spec.dimension * e}")
+    q, M, m2, p = spec.tower.q, spec.tower.M, spec.tower.m2, F.order
+    an = spec.analysis
+    r_q, eps, h, pr = an.r_q, an.eps, an.r_q // 2, p**r
+    if spec.variant is Variant.HOMOGENEOUS:
+        base = (pr - 1) * q**h
+        if r_q % 2 == 0 and eps == 1:
+            base = (pr - 1) * (q**h - 1) if r <= e else base - (q - 1)
+        elif r_q % 2 == 0 and r > e * m2:
+            base += p ** (r - e * m2) - 1
+        base *= q - 1
+    else:
+        top = e * (m2 + 1)
+        u = q - 1 if r_q % 2 == 0 and eps == 1 else 1  # numerator of the q**-h term
+        if r <= e:
+            base = (pr - 1) * ((q - 1) * q**h - u)
+        elif r <= top:
+            base = (q - 1) * ((pr - 1) * q**h - u)
+        else:
+            base = pr * (q - 1) * q**h - (q - p ** (r - top)) * (q**h + u)
+    val = _exact(q**M * base, pr * N * q**h)
+    assert val > 0, val
+    return val
+
+
+def support_defect_closed(spec: CodeSpec, rows) -> int:
+    """Per-subspace closed form of N(H): ``closed_defect`` of the F_q code."""
+    return closed_defect(spec, None, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -467,29 +513,8 @@ def ghw_brute(spec: CodeSpec, r: int, budget: int = DEFAULT_BUDGET) -> tuple[int
 
 
 def ghw_closed(spec: CodeSpec, r: int) -> int:
-    """Closed-form case evaluation of d_r, in integers: q**(M-r) times the
-    case value, whose q**(-r_Q/2) or q**((1-r_Q)/2) term clears over q**h,
-    h = floor(r_Q / 2); asserts integrality."""
-    tower = spec.tower
-    q, M = tower.q, tower.M
-    an = spec.analysis
-    r_q, eps, h = an.r_q, an.eps, an.r_q // 2
-    k = spec.dimension
-    if not 1 <= r <= k:
-        raise ParameterError(f"need 1 <= r <= {k}")
-    base = (q**r - 1) * q**h
-    if spec.variant is Variant.HOMOGENEOUS:
-        if r_q % 2 == 0 and eps == 1:
-            base -= q - 1
-        elif r_q % 2 == 0 and r == k:
-            base += q - 1
-    elif r == k:
-        base = q ** (r + h)  # the value q**M
-    else:
-        base -= q - 1 if r_q % 2 == 0 and eps == 1 else 1
-    val = _exact(q**M * base, q ** (r + h))
-    assert val > 0, val
-    return val
+    """Closed-form d_r: ``closed_ghw`` of the F_q code."""
+    return closed_ghw(spec, None, r)
 
 
 @dataclass(frozen=True)
@@ -524,10 +549,6 @@ class GhwReport:
     @property
     def all_agree(self) -> bool:
         return all(row.agree for row in self.rows)
-
-    @property
-    def disagreements(self) -> list[GhwRow]:
-        return [row for row in self.rows if not row.agree]
 
     def resolved_hierarchy(self) -> list[int]:
         return [row.resolved for row in self.rows]

@@ -41,6 +41,21 @@ def test_hierarchy_reaches_ghw_brute_by_name(monkeypatch):
     assert len(calls) == spec.dimension
 
 
+def test_hierarchy_reaches_ghw_closed_by_name(monkeypatch):
+    spec = spec_for("example-3.1")
+    calls = _counting(monkeypatch, ghw, "ghw_closed")
+    ghw.hierarchy(spec)
+    assert len(calls) == spec.dimension
+
+
+def test_descended_hierarchy_reaches_descended_ghw_closed_by_name(monkeypatch):
+    spec = spec_for("descent-7-2-1-1-3")
+    params = descent.make_descent(spec.tower, 3)
+    calls = _counting(monkeypatch, descent, "descended_ghw_closed")
+    descent.descended_hierarchy(spec, params)
+    assert len(calls) == spec.dimension * spec.tower.m
+
+
 def test_descended_hierarchy_reaches_descended_ghw_brute_by_name(monkeypatch):
     spec = spec_for("descent-7-2-1-1-3")
     params = descent.make_descent(spec.tower, 3)

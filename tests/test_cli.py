@@ -95,6 +95,24 @@ def test_verify_subcommand(capsys):
     assert "verify lemma_basic: ok" in out
 
 
+def test_verify_runs_only_the_requested_suite(capsys):
+    """``verify <suite>`` is charged for that suite alone: at a budget of 10
+    the lemma suites run, and only counts, whose value profile enumerates
+    81 messages of example-3.1, is refused."""
+    for suite in ("lemma-basic", "lemma-gauss"):
+        code, out, err = _run(capsys, "verify", suite, "--preset", "example-3.1", "--budget", "10")
+        assert (code, err) == (0, ""), suite
+        assert f"verify {suite.replace('-', '_')}: ok" in out.splitlines()
+        assert "verify counts" not in out
+    for suite in ("counts", "all"):
+        code, out, err = _run(capsys, "verify", suite, "--preset", "example-3.1", "--budget", "10")
+        assert (code, out) == (1, "")
+        assert err == (
+            "qfcodes: resource error: message-space enumeration needs 81 steps, "
+            "exceeding the budget of 10\n"
+        )
+
+
 def test_qf_subcommand(capsys):
     code, out, _ = _run(capsys, "qf", "--preset", "example-3.4")
     assert code == 0

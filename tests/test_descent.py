@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -30,12 +31,14 @@ from qfcodes import (
     descended_hierarchy,
     descended_wd,
     ghw_brute,
+    ghw_closed,
     make_descent,
     orbit_check,
     psi,
     psi_weight_table,
     primitive_element,
     support_defect,
+    support_defect_closed,
 )
 from qfcodes.descent import (
     descended_support_defect,
@@ -45,7 +48,7 @@ from qfcodes import ghw, linalg
 from qfcodes.ghw import _Multiset, generator_matrix, subspace_bases
 from qfcodes.errors import BudgetError
 
-from conftest import reference_scan, spec_for
+from conftest import batched, reference_scan, spec_for
 
 
 def _spec(p, m, m1, m2, variant=Variant.HOMOGENEOUS, coeff_token=1):
@@ -159,7 +162,7 @@ def test_descend_refuses_a_multiset_on_a_hyperplane(fix7, monkeypatch):
     spec, params = fix7
     f = np.zeros(7**2, dtype=np.int64)
     f[:7] = 1
-    monkeypatch.setattr("qfcodes.descent._quotient", lambda F, spec, params: _Multiset(F, 2, f))
+    monkeypatch.setattr("qfcodes.descent._quotient", lambda spec, params: _Multiset(spec.tower.Fp, 2, f))
     with pytest.raises(ArithmeticError, match="descended rank 3 != m \\* k = 4"):
         descend(spec, params)
 
@@ -298,13 +301,26 @@ def test_descended_affine_odd_rank_case3_brute_confirms():
 
 
 def test_descended_per_subspace_closed(fix7):
-    spec, params = fix7
-    tw = spec.tower
-    for r in (1, 2):
-        for rows in subspace_bases(4, r, tw.Fp):
-            assert descended_support_defect(
-                spec, params, rows
-            ) == descended_support_defect_closed(spec, params, rows)
+    """The per-subspace closed form is the point count on every basis of
+    every r: descent-7; the q = 25 -> F_5 descents, N = 2, both variants and
+    both signs of the even-rank constant; the odd-rank affine (5,1,1,1),
+    whose r = k has |F|**r = q**(M+1); and the first 500 bases per r of the
+    affine (3,2,1,1) and (3,2,2,1) descents, N = 1 (56 632 subspaces each)."""
+    def case(spec, N, cap=None):
+        return spec, make_descent(spec.tower, N), cap
+
+    cases = [(*fix7, None), case(_spec(5, 1, 1, 1, Variant.AFFINE), 2)]
+    for variant, coeff_token in itertools.product(Variant, (1, "g")):
+        cases.append(case(_spec(5, 1, 2, 1, variant, coeff_token), 2))
+    for m1 in (1, 2):
+        cases.append(case(_spec(3, 2, m1, 1, Variant.AFFINE), 1, 500))
+    for spec, params, cap in cases:
+        k = spec.dimension * spec.tower.m
+        count = partial(descended_support_defect, spec, params)
+        for r in range(1, k + 1):
+            bases = itertools.islice(subspace_bases(k, r, spec.tower.Fp), cap)
+            for rows, n in batched(count, bases):
+                assert descended_support_defect_closed(spec, params, rows) == n, (spec, r, rows)
 
 
 def test_descended_budget():
@@ -320,10 +336,12 @@ def test_descended_budget():
     assert descended_ghw_brute(spec, params, 2, budget=49)[0] == descended_ghw_closed(spec, params, 2)
 
 
-@pytest.mark.parametrize("name", ["example-3.1", "example-3.2"])
+@pytest.mark.parametrize("name", ["example-3.1", "example-3.2", "example-3.6"])
 def test_prime_field_descent_is_the_source_scan(name):
     """m = 1 and N = p - 1: psi is the identity (L = 1, theta = 1), so the
-    descended scan is the F_q scan, witnesses included."""
+    descended scan is the F_q scan, witnesses included, and the frame
+    (F_p, m, N) is the F_q code's (F_q, 1, q - 1): the closed d_r agree at
+    every r and the per-subspace closed forms on every basis with r <= 2."""
     spec = spec_for(name)
     tw = spec.tower
     params = make_descent(tw, tw.p - 1)
@@ -333,6 +351,13 @@ def test_prime_field_descent_is_the_source_scan(name):
     ]
     for r in (1, 2, 3):
         assert descended_ghw_brute(spec, params, r) == ghw_brute(spec, r)
+    rs = range(1, spec.dimension + 1)
+    assert [descended_ghw_closed(spec, params, r) for r in rs] == [ghw_closed(spec, r) for r in rs]
+    for r in (1, 2):
+        for rows in subspace_bases(spec.dimension, r, tw.Fq):
+            assert descended_support_defect_closed(spec, params, rows) == support_defect_closed(
+                spec, rows
+            ), rows
     # rows given as lists still work: the point counts take any array-like
     d2, witness = ghw_brute(spec, 2)
     as_lists = [list(row) for row in witness]

@@ -355,8 +355,8 @@ def test_dot_tables_are_cached_read_only_scalar_dot_products():
 
 
 def test_multiset_tables_are_cached_and_read_only(ex36):
-    ms = ghw._quotient(ex36.tower.Fq, ex36, None)
-    assert ghw._quotient(ex36.tower.Fq, ex36, None) is ms
+    ms = ghw._quotient(ex36, None)
+    assert ghw._quotient(ex36, None) is ms
     for name in ("mu", "star"):
         table = getattr(ms, name)
         assert getattr(ms, name) is table and not table.flags.writeable
@@ -418,7 +418,7 @@ def _assert_multisets_are_bincounts(spec):
         F, G = (tw.Fq, ghw.generator_matrix(spec)) if params is None else (
             tw.Fp, ghw.generator_matrix(spec, params))
         kept, W = ghw._blocks(spec, len(G) // spec.dimension)
-        f = ghw._quotient(F, spec, params)
+        f = ghw._quotient(spec, params)
         q, k = F.order, len(G)
         z = 0 if spec.variant is Variant.AFFINE else 1 if params is None else params.L
         assert f.k == len(kept) and q ** len(W) * f.n - z == G.shape[1], params
