@@ -47,6 +47,7 @@ from .errors import (
     MixedFieldError,
     ParameterError,
     ZeroFormError,
+    budget,
 )
 from .fields import (
     Elem,

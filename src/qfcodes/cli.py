@@ -64,6 +64,7 @@ from .errors import (
     DEFAULT_BUDGET,
     MixedFieldError,
     ParameterError,
+    budget,
 )
 from .fields import Elem, build_tower, elem_from_data, elem_to_data
 from .ghw import hierarchy
@@ -257,8 +258,8 @@ def _cwe_to_json(cwe) -> list:
     return [[list(comp), mult] for comp, mult in cwe.items()]
 
 
-def _run_wd(spec: CodeSpec, cfg: dict, disagreements: list) -> dict:
-    wd_b = weight_distribution_brute(spec, budget=cfg["budget"])
+def _run_wd(spec: CodeSpec, disagreements: list) -> dict:
+    wd_b = weight_distribution_brute(spec)
     wd_p = weight_distribution_predicted(spec)
     agree = wd_b == wd_p
     if not agree:
@@ -284,8 +285,8 @@ def _run_wd(spec: CodeSpec, cfg: dict, disagreements: list) -> dict:
     }
 
 
-def _run_cwe(spec: CodeSpec, cfg: dict, reference: dict, disagreements: list) -> dict:
-    cw_b = cwe_brute(spec, budget=cfg["budget"])
+def _run_cwe(spec: CodeSpec, reference: dict, disagreements: list) -> dict:
+    cw_b = cwe_brute(spec)
     cw_p = cwe_predicted(spec)
     agree = cw_b == cw_p
     if not agree:
@@ -316,12 +317,7 @@ def _run_cwe(spec: CodeSpec, cfg: dict, reference: dict, disagreements: list) ->
 
 def _run_ghw(spec: CodeSpec, cfg: dict, reference: dict, disagreements: list) -> dict:
     ref_vals = reference.get("hierarchy") or {}
-    rep = hierarchy(
-        spec,
-        r_max=cfg["ghw_r_max"],
-        budget=cfg["budget"],
-        reference_values=ref_vals,
-    )
+    rep = hierarchy(spec, r_max=cfg["ghw_r_max"], reference_values=ref_vals)
     return {
         "rows": _hierarchy_rows(rep, "hierarchy", ("reference", "closed", "brute"), disagreements),
         "resolved": rep.resolved_hierarchy(),
@@ -363,7 +359,7 @@ def _run_descend(spec: CodeSpec, cfg: dict, disagreements: list) -> dict:
         disagreements.append(
             f"psi weights {nonzero_wts} != constant {params.column_weight}"
         )
-    wd_b = descended_wd(spec, params, "brute", budget=cfg["budget"])
+    wd_b = descended_wd(spec, params, "brute")
     wd_p = descended_wd(spec, params, "predicted")
     wd_ok = wd_b == wd_p
     if not wd_ok:
@@ -379,9 +375,7 @@ def _run_descend(spec: CodeSpec, cfg: dict, disagreements: list) -> dict:
     ident_ok = sums_agree(*char_identity_checks(params, c, a))
     if not ident_ok:
         disagreements.append("coset character identities failed")
-    rep = descended_hierarchy(
-        spec, params, r_max=dcfg.get("r_max"), budget=cfg["budget"]
-    )
+    rep = descended_hierarchy(spec, params, r_max=dcfg.get("r_max"))
     rows = _hierarchy_rows(rep, "descended hierarchy", ("closed", "brute"), disagreements)
     return {
         "N": params.N,
@@ -403,7 +397,7 @@ def _run_descend(spec: CodeSpec, cfg: dict, disagreements: list) -> dict:
     }
 
 
-def _run_verify(spec: CodeSpec, cfg: dict, disagreements: list, suites: tuple) -> dict:
+def _run_verify(spec: CodeSpec, disagreements: list, suites: tuple) -> dict:
     """Run the ``suites`` (names from ``_SUITES``) and nothing else."""
     Fq, an = spec.tower.Fq, spec.analysis
     out: dict = {}
@@ -421,7 +415,7 @@ def _run_verify(spec: CodeSpec, cfg: dict, disagreements: list, suites: tuple) -
         out["lemma_gauss"] = gauss_ok and sums_agree(brute, closed)
     if "counts" in suites:  # closed vs brute at every (a, b = 0 or 1, beta); c only shifts beta
         closed = closed_profile(an).tolist()
-        out["counts"] = closed == value_profile(an.form, cfg["budget"]).tolist()
+        out["counts"] = closed == value_profile(an.form).tolist()
     for name, ok in out.items():
         if not ok:
             disagreements.append(f"verify {name}: brute != closed")
@@ -434,62 +428,63 @@ def run_config(
     """Execute the configured tasks, the verify-lemmas task running the
     ``suites``; returns (report bundle, exit code)."""
     reference = reference or {}
-    spec = spec_from_config(cfg)
-    an = spec.analysis
-    disagreements: list[str] = []
-    errors: list[str] = []
-    bundle: dict = {
-        "config": cfg,
-        "field_info": spec.tower.describe(),
-        "analysis": {
-            "r_q": an.r_q,
-            "delta_q": elem_to_data(an.delta_q),
-            "eps_q": an.eps_q,
-            "eps": an.eps,
-            "variant": spec.variant.value,
-            "length": spec.length,
-            "dimension": spec.dimension,
-        },
-    }
-    ref_params = reference.get("params")
-    if ref_params is not None:
-        ok = tuple(ref_params[:2]) == (spec.length, spec.dimension)
-        bundle["analysis"]["reference_params_agree"] = ok
-        if not ok:
-            disagreements.append("code parameters differ from reference")
-    for task in cfg["tasks"]:
-        if task == "wd":
-            bundle["wd"] = _run_wd(spec, cfg, disagreements)
-            if ref_params is not None and len(ref_params) > 2:
-                if bundle["wd"]["params"][2] != ref_params[2]:
-                    disagreements.append(
-                        f"minimum distance {bundle['wd']['params'][2]} != "
-                        f"reference {ref_params[2]}"
-                    )
-            ref_wd = reference.get("wd")
-            if ref_wd is not None:
-                want = {0: 1, **{int(w): f for w, f in ref_wd.items()}}
-                got = {int(w): f for w, f in bundle["wd"]["brute"].items()}
-                bundle["wd"]["reference_agrees"] = got == want
-                if got != want:
-                    disagreements.append("weight distribution: reference mismatch")
-        elif task == "cwe":
-            bundle["cwe"] = _run_cwe(spec, cfg, reference, disagreements)
-        elif task == "ghw":
-            bundle["ghw"] = _run_ghw(spec, cfg, reference, disagreements)
-        elif task == "descend":
-            try:
-                bundle["descend"] = _run_descend(spec, cfg, disagreements)
-            except ParameterError as e:
-                bundle["descend"] = {"error": str(e)}
-                errors.append(f"descend: {e}")
-        elif task == "verify-lemmas":
-            bundle["verify"] = _run_verify(spec, cfg, disagreements, suites)
-    bundle["disagreements"] = disagreements
-    bundle["errors"] = errors
-    if errors:
-        return bundle, 1
-    return bundle, (2 if disagreements else 0)
+    with budget(cfg["budget"]):  # every charge of the run reads this limit
+        spec = spec_from_config(cfg)
+        an = spec.analysis
+        disagreements: list[str] = []
+        errors: list[str] = []
+        bundle: dict = {
+            "config": cfg,
+            "field_info": spec.tower.describe(),
+            "analysis": {
+                "r_q": an.r_q,
+                "delta_q": elem_to_data(an.delta_q),
+                "eps_q": an.eps_q,
+                "eps": an.eps,
+                "variant": spec.variant.value,
+                "length": spec.length,
+                "dimension": spec.dimension,
+            },
+        }
+        ref_params = reference.get("params")
+        if ref_params is not None:
+            ok = tuple(ref_params[:2]) == (spec.length, spec.dimension)
+            bundle["analysis"]["reference_params_agree"] = ok
+            if not ok:
+                disagreements.append("code parameters differ from reference")
+        for task in cfg["tasks"]:
+            if task == "wd":
+                bundle["wd"] = _run_wd(spec, disagreements)
+                if ref_params is not None and len(ref_params) > 2:
+                    if bundle["wd"]["params"][2] != ref_params[2]:
+                        disagreements.append(
+                            f"minimum distance {bundle['wd']['params'][2]} != "
+                            f"reference {ref_params[2]}"
+                        )
+                ref_wd = reference.get("wd")
+                if ref_wd is not None:
+                    want = {0: 1, **{int(w): f for w, f in ref_wd.items()}}
+                    got = {int(w): f for w, f in bundle["wd"]["brute"].items()}
+                    bundle["wd"]["reference_agrees"] = got == want
+                    if got != want:
+                        disagreements.append("weight distribution: reference mismatch")
+            elif task == "cwe":
+                bundle["cwe"] = _run_cwe(spec, reference, disagreements)
+            elif task == "ghw":
+                bundle["ghw"] = _run_ghw(spec, cfg, reference, disagreements)
+            elif task == "descend":
+                try:
+                    bundle["descend"] = _run_descend(spec, cfg, disagreements)
+                except ParameterError as e:
+                    bundle["descend"] = {"error": str(e)}
+                    errors.append(f"descend: {e}")
+            elif task == "verify-lemmas":
+                bundle["verify"] = _run_verify(spec, disagreements, suites)
+        bundle["disagreements"] = disagreements
+        bundle["errors"] = errors
+        if errors:
+            return bundle, 1
+        return bundle, (2 if disagreements else 0)
 
 
 # ---------------------------------------------------------------------------

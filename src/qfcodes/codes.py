@@ -12,8 +12,8 @@ Weight distributions and complete weight enumerators are computed two ways:
   codeword of (a, b, c) onto that of (a, beta*b, c), so the kernel takes one
   composition for b = 0 and one for all b != 0, and counts each with the
   size of its class.  The y side is a digit DP through the trace matrix of
-  F_{q^m2}, which builds no table of that field.  The kernel refuses beyond
-  the budget, or past int64 counts, before building any table.  The weight
+  F_{q^m2}, which builds no table of that field.  The kernel is charged and
+  refuses past int64 counts before building any table.  The weight
   distribution counts the weights n - comp[..., 0] of the same compositions.
 * ``predicted``: direct instantiation of the closed-form tables in Python
   integers: the character term q**(M-1) eps q**(-r/2) is eps q**(M-1-h).
@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BudgetError, DEFAULT_BUDGET, ParameterError
+from .errors import ParameterError, charge
 from .fields import Elem
 from .quadform import QuadFormAnalysis, QuadraticForm
 
@@ -224,7 +224,7 @@ def _codeword_array(spec: CodeSpec, a: Elem, b: Elem, c: Elem | None) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
-def value_profile(form: QuadraticForm, budget: int = DEFAULT_BUDGET, n_c: int = 0) -> np.ndarray:
+def value_profile(form: QuadraticForm, n_c: int = 0) -> np.ndarray:
     """``P[a, j, v] = #{(x, y) : a Q(x) + Tr(b_j y) = v}``, b_0 = 0, b_1 = 1:
     sum_u Ha[a, u] Hb[j, v - u] for Ha[a, u] = #{x : a Q(x) = u} and
     Hb[j, w] = #{y : Tr(b_j y) = w} over every y.  y -> y/b carries each
@@ -238,8 +238,7 @@ def value_profile(form: QuadraticForm, budget: int = DEFAULT_BUDGET, n_c: int = 
     if q**M >= 2**63:
         raise ParameterError(f"q**M = {q}**{M} >= 2**63: int64 counts would wrap")
     cost = tower.m * tower.m2 * tower.p * q + 2 * q**3 + 2 * n_c * q**2
-    if cost > budget:
-        raise BudgetError(cost, budget, "message-space enumeration")
+    charge(cost, "message-space enumeration")
     return _value_profile(form)
 
 
@@ -262,14 +261,14 @@ def _value_profile(form: QuadraticForm) -> np.ndarray:
     return profile
 
 
-def _compositions(spec: CodeSpec, budget: int = DEFAULT_BUDGET):
+def _compositions(spec: CodeSpec):
     """Yield ``(c, comp)`` for each constant c of the variant (only c = 0 for
     the homogeneous code); ``comp[a, j]``, the composition of message
     (a, b, c) in omega order for b = 0 (j = 0) and every b != 0 (j = 1), is
     the value profile at omega - c."""
     Fq = spec.tower.Fq
     affine = spec.variant is Variant.AFFINE
-    profile = value_profile(spec.analysis.form, budget, Fq.order if affine else 1)
+    profile = value_profile(spec.analysis.form, Fq.order if affine else 1)
     sub, omega = Fq.op_table("sub"), Fq.omega
     for c in range(Fq.order) if affine else (0,):
         comp = profile[:, :, sub[omega, c]]
@@ -295,15 +294,13 @@ def _refuse_zero_weight(zero_weight: int):
         )
 
 
-def cwe_brute(
-    spec: CodeSpec, *, audit: bool = True, budget: int = DEFAULT_BUDGET
-) -> CWE:
+def cwe_brute(spec: CodeSpec, *, audit: bool = True) -> CWE:
     """Complete weight enumerator over every message; ``audit`` as in
     :func:`_exhaustive`."""
     _exhaustive(audit)
     sizes = (1, spec.tower.Fq2.order - 1)  # messages per (a, c) in each class
     counts: dict[tuple[int, ...], int] = {}
-    for _, comp in _compositions(spec, budget):
+    for _, comp in _compositions(spec):
         for by_class in comp.tolist():
             for row, size in zip(by_class, sizes):
                 key = tuple(row)
@@ -312,14 +309,12 @@ def cwe_brute(
     return CWE(counts)
 
 
-def weight_distribution_brute(
-    spec: CodeSpec, *, audit: bool = True, budget: int = DEFAULT_BUDGET
-) -> WeightDistribution:
+def weight_distribution_brute(spec: CodeSpec, *, audit: bool = True) -> WeightDistribution:
     """Weight distribution over every message: the weights n - comp[..., 0]
     of the compositions, counted per class of b; ``audit`` as in
     :func:`_exhaustive`."""
     _exhaustive(audit)
-    zeros = np.stack([comp[..., 0] for _, comp in _compositions(spec, budget)])
+    zeros = np.stack([comp[..., 0] for _, comp in _compositions(spec)])
     weights, cells = np.unique(spec.length - zeros, return_inverse=True)
     cells = cells.reshape(zeros.shape)
     per_class = [np.bincount(cells[..., j].ravel(), minlength=len(weights)) for j in (0, 1)]

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .codes import value_profile
-from .errors import DEFAULT_BUDGET, MixedFieldError
+from .errors import MixedFieldError
 from .fields import Elem, FiniteField, rel_trace
 from .quadform import QuadFormAnalysis, QuadraticForm
 
@@ -349,8 +349,8 @@ def count_solutions(analysis: QuadFormAnalysis, a: Elem, b: Elem, beta: Elem,
 
 
 def count_solutions_brute(form: QuadraticForm, a: Elem, b: Elem, beta: Elem,
-                          c: Elem | None = None, budget: int = DEFAULT_BUDGET) -> int:
+                          c: Elem | None = None) -> int:
     """Exhaustive count: ``codes.value_profile`` at (a, b != 0, beta - c)."""
     Fq = form.tower.Fq
     target = beta.idx if c is None else Fq.sub(beta.idx, c.idx)
-    return int(value_profile(form, budget)[a.idx, int(b.idx != 0), target])
+    return int(value_profile(form)[a.idx, int(b.idx != 0), target])

@@ -32,7 +32,7 @@ from . import linalg
 from .codes import CodeSpec, Variant, WeightDistribution, cwe_brute, codeword, \
     weight_distribution_predicted
 from .cyclotomic import CycInt, _etas, cyc_from_trace_counts, eta_twisted_sum_brute
-from .errors import DEFAULT_BUDGET, ParameterError
+from .errors import ParameterError
 from .fields import Elem, FieldTower
 from .ghw import GhwReport, _quotient, closed_defect, closed_ghw, message_dim, point_count
 from .ghw import scan, tabulate
@@ -185,10 +185,7 @@ def descend(spec: CodeSpec, params: DescentParams) -> DescendedCode:
 
 
 def descended_wd(
-    spec: CodeSpec,
-    params: DescentParams,
-    mode: str = "brute",
-    budget: int = DEFAULT_BUDGET,
+    spec: CodeSpec, params: DescentParams, mode: str = "brute"
 ) -> WeightDistribution:
     """Weight distribution of the descended code.
 
@@ -205,7 +202,7 @@ def descended_wd(
     wts = psi_weight_table(params)
     omega = spec.tower.Fq.omega
     out: dict[int, int] = {}
-    for comp, mult in cwe_brute(spec, budget=budget).items():
+    for comp, mult in cwe_brute(spec).items():
         w = sum(comp[j] * wts[omega[j]] for j in range(len(comp)))
         out[w] = out.get(w, 0) + mult
     return WeightDistribution(out)
@@ -340,11 +337,9 @@ def descended_support_defect_closed(spec: CodeSpec, params: DescentParams, rows)
     return closed_defect(spec, params, rows)
 
 
-def descended_ghw_brute(
-    spec: CodeSpec, params: DescentParams, r: int, budget: int = DEFAULT_BUDGET
-) -> tuple[int, tuple]:
+def descended_ghw_brute(spec: CodeSpec, params: DescentParams, r: int) -> tuple[int, tuple]:
     """(d_r, witness) over all F_p-subspaces of the message space."""
-    return scan(spec, params, r, budget)
+    return scan(spec, params, r)
 
 
 def descended_ghw_closed(spec: CodeSpec, params: DescentParams, r: int) -> int:
@@ -372,10 +367,7 @@ def _optimizer_attains(spec: CodeSpec, params: DescentParams, r: int, d_closed: 
 
 
 def descended_hierarchy(
-    spec: CodeSpec,
-    params: DescentParams,
-    r_max: int | None = None,
-    budget: int = DEFAULT_BUDGET,
+    spec: CodeSpec, params: DescentParams, r_max: int | None = None
 ) -> GhwReport:
     """Closed vs brute table for the descended code."""
     n_p = message_dim(spec, params)
@@ -388,6 +380,6 @@ def descended_hierarchy(
             return "optimizing subspace does not attain the closed value"
         return ""
 
-    brute = partial(descended_ghw_brute, spec, params, budget=budget)
+    brute = partial(descended_ghw_brute, spec, params)
     closed = partial(descended_ghw_closed, spec, params)
     return tabulate(spec, n_p if r_max is None else min(r_max, n_p), brute, closed, note)

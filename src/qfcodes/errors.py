@@ -1,8 +1,30 @@
-"""Shared exception types and enumeration budgets."""
+"""Shared exception types and the one enumeration budget of a run.
 
-# Default cap on the number of evaluation points an exhaustive routine may
-# visit before it must refuse.  Overridable per call.
+Every exhaustive routine calls ``charge`` with its steps when it does its
+work (cached work is not charged again), against the limit of the innermost
+``with budget(limit):`` block, or ``DEFAULT_BUDGET`` outside any."""
+
+from contextlib import contextmanager
+from contextvars import ContextVar
+
 DEFAULT_BUDGET = 10**8
+_LIMIT = ContextVar("budget", default=DEFAULT_BUDGET)
+
+
+@contextmanager
+def budget(limit: int):
+    """Charge every step taken inside the block against ``limit``."""
+    token = _LIMIT.set(limit)
+    try:
+        yield
+    finally:
+        _LIMIT.reset(token)
+
+
+def charge(steps: int, what: str):
+    """Refuse the ``steps`` of ``what`` past the current budget."""
+    if steps > (limit := _LIMIT.get()):
+        raise BudgetError(steps, limit, what)
 
 
 class ParameterError(ValueError):
@@ -18,7 +40,7 @@ class ZeroFormError(ValueError):
 
 
 class BudgetError(RuntimeError):
-    """An exhaustive enumeration would exceed the configured budget."""
+    """An exhaustive enumeration would exceed the run's budget."""
 
     def __init__(self, required: int, budget: int, what: str = "enumeration"):
         self.required = required

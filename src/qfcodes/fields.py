@@ -24,9 +24,10 @@ modulus is known.  A relative trace is one F_p matrix on digits
 (log/exp/Zech, omega, the q x q op tables of the F_q kernels) are built on
 the first read of any of them, each held once as a read-only numpy array
 that scalar ops read with ``ndarray.item`` (so they return Python ints); two
-threads that build them build the same bytes.  Tables of more than
-``DEFAULT_BUDGET`` cells are refused before they are built, and a field of
-2**63 elements or more at construction.
+threads that build them build the same bytes.  Their cells are charged to the
+run's budget (``errors.charge``) before they are built, and a field of 2**63
+elements or more is refused at construction.  The generator search alone
+builds no table.
 
 Two element orders coexist:
 
@@ -47,7 +48,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DEFAULT_BUDGET, BudgetError, MixedFieldError, ParameterError
+from .errors import MixedFieldError, ParameterError, charge
 
 __all__ = [
     "FiniteField",
@@ -113,18 +114,15 @@ def _p_digits(indices, p: int, d: int) -> np.ndarray:
 # Tables of |F| entries a field holds: omega (exp is a view of it), log, Zech,
 # a trace table for each of up to two subfields, and a trace row's temporaries.
 _TABLES_KEPT = 7
-_LAZY_TABLES = {"_gen", "_omega", "_exp", "_log", "_zech", "_op_tables"}
+_LAZY_TABLES = {"_omega", "_exp", "_log", "_zech", "_op_tables"}
 # Indices per block when a table is computed on base-p digits.
 _DIGIT_BLOCK = 1 << 16
 
 
 def _charge_tables(order: int, dim: int):
-    """Refuse a field of ``dim`` base-p digits before building it when its
-    digit temporaries and kept tables come to more than ``DEFAULT_BUDGET``
-    cells."""
-    cells = order * (dim + _TABLES_KEPT)
-    if cells > DEFAULT_BUDGET:
-        raise BudgetError(cells, DEFAULT_BUDGET, f"building GF({order})")
+    """Charge a field of ``dim`` base-p digits, before building them, one
+    step per cell of its digit temporaries and kept tables."""
+    charge(order * (dim + _TABLES_KEPT), f"building GF({order})")
 
 
 class FiniteField:
@@ -199,10 +197,28 @@ class FiniteField:
 
     # -- structure -------------------------------------------------------
 
-    @property
+    @cached_property
     def gen(self) -> int:
-        """Canonical generator of the multiplicative group (dense index)."""
-        return self._gen
+        """Canonical generator of the multiplicative group (dense index): the
+        first c in dense order with c**(n1/ell) != 1 for every prime ell | n1,
+        tested in growing chunks.  Column 0 of M_c**e is the digit row of
+        c**e * 1, so c**e = 1 iff it is the digit row of 1; no table is read.
+        Factoring n1 by trial division is charged isqrt(n1) steps."""
+        n1, p, dim = self.order - 1, self.p, len(self._mul_basis)
+        charge(math.isqrt(n1), f"the generator search of GF({self.order})")
+        assert dim * (p - 1) ** 2 < 2**63  # int64 matrix products are exact
+        factors, one = _prime_factors(n1), np.eye(1, dim, dtype=np.int64)
+        start, size = 1, 8
+        while True:
+            cands = np.arange(start, min(start + size, self.order))
+            live = np.ones(len(cands), dtype=bool)
+            mats = self.mul_matrices(cands)
+            for ell in factors:
+                col = _mat_pow(mats[live], n1 // ell, p)[:, :, 0]
+                live[live] = (col != one).any(axis=1)
+            if live.any():
+                return int(cands[live.argmax()])
+            start, size = start + size, 2 * size
 
     def log(self, i: int) -> int:
         if i == 0:
@@ -352,7 +368,7 @@ class FiniteField:
 
         |F|**2 cells, gathered from the log/exp/Zech tables as the scalar ops
         read them, on the first call, and kept by the field: only the q x q
-        kernels over F_q call it, on their own budgets.
+        kernels over F_q call it, and their charges cover it.
         """
         if op not in ("add", "sub", "mul"):
             raise ParameterError(f"no op table for {op!r}")
@@ -394,26 +410,10 @@ class FiniteField:
     # -- shared construction pieces ----------------------------------------
 
     def _finish_init(self):
-        """Generator search, log/exp tables, omega ordering."""
+        """Log/exp tables and omega ordering from the generator ``gen``."""
         n1, p, dim = self.order - 1, self.p, len(self._mul_basis)
         _charge_tables(self.order, dim)
-        assert dim * (p - 1) ** 2 < 2**63  # int64 matrix products are exact
-        # g is the first c in dense order with c**(n1/ell) != 1 for every
-        # prime ell | n1, tested in growing chunks: column 0 of M_c**e is the
-        # digit row of c**e * 1, so c**e = 1 iff it is the digit row of 1.
-        factors, one = _prime_factors(n1), np.eye(1, dim, dtype=np.int64)
-        start, size = 1, 8
-        while True:
-            cands = np.arange(start, min(start + size, self.order))
-            live = np.ones(len(cands), dtype=bool)
-            mats = self.mul_matrices(cands)
-            for ell in factors:
-                col = _mat_pow(mats[live], n1 // ell, p)[:, :, 0]
-                live[live] = (col != one).any(axis=1)
-            if live.any():
-                break
-            start, size = start + size, 2 * size
-        gen = int(cands[live.argmax()])
+        gen, one = self.gen, np.eye(1, dim, dtype=np.int64)
         # exp[k] = g**k.  The digit rows of g**0 .. g**s come from doubling
         # (rows times M_g**(2**j) give the next 2**j powers); after them each
         # block of s powers is the block before it times M_(g**s) mod p.  Each
@@ -444,7 +444,7 @@ class FiniteField:
         zech = np.where(plus_one == 0, -1, log[plus_one])
         zech.setflags(write=False)
         # published at once; a racing build keeps the caches already there
-        self.__dict__.update(_gen=gen, _omega=omega[: 1 + n1], _exp=exp, _log=log, _zech=zech)
+        self.__dict__.update(_omega=omega[: 1 + n1], _exp=exp, _log=log, _zech=zech)
         self.__dict__.setdefault("_op_tables", {})
 
 
@@ -950,10 +950,10 @@ def elem_from_data(field: FiniteField, data) -> Elem:
         return Elem(field, field.from_int(data))
     if isinstance(data, str):
         s = data.strip()
-        if s == "g":
-            return Elem(field, field.gen)
-        if s.startswith("g^"):
-            return Elem(field, field.pow(field.gen, int(s[2:])))
+        if s == "g" or s.startswith("g^"):  # column 0 of M_g**k: no table is built
+            k = (int(s[2:]) if s[1:] else 1) % (field.order - 1)
+            col = _mat_pow(field.mul_matrices([field.gen]), k, field.p)[0, :, 0]
+            return Elem(field, int(col @ field.p ** np.arange(len(col))))
         raise MixedFieldError(f"unrecognized element token {data!r}")
     if isinstance(data, (list, tuple)):
         if field.base is None:

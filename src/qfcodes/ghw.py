@@ -35,7 +35,7 @@ import numpy as np
 from . import linalg
 from .codes import CodeSpec, Variant, _codeword_array
 from .cyclotomic import cyc_from_trace_counts
-from .errors import BudgetError, DEFAULT_BUDGET, ParameterError
+from .errors import BudgetError, ParameterError, charge
 from .fields import Elem, FiniteField, _min_dtype
 
 __all__ = [
@@ -284,7 +284,7 @@ def _blocks(spec: CodeSpec, e: int) -> tuple[list[int], list[int]]:
     return [c for c in range(e * spec.dimension) if c not in W], list(W)
 
 
-def scan(spec: CodeSpec, params, r: int, budget: int) -> tuple[int, tuple]:
+def scan(spec: CodeSpec, params, r: int) -> tuple[int, tuple]:
     """(d_r, witness) of the F_q code, or of its descent under ``params``.
 
     The column multiset is mu = f o pi - z delta_0 (``_quotient``), so an
@@ -303,12 +303,8 @@ def scan(spec: CodeSpec, params, r: int, budget: int) -> tuple[int, tuple]:
     d, u = len(kept), k - r
     js = range(max(0, u - len(W)), min(d, u) + 1)
     count = sum(gaussian_binomial(d, j, q) for j in js)
-    if count > budget:
-        what = f"subspace enumeration [{d} choose j]_{q}, j = {js[0]}..{js[-1]}"
-        raise BudgetError(count, budget, what)
-    # f, f* and each dot table have at most q**d cells
-    if q**d > budget:
-        raise BudgetError(q**d, budget, f"column multiset over F_{q}^{d}")
+    charge(count, f"subspace enumeration [{d} choose j]_{q}, j = {js[0]}..{js[-1]}")
+    charge(q**d, f"column multiset over F_{q}^{d}")  # f, f* and each dot table
     ms = _quotient(spec, params)
     defect = {j: q ** (u - j) * (ms.n - ms.best(d - j)[0]) for j in js}
     j = max(js, key=defect.get)  # the first maximiser
@@ -363,8 +359,8 @@ def point_count(spec: CodeSpec, params, rows):
     F = _frame(spec, params)[0]
     cols, counts = _distinct_columns(F, spec, params)
     rows = np.asarray(rows, dtype=np.int64)
-    if rows.size == 0:  # r = 0: every coordinate vanishes
-        return int(counts.sum())
+    if rows.size == 0:  # r = 0: every coordinate vanishes, in each basis of a batch
+        return np.full(rows.shape[:-2], counts.sum()) if rows.ndim == 3 else int(counts.sum())
     words = linalg.digits(F, rows) @ cols % F.p  # the digits of rows times G
     nonzero = words.reshape(*words.shape[:-1], len(counts), -1).any(axis=(-3, -1))
     out = (~nonzero) @ counts
@@ -507,9 +503,9 @@ def support_defect_closed(spec: CodeSpec, rows) -> int:
 # ---------------------------------------------------------------------------
 
 
-def ghw_brute(spec: CodeSpec, r: int, budget: int = DEFAULT_BUDGET) -> tuple[int, tuple]:
+def ghw_brute(spec: CodeSpec, r: int) -> tuple[int, tuple]:
     """(d_r, witness): exhaustive maximum of N(H) over canonical subspaces."""
-    return scan(spec, None, r, budget)
+    return scan(spec, None, r)
 
 
 def ghw_closed(spec: CodeSpec, r: int) -> int:
@@ -576,13 +572,10 @@ def tabulate(spec: CodeSpec, r_max: int, brute, closed, note=None, reference=Non
 
 
 def hierarchy(
-    spec: CodeSpec,
-    r_max: int | None = None,
-    budget: int = DEFAULT_BUDGET,
-    reference_values: dict[int, int] | None = None,
+    spec: CodeSpec, r_max: int | None = None, reference_values: dict[int, int] | None = None
 ) -> GhwReport:
     """Full table r = 1..k of closed vs brute values; never reconciles."""
     k = spec.dimension
     # read from the module when called, so a wrapper installed by name is used
-    brute, closed = partial(ghw_brute, spec, budget=budget), partial(ghw_closed, spec)
+    brute, closed = partial(ghw_brute, spec), partial(ghw_closed, spec)
     return tabulate(spec, k if r_max is None else min(r_max, k), brute, closed, None, reference_values)

@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DEFAULT_BUDGET, BudgetError, MixedFieldError, ZeroFormError
+from .errors import MixedFieldError, ZeroFormError, charge
 from .fields import Elem, FieldTower
 from .linalg import _coefficients, nullspace
 
@@ -223,12 +223,12 @@ class QuadraticForm:
 
     def _value_blocks(self):
         """Q in dense order, as F_q indices, in blocks of at most ``_BLOCK``
-        values (or p**ceil(dim/2), if more), charged |F_{q^m1}| steps: x is
-        lo + hi on its low dl and high digits, and a block runs over every
-        lo at p**db values of hi that differ in their low db digits."""
+        values (or p**ceil(dim/2), if more), charged |F_{q^m1}| steps to the
+        run's budget when the stream starts: x is lo + hi on its low dl and
+        high digits, and a block runs over every lo at p**db values of hi that
+        differ in their low db digits."""
         S, p, m = self._digit_form, self.tower.p, self.tower.m
-        if self.tower.Fq1.order > DEFAULT_BUDGET:
-            raise BudgetError(self.tower.Fq1.order, DEFAULT_BUDGET, "the value stream of Q")
+        charge(self.tower.Fq1.order, "the value stream of Q")
         dim, w = S.shape[-1], _weights(p, m)
         dl = dim if p**dim <= min(_WHOLE, _BLOCK) else (dim + 1) // 2
         lo, lo_mono = _digit_rows(p, dl)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -96,21 +97,28 @@ def test_verify_subcommand(capsys):
 
 
 def test_verify_runs_only_the_requested_suite(capsys):
-    """``verify <suite>`` is charged for that suite alone: at a budget of 10
-    the lemma suites run, and only counts, whose value profile enumerates
-    81 messages of example-3.1, is refused."""
+    """``verify <suite>`` is charged for that suite alone: on example-3.2 at a
+    budget of 200 the lemma suites run (GF(5)'s tables are 40 steps, the
+    stream of Q over F_125 is 125), and only counts, whose value profile
+    costs 300 steps, is refused; at 100 lemma-gauss's stream is refused."""
     for suite in ("lemma-basic", "lemma-gauss"):
-        code, out, err = _run(capsys, "verify", suite, "--preset", "example-3.1", "--budget", "10")
+        code, out, err = _run(capsys, "verify", suite, "--preset", "example-3.2", "--budget", "200")
         assert (code, err) == (0, ""), suite
         assert f"verify {suite.replace('-', '_')}: ok" in out.splitlines()
         assert "verify counts" not in out
     for suite in ("counts", "all"):
-        code, out, err = _run(capsys, "verify", suite, "--preset", "example-3.1", "--budget", "10")
+        code, out, err = _run(capsys, "verify", suite, "--preset", "example-3.2", "--budget", "200")
         assert (code, out) == (1, "")
         assert err == (
-            "qfcodes: resource error: message-space enumeration needs 81 steps, "
-            "exceeding the budget of 10\n"
+            "qfcodes: resource error: message-space enumeration needs 300 steps, "
+            "exceeding the budget of 200\n"
         )
+    code, out, err = _run(capsys, "verify", "lemma-gauss", "--preset", "example-3.2", "--budget", "100")
+    assert (code, out) == (1, "")
+    assert err == (
+        "qfcodes: resource error: the value stream of Q needs 125 steps, "
+        "exceeding the budget of 100\n"
+    )
 
 
 def test_qf_subcommand(capsys):
@@ -427,32 +435,51 @@ def test_internal_assertion_in_form_analysis_propagates(monkeypatch):
 
 
 def test_weight_data_budget_exits_one(capsys):
-    code, out, err = _run(capsys, "code", "--preset", "example-3.1", "--budget", "10")
+    """30 steps cover GF(3)'s tables (24), not the value profile (99)."""
+    code, out, err = _run(capsys, "code", "--preset", "example-3.1", "--budget", "30")
     assert code == 1 and out == ""
     assert err.count("\n") == 1
     assert err.startswith("qfcodes: resource error: message-space enumeration")
 
 
-def test_oversized_tower_is_refused_before_allocation(tmp_path, capsys):
-    """The generator token "g" needs F_{3^16}'s tables, about 10^9 cells:
-    refused with exit 1 before any table is built.  field-info prints moduli
-    only and builds none."""
-    cfg = {"tower": {"p": 3, "m": 1, "m1": 16, "m2": 1},
-           "form": {"frobenius": [{"coeff": "g", "i": 0}]}}
-    path = tmp_path / "f316.json"
-    path.write_text(json.dumps(cfg), encoding="utf-8")
+def test_generator_token_builds_no_table_of_f_3_16():
+    """The token "g" is the generator search and column 0 of a power of M_g,
+    so Tr(g x**2) over F_{3^16} runs WD, CWE and the hierarchy with exit 0,
+    brute == closed, and no F_{3^16} table (about 10^9 cells, past the
+    budget) is built: the streamed value histogram stays far below one."""
+    cfg = validate_config({"tower": {"p": 3, "m": 1, "m1": 16, "m2": 1},
+                           "form": {"frobenius": [{"coeff": "g", "i": 0}]}})
     tracemalloc.start()
     try:
-        code, out, err = _run(capsys, "qf", "--config", str(path))
+        bundle, code = run_config(cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert code == 1 and out == ""
-    assert err == (
-        "qfcodes: resource error: building GF(43046721) needs 990074583 steps, "
-        "exceeding the budget of 100000000\n"
-    )
-    assert peak < 10 * 2**20
+    assert code == 0 and bundle["disagreements"] == []
+    assert bundle["wd"]["agree"] and bundle["cwe"]["predicted_agrees"]
+    assert all(row["brute"] == row["closed"] for row in bundle["ghw"]["rows"])
+    assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("name", ["example-3.3", "example-3.6"])
+def test_generator_token_builds_no_table_of_f_q_m1(name, monkeypatch):
+    """Building a preset whose coefficient is "g" runs no table build of
+    F_{q^m1} (F_729, F_27): fresh fields, with a spy on ``_finish_init``."""
+    from qfcodes import cli, fields
+
+    monkeypatch.setattr(fields, "prime_field", lru_cache(fields.prime_field.__wrapped__))
+    monkeypatch.setattr(fields, "_extension_field", lru_cache(fields._extension_field.__wrapped__))
+    monkeypatch.setattr(cli, "build_tower", fields.build_tower.__wrapped__)
+    built, real = [], fields.FiniteField._finish_init
+
+    def spy(self):
+        built.append(self.order)
+        real(self)
+
+    monkeypatch.setattr(fields.FiniteField, "_finish_init", spy)
+    cfg, _ = preset_config(name)
+    spec = cli.spec_from_config(cfg)
+    assert spec.tower.Fq.order in built and spec.tower.Fq1.order not in built
 
 
 def test_oversized_value_stream_is_refused_before_allocation(tmp_path, capsys):
@@ -474,6 +501,52 @@ def test_oversized_value_stream_is_refused_before_allocation(tmp_path, capsys):
         "exceeding the budget of 100000000\n"
     )
     assert peak < 10 * 2**20
+
+
+_STREAM_BUDGET_REACH = """
+import json, sys
+from qfcodes.cli import run_config, validate_config
+from qfcodes.errors import BudgetError
+from qfcodes.quadform import QuadraticForm
+raw = {"tower": {"p": 3, "m": 1, "m1": 17, "m2": 1}, "variant": "affine",
+       "form": {"frobenius": [{"coeff": 1, "i": 0}]},
+       "tasks": ["wd", "cwe", "ghw", "verify-lemmas"]}
+try:
+    run_config(validate_config(raw))
+    refusal = None
+except BudgetError as e:
+    refusal = str(e)
+streams, real = [], QuadraticForm._value_blocks
+QuadraticForm._value_blocks = lambda self: streams.append(1) or real(self)
+bundle, code = run_config(validate_config({**raw, "budget": 200000000}))
+print(json.dumps({"refusal": refusal, "code": code, "streams": len(streams), "bundle": bundle}))
+"""
+
+
+@pytest.mark.reach
+def test_config_budget_reaches_the_value_stream():
+    """The config's budget caps the value stream too: affine Tr(x**2) over
+    F_{3^17} x F_3 (3^17 values of Q) is refused at the default budget with
+    the one-line stream message, and with "budget": 2e8 WD, CWE, every d_r
+    and every verify suite agree with the closed forms, from one stream, in
+    a fresh process."""
+    src = str(Path(qfcodes.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _STREAM_BUDGET_REACH], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    run = json.loads(proc.stdout)
+    assert run["refusal"] == (
+        "the value stream of Q needs 129140163 steps, exceeding the budget of 100000000"
+    )
+    bundle = run["bundle"]
+    assert (run["code"], run["streams"], bundle["disagreements"]) == (0, 1, [])
+    assert bundle["wd"]["agree"] and bundle["cwe"]["predicted_agrees"]
+    rows = bundle["ghw"]["rows"]
+    assert [row["r"] for row in rows] == [1, 2, 3]
+    assert all(row["brute"] == row["closed"] for row in rows), rows
+    assert bundle["verify"] == {"lemma_basic": True, "lemma_gauss": True, "counts": True}
 
 
 def test_ghw_reaches_k_20(tmp_path, capsys):

@@ -29,7 +29,7 @@ from qfcodes import (
     weight_distribution_predicted,
 )
 from qfcodes.codes import apply_symbol_permutation, eta_matching_permutation
-from qfcodes.errors import BudgetError
+from qfcodes.errors import BudgetError, budget
 from qfcodes.presets import preset_names
 
 from conftest import spec_for, EXAMPLE_NAMES
@@ -267,8 +267,8 @@ def test_exhaustive_cwe_cost_grows_with_f_q_m2_not_its_square():
 
 
 def test_weight_data_budget_refusal(ex31):
-    with pytest.raises(BudgetError, match="message-space enumeration"):
-        cwe_brute(ex31, budget=10)
+    with budget(10), pytest.raises(BudgetError, match="message-space enumeration"):
+        cwe_brute(ex31)
 
 
 def test_weight_data_budget_is_the_kernel_cost(ex31):
@@ -278,9 +278,10 @@ def test_weight_data_budget_is_the_kernel_cost(ex31):
     tw = ex31.tower
     q = tw.q
     cost = tw.m * tw.m2 * tw.p * q + 2 * q**3 + 2 * 1 * q**2  # homogeneous: n_c = 1
-    with pytest.raises(BudgetError, match="message-space enumeration"):
-        cwe_brute(ex31, budget=cost - 1)
-    assert cwe_brute(ex31, budget=cost) == cwe_predicted(ex31)
+    with budget(cost - 1), pytest.raises(BudgetError, match="message-space enumeration"):
+        cwe_brute(ex31)
+    with budget(cost):
+        assert cwe_brute(ex31) == cwe_predicted(ex31)
 
 
 def test_oversized_codeword_is_refused_before_the_value_table():
@@ -308,8 +309,8 @@ def test_zero_weight_message_is_refused(ex31, monkeypatch):
 
     real = codes._compositions
 
-    def forged(spec, budget):
-        for c, comp in real(spec, budget):
+    def forged(spec):
+        for c, comp in real(spec):
             comp[1, 0] = [spec.length] + [0] * (spec.tower.q - 1)  # (a, b) = (1, 0)
             yield c, comp
 

@@ -7,6 +7,7 @@ from qfcodes import (
     CycInt,
     Elem,
     additive_char_sum,
+    budget,
     build_tower,
     count_solutions,
     count_solutions_brute,
@@ -273,7 +274,5 @@ def test_budget_guard():
 
     tw = build_tower(3, 1, 2, 1)
     form = QuadraticForm(tw, frobenius_terms=(FrobeniusTerm(tw.Fq1.one, 0),))
-    with pytest.raises(BudgetError):
-        count_solutions_brute(
-            form, tw.Fq.one, tw.Fq2.zero, tw.Fq.zero, budget=5
-        )
+    with budget(5), pytest.raises(BudgetError):
+        count_solutions_brute(form, tw.Fq.one, tw.Fq2.zero, tw.Fq.zero)

@@ -22,6 +22,7 @@ from qfcodes import (
     ExtField,
     MixedFieldError,
     ParameterError,
+    budget,
     build_tower,
     elem_from_data,
     elem_to_data,
@@ -307,6 +308,9 @@ def test_elem_tokens():
     F9 = build_tower(3, 2, 1, 1).Fq
     assert elem_from_data(F9, "g").idx == F9.gen
     assert elem_from_data(F9, "g^3") == primitive_element(F9) ** 3
+    for F in (prime_field(7), F9, build_tower(3, 2, 3, 1).Fq1, build_tower(5, 1, 3, 1).Fq1):
+        for k in (-F.order, -1, 0, 1, 2, F.order - 2, F.order - 1, F.order, 3 * F.order + 5):
+            assert elem_from_data(F, f"g^{k}").idx == F.pow(F.gen, k), (F, k)
     assert elem_from_data(F9, 2) == F9.one + F9.one
     with pytest.raises(MixedFieldError):
         elem_from_data(F9, "h")
@@ -498,7 +502,7 @@ def test_oversized_field_tables_are_refused_before_allocation():
     F16 = extension_field(prime_field(3), 16)
     for _ in range(2):
         with pytest.raises(BudgetError, match=r"building GF\(43046721\) needs 990074583 "):
-            F16.gen
+            F16.omega
     with pytest.raises(BudgetError, match=r"building GF\(4782969\)"):
         extension_field(prime_field(3), 14).omega
     with pytest.raises(BudgetError, match=r"building GF\(1000000007\)"):
@@ -506,6 +510,38 @@ def test_oversized_field_tables_are_refused_before_allocation():
     assert ExtField(prime_field(3), 39).order < 2**63  # 3**40 >= 2**63: indices are int64
     with pytest.raises(ParameterError, match=r"GF\(3\*\*40\) is too large"):
         ExtField(prime_field(3), 40)
+
+
+def test_generator_search_builds_no_table():
+    """``gen`` is the batched search alone: over F_{3^16} it builds no table,
+    and a "g^k" token is column 0 of M_g**k.  Factoring |F| - 1 is charged
+    isqrt(|F| - 1) steps of trial division, so F_{11^17} is refused at once."""
+    F16 = extension_field(prime_field(3), 16)
+    g = F16.gen
+    assert elem_from_data(F16, "g").idx == g and elem_from_data(F16, "g^0").idx == 1
+    g2 = elem_from_data(F16, "g^2").idx
+    assert F16.mul_matrices([g])[0] @ F16.mul_matrices([g])[0][:, 0] % 3 @ 3 ** np.arange(16) == g2
+    assert elem_from_data(F16, f"g^{F16.order + 1}").idx == g2  # exponents mod |F| - 1
+    assert not {"_log", "_exp", "_omega"} & set(F16.__dict__)
+    F = extension_field(prime_field(11), 17)
+    with pytest.raises(BudgetError, match=r"the generator search of GF\(505447028499293771\) needs 710947978 "):
+        F.gen
+
+
+@pytest.mark.parametrize("degree", [2, 4, 7])
+def test_first_table_read_is_charged_to_the_run_budget(degree):
+    """A fresh extension's first table read is charged |F| * (dim + 7) steps
+    to the budget of the enclosing block: refused one step short, built at
+    the charge, and not charged again once built."""
+    F = ExtField(prime_field(3), degree)
+    cost = F.order * (degree + 7)
+    with budget(cost - 1), pytest.raises(BudgetError, match=rf"building GF\({F.order}\) needs {cost} "):
+        F.omega
+    with budget(cost):
+        omega = F.omega
+    assert omega.tobytes() == extension_field(prime_field(3), degree).omega.tobytes()
+    with budget(1):
+        assert F.log(F.gen) == 1
 
 
 # -- scalar ops on the one copy of each table ---------------------------------

@@ -43,7 +43,7 @@ from qfcodes import (
 )
 
 from qfcodes import linalg
-from qfcodes.errors import DEFAULT_BUDGET
+from qfcodes.errors import DEFAULT_BUDGET, budget
 from qfcodes.fields import _min_dtype
 
 from conftest import batched, spec_for, reference_scan, EXAMPLE_NAMES
@@ -190,21 +190,31 @@ def test_budget_error_keeps_closed_values(ex36):
     """At budget 5 every row refuses with its note and keeps its closed
     value: on example-3.6 (k = 6, d = 2, dim W = 4 over F_3) the rows
     r = 2, 3, 4 need [2, 0] + [2, 1] + [2, 2] = 6 quotient subspaces, the
-    others at most 5 subspaces but the 9 cells of the quotient multiset."""
-    rep = hierarchy(ex36, budget=5)
+    others at most 5 subspaces but the 9 cells of the quotient multiset.
+    The form's 27 values are streamed before the block."""
+    ex36.analysis.form.value_histogram
+    with budget(5):
+        rep = hierarchy(ex36)
     for row in rep.rows:
         assert row.d_closed > 0 and row.d_brute is None
         if row.r in (2, 3, 4):
             assert "subspace enumeration [2 choose j]_3, j = 0..2 needs 6 steps" in row.note
         else:
             assert "column multiset over F_3^2 needs 9 steps" in row.note
-    with pytest.raises(BudgetError):
-        ghw_brute(ex36, 3, budget=5)
+    with budget(5), pytest.raises(BudgetError):
+        ghw_brute(ex36, 3)
 
 
 def test_witness_attains_maximum(ex31):
     d2, witness = ghw_brute(ex31, 2)
     assert support_defect(ex31, witness) == ex31.length - d2
+
+
+def test_point_count_of_r_0_bases_is_one_count_per_basis(ex31):
+    """A (B, 0, k) batch spans the zero subspace B times: every coordinate
+    vanishes in each, as a single (0, k) basis gives one int."""
+    assert ghw.point_count(ex31, None, np.zeros((3, 0, 4), dtype=int)).tolist() == [2186] * 3
+    assert ghw.point_count(ex31, None, np.zeros((0, 4), dtype=int)) == 2186
 
 
 def _assert_canonical_maximiser(F, r, witness, defect, d_r, n):
@@ -253,9 +263,10 @@ def test_chunk_boundaries_do_not_move_the_scan(name, chunk, monkeypatch):
     cache is cleared first, so the patched pass really scans."""
     spec = spec_for(name)
     params = make_descent(spec.tower, 3) if name.startswith("descent") else None
-    brute = partial(ghw.scan, spec, params, budget=DEFAULT_BUDGET)
+    brute = partial(ghw.scan, spec, params)
     rs = range(1, ghw.message_dim(spec, params) + 1)
-    want = [brute(r) for r in rs]
+    with budget(DEFAULT_BUDGET):
+        want = [brute(r) for r in rs]
     ghw._quotient.cache_clear()
     calls, real = [], ghw._span_sums
 
@@ -265,7 +276,8 @@ def test_chunk_boundaries_do_not_move_the_scan(name, chunk, monkeypatch):
 
     monkeypatch.setattr(ghw, "_CHUNK", chunk)
     monkeypatch.setattr(ghw, "_span_sums", spy)
-    assert [brute(r) for r in rs] == want
+    with budget(DEFAULT_BUDGET):
+        assert [brute(r) for r in rs] == want
     assert calls
 
 
@@ -281,10 +293,13 @@ def test_scan_memory_stays_flat(ex36):
 
 def test_column_multiset_is_charged_to_the_budget(ex36):
     """r = k has one quotient subspace, but the quotient multiset f and f*
-    have q**d = 9 cells."""
-    with pytest.raises(BudgetError, match="column multiset over F_3\\^2 needs 9 steps"):
-        ghw_brute(ex36, ex36.dimension, budget=8)
-    assert ghw_brute(ex36, ex36.dimension, budget=9)[0] == ex36.length
+    have q**d = 9 cells.  The form's 27 values are streamed before the
+    blocks."""
+    ex36.analysis.form.value_histogram
+    with budget(8), pytest.raises(BudgetError, match="column multiset over F_3\\^2 needs 9 steps"):
+        ghw_brute(ex36, ex36.dimension)
+    with budget(9):
+        assert ghw_brute(ex36, ex36.dimension)[0] == ex36.length
 
 
 # -- the engine alone ------------------------------------------------------------
@@ -506,7 +521,8 @@ def test_quotient_scan_is_the_full_space_scan(data):
         return
     full = ghw._Multiset(F, k, _bincount(F, G))
     for r in range(1, k + 1):
-        d_r, witness = ghw.scan(spec, params, r, DEFAULT_BUDGET)
+        with budget(DEFAULT_BUDGET):
+            d_r, witness = ghw.scan(spec, params, r)
         assert d_r == ghw._max_defect(full, r)[0], r
         count = partial(ghw.point_count, spec, params)
         _assert_canonical_maximiser(F, r, witness, count, d_r, G.shape[1])

@@ -10,7 +10,9 @@ from qfcodes import (
     FrobeniusTerm,
     QuadraticForm,
     TraceSquareTerm,
+    BudgetError,
     ZeroFormError,
+    budget,
     build_tower,
     epsilon_sign,
     quad_char,
@@ -540,3 +542,20 @@ def test_analysis_is_invariant_under_congruence(data):
         for d in D:
             det = Fq.mul(det, d)
         assert after.delta_q.idx == Fq.mul(Fq.mul(det, det), before.delta_q.idx)
+
+
+@pytest.mark.parametrize("m1", [5, 12])
+def test_value_stream_is_charged_to_the_run_budget(m1):
+    """A fresh form's value histogram streams |F_{q^m1}| values, charged to
+    the budget of the enclosing block when the stream starts: refused one
+    step short, computed at the charge (one evaluation for F_{3^5}, blocks
+    for F_{3^12}), and not charged again once cached."""
+    tw = build_tower(3, 1, m1, 1)
+    form = QuadraticForm(tw, frobenius_terms=(FrobeniusTerm(tw.Fq1.one, 0),))
+    n = tw.Fq1.order
+    with budget(n - 1), pytest.raises(BudgetError, match=f"the value stream of Q needs {n} steps"):
+        form.value_histogram
+    with budget(n):
+        assert form.value_histogram.sum() == n
+    with budget(1):
+        assert form.value_histogram.sum() == n
