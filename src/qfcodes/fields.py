@@ -10,24 +10,21 @@ Because the digits nest, the base-p digits of any index are the element's
 F_p coordinates, and addition is digitwise mod p in every field of the tower.
 
 Multiplication, inversion and powering run through discrete log/exp tables
-for the canonical generator.  Every field keeps Zech logarithms,
-1 + g**k = g**Z(k): one more table of |F| entries beside log/exp (K. Huber,
-"Some comments on Zech's logarithms", IEEE Trans. IT 36(4), 1990), and no
-|F| x |F| addition table.  An extension field adds through them; a prime
-field adds, negates and multiplies residues.
+for the canonical generator; addition reads no table.  A prime field adds,
+negates and multiplies residues.
 
 Construction is the modulus search (``_is_irreducible``) and F_p linear
 algebra on base-p digits: E[l] is the matrix of x -> p**l * x
 (``mul_matrices``), and no scalar polynomial product is taken once the
 modulus is known.  A relative trace is one F_p matrix on digits
 (``trace_matrix``), so no trace needs the log/exp tables.  The tables
-(log/exp/Zech, omega, the q x q op tables of the F_q kernels) are built on
-the first read of any of them, each held once as a read-only numpy array
-that scalar ops read with ``ndarray.item`` (so they return Python ints); two
-threads that build them build the same bytes.  Their cells are charged to the
-run's budget (``errors.charge``) before they are built, and a field of 2**63
-elements or more is refused at construction.  The generator search alone
-builds no table.
+(log/exp and omega; the q x q mul table of the F_q kernels reads them) are
+built on the first read of any of them, each held once as a read-only numpy
+array that scalar ops read with ``ndarray.item`` (so they return Python
+ints); two threads that build them build the same bytes.  Their cells are
+charged to the run's budget (``errors.charge``) before they are built, and a
+field of 2**63 elements or more is refused at construction.  The generator
+search alone builds no table.
 
 Two element orders coexist:
 
@@ -111,10 +108,10 @@ def _p_digits(indices, p: int, d: int) -> np.ndarray:
     return np.asarray(indices, dtype=np.int64)[:, None] // p ** np.arange(d) % p
 
 
-# Tables of |F| entries a field holds: omega (exp is a view of it), log, Zech,
-# a trace table for each of up to two subfields, and a trace row's temporaries.
-_TABLES_KEPT = 7
-_LAZY_TABLES = {"_omega", "_exp", "_log", "_zech", "_op_tables"}
+# Tables of |F| entries a field holds: omega (exp is a view of it), log, a
+# trace table for each of up to two subfields, and a trace row's temporaries.
+_TABLES_KEPT = 6
+_LAZY_TABLES = {"_omega", "_exp", "_log"}
 # Indices per block when a table is computed on base-p digits.
 _DIGIT_BLOCK = 1 << 16
 
@@ -140,8 +137,8 @@ class FiniteField:
     modulus: tuple[int, ...] | None
 
     def __getattr__(self, name):
-        """The first read of a table or table cache builds them all; threads
-        that race here build the same tables and share one set of caches."""
+        """The first read of omega, log or exp builds all three; threads that
+        race here build the same tables."""
         if name not in _LAZY_TABLES:
             raise AttributeError(name)
         self._finish_init()
@@ -150,22 +147,18 @@ class FiniteField:
     # -- scalar index arithmetic ---------------------------------------
 
     def add(self, i: int, j: int) -> int:
-        """g**a + g**b = g**(a + Z(b - a)) by the Zech table."""
-        if i == 0:
-            return j
-        if j == 0:
-            return i
-        n1 = self.order - 1
-        li = self._log.item(i)
-        z = self._zech.item((self._log.item(j) - li) % n1)
-        return 0 if z < 0 else self._exp.item((li + z) % n1)
+        """Digit-wise mod p: the base-p digits of an index are its F_p
+        coordinates."""
+        p, out, w = self.p, 0, 1
+        while i or j:
+            out, i, j, w = out + (i + j) % p * w, i // p, j // p, w * p
+        return out
 
     def neg(self, i: int) -> int:
-        """-1 = g**((|F| - 1) / 2) in odd characteristic."""
-        if i == 0:
-            return 0
-        n1 = self.order - 1
-        return self._exp.item((self._log.item(i) + n1 // 2) % n1)
+        p, out, w = self.p, 0, 1
+        while i:
+            out, i, w = out + -i % p * w, i // p, w * p
+        return out
 
     def sub(self, i: int, j: int) -> int:
         return self.add(i, self.neg(j))
@@ -366,27 +359,26 @@ class FiniteField:
         """``table[i, j] = op(i, j)`` (int64, read-only) for the scalar op
         named ``op``: "add", "sub" or "mul".
 
-        |F|**2 cells, gathered from the log/exp/Zech tables as the scalar ops
-        read them, on the first call, and kept by the field: only the q x q
-        kernels over F_q call it, and their charges cover it.
+        |F|**2 cells, kept by the field: "add" and "sub" digit-wise on the
+        indices, so they build no other table, and "mul" gathered from the
+        log/exp tables.  Only the q x q kernels over F_q call it, and their
+        charges cover it.
         """
         if op not in ("add", "sub", "mul"):
             raise ParameterError(f"no op table for {op!r}")
-        tab = self._op_tables.get(op)
-        if tab is None:
-            n1, log, exp = self.order - 1, self._log, self._exp
+        tables = self.__dict__.setdefault("_op_tables", {})
+        if op not in tables:
             i, j = np.ogrid[: self.order, : self.order]
             if op == "mul":
+                n1, log, exp = self.order - 1, self._log, self._exp
                 tab = np.where((i == 0) | (j == 0), 0, exp[(log[i] + log[j]) % n1])
             else:
-                if op == "sub":  # i - j = i + g**(n1/2) * j
-                    j = np.where(j == 0, 0, exp[(log[j] + n1 // 2) % n1])
-                z = self._zech[(log[j] - log[i]) % n1]
-                tab = np.where(z < 0, 0, exp[(log[i] + z) % n1])
-                tab = np.where(i == 0, j, np.where(j == 0, i, tab))
+                p, sign = self.p, 1 if op == "add" else -1
+                weights = p ** np.arange(len(self._mul_basis))
+                tab = sum((i // w + sign * (j // w)) % p * w for w in weights)
             tab.setflags(write=False)
-            self._op_tables[op] = tab
-        return tab
+            tables[op] = tab
+        return tables[op]
 
     # -- F_p matrix algebra ---------------------------------------------------
 
@@ -437,15 +429,8 @@ class FiniteField:
         log = np.zeros(self.order, dtype=np.int64)
         log[omega[1 : 1 + n1]] = np.arange(n1)
         log.setflags(write=False)
-        exp = omega[1 : 1 + n1]
-        # Zech table Z(k) = log(1 + g**k), -1 where 1 + g**k = 0: adding one
-        # adds 1 mod p to base-p digit 0 and changes no other digit.
-        plus_one = exp - exp % p + (exp + 1) % p
-        zech = np.where(plus_one == 0, -1, log[plus_one])
-        zech.setflags(write=False)
-        # published at once; a racing build keeps the caches already there
-        self.__dict__.update(_omega=omega[: 1 + n1], _exp=exp, _log=log, _zech=zech)
-        self.__dict__.setdefault("_op_tables", {})
+        # published at once
+        self.__dict__.update(_omega=omega[: 1 + n1], _exp=omega[1 : 1 + n1], _log=log)
 
 
 def _mat_pow(mats: np.ndarray, e: int, p: int) -> np.ndarray:
@@ -951,7 +936,10 @@ def elem_from_data(field: FiniteField, data) -> Elem:
     if isinstance(data, str):
         s = data.strip()
         if s == "g" or s.startswith("g^"):  # column 0 of M_g**k: no table is built
-            k = (int(s[2:]) if s[1:] else 1) % (field.order - 1)
+            try:
+                k = (int(s[2:]) if s[1:] else 1) % (field.order - 1)
+            except ValueError:
+                raise MixedFieldError(f"unrecognized element token {data!r}") from None
             col = _mat_pow(field.mul_matrices([field.gen]), k, field.p)[0, :, 0]
             return Elem(field, int(col @ field.p ** np.arange(len(col))))
         raise MixedFieldError(f"unrecognized element token {data!r}")

@@ -293,13 +293,19 @@ def test_theta_override_flag(capsys):
         (["ghw", "--config", '{"ghw_r_max": true}'], "ghw_r_max"),
         (["code", "--config", '{"budget": true}'], "budget"),
         (["code", "--config", '{"form": {"terms": [{"kind": ["frob"]}]}}'], "form.terms[0].kind"),
+        (["code", "--config", '{"form": {"frobenius": [{"coeff": "g^", "i": 0}]}}'], "form"),
+        (["code", "--config", '{"form": {"frobenius": [{"coeff": "g^1.5", "i": 0}]}}'], "form"),
+        (["descend", "--preset", "descent-7-2-1-1-3", "--theta-override", '"g^x"'],
+         "descent.theta"),
     ],
 )
 def test_malformed_inputs_exit_one(tmp_path, capsys, argv, field):
     """Bad flag values and config keys end in exit 1 with a one-line message.
 
     A ``--config`` argument given as JSON names the keys that a small valid
-    config gains before it is written to a file."""
+    config gains before it is written to a file.  A malformed "g^k" token
+    is named as one."""
+    bad_token = any("g^" in arg for arg in argv)
     if "--config" in argv:
         i = argv.index("--config") + 1
         cfg = {
@@ -314,6 +320,7 @@ def test_malformed_inputs_exit_one(tmp_path, capsys, argv, field):
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and f"config field '{field}'" in err
     assert '"' not in err
+    assert ("unrecognized element token 'g^" in err) == bad_token
 
 
 @pytest.mark.parametrize("name", ["example-3.6", "descent-7-2-1-1-3"])
