@@ -78,7 +78,7 @@ from .ghw import (
     support_defect_char,
     support_defect_closed,
 )
-from .presets import PRESETS, build_spec, get_preset, preset_names
+from .presets import PRESETS, get_preset, preset_names
 from .quadform import (
     FrobeniusTerm,
     QuadFormAnalysis,

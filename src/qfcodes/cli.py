@@ -74,6 +74,16 @@ from .quadform import FrobeniusTerm, QuadraticForm, TraceSquareTerm
 _TASKS = ("wd", "cwe", "ghw", "descend", "verify-lemmas")
 _SUITES = ("lemma_basic", "lemma_gauss", "counts")  # what the verify-lemmas task checks
 _FORMATS = ("text", "json", "csv")
+# the tasks each command runs; None runs the config's own (a preset's)
+_COMMAND_TASKS = {
+    "qf": [],
+    "code": ["wd"],
+    "cwe": ["cwe"],
+    "ghw": ["ghw"],
+    "descend": ["descend"],
+    "verify": ["verify-lemmas"],
+    "preset": None,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -104,12 +114,7 @@ def validate_config(data: dict) -> dict:
         },
         "",
     )
-    out: dict = {}
-    tower = data.get("tower")
-    if not isinstance(tower, dict):
-        raise ConfigError("tower", "required object with p, m, m1, m2")
-    _expect_keys(tower, {"p", "m", "m1", "m2"}, "tower.")
-    out["tower"] = {k: _int(tower.get(k), f"tower.{k}") for k in ("p", "m", "m1", "m2")}
+    out: dict = {"tower": _tower(data.get("tower"))}
 
     form = data.get("form")
     if not isinstance(form, dict):
@@ -164,6 +169,14 @@ def validate_config(data: dict) -> dict:
     return out
 
 
+def _tower(tower) -> dict:
+    """The tower object: p, m, m1 and m2, each a positive integer."""
+    if not isinstance(tower, dict):
+        raise ConfigError("tower", "required object with p, m, m1, m2")
+    _expect_keys(tower, {"p", "m", "m1", "m2"}, "tower.")
+    return {k: _int(tower.get(k), f"tower.{k}", positive=True) for k in ("p", "m", "m1", "m2")}
+
+
 def _int(value, path: str, positive: bool = False) -> int:
     """An integer config field; a JSON boolean is not one, although
     ``isinstance(True, int)`` holds."""
@@ -197,49 +210,47 @@ def _trsq_term(term: dict, path: str, extra: set = frozenset()) -> dict:
 
 
 def preset_config(name: str) -> tuple[dict, dict]:
-    """(normalized config, reference data) for a named preset."""
-    p = get_preset(name)
-    cfg = {
-        "tower": dict(zip(("p", "m", "m1", "m2"), p.tower)),
-        "form": {
-            "frobenius": [{"coeff": tok, "i": i} for tok, i in p.frobenius],
-            "trace_squares": [{"c": c, "b": b} for c, b in p.trace_squares],
-            "gram": None,
-        },
-        "variant": p.variant,
-        "descent": {"N": p.descent_n, "theta": None, "r_max": None}
-        if p.descent_n
-        else None,
-        "tasks": list(p.tasks),
-    }
-    return validate_config(cfg), dict(p.reference)
+    """(validated config, reference data) of a named preset."""
+    preset = get_preset(name)
+    return validate_config(preset.config), dict(preset.reference)
+
+
+def _build_tower(tower: dict):
+    """The tower of a validated ``tower`` object; what ``build_tower``
+    refuses (p not an odd prime, a field past 63-bit indices) is an error of
+    the config field ``tower``."""
+    try:
+        return build_tower(**tower)
+    except ParameterError as e:
+        raise ConfigError("tower", str(e)) from e
+
+
+def _elem(field, token, path: str) -> Elem:
+    """The element ``token`` of ``field``; a malformed token is an error of
+    the config field ``path``."""
+    try:
+        return elem_from_data(field, token)
+    except (MixedFieldError, ValueError) as e:
+        raise ConfigError(path, str(e)) from e
 
 
 def spec_from_config(cfg: dict) -> CodeSpec:
-    tower = build_tower(**cfg["tower"])
-    form_cfg = cfg["form"]
+    tower = _build_tower(cfg["tower"])
+    Fq, Fq1, form_cfg = tower.Fq, tower.Fq1, cfg["form"]
+    frobs = tuple(
+        FrobeniusTerm(_elem(Fq1, t["coeff"], "form"), t["i"]) for t in form_cfg["frobenius"]
+    )
+    trsqs = tuple(
+        TraceSquareTerm(_elem(Fq, t["c"], "form"), _elem(Fq1, t["b"], "form"))
+        for t in form_cfg["trace_squares"]
+    )
+    gram = form_cfg["gram"]
+    if gram is None:
+        terms = {"frobenius_terms": frobs, "trace_square_terms": trsqs}
+    else:
+        terms = {"gram": tuple(tuple(_elem(Fq, v, "form").idx for v in row) for row in gram)}
     try:
-        frobs = tuple(
-            FrobeniusTerm(elem_from_data(tower.Fq1, t["coeff"]), t["i"])
-            for t in form_cfg["frobenius"]
-        )
-        trsqs = tuple(
-            TraceSquareTerm(
-                elem_from_data(tower.Fq, t["c"]), elem_from_data(tower.Fq1, t["b"])
-            )
-            for t in form_cfg["trace_squares"]
-        )
-        gram = form_cfg.get("gram")
-        if gram is not None:
-            gram = tuple(
-                tuple(elem_from_data(tower.Fq, v).idx for v in row) for row in gram
-            )
-            form = QuadraticForm(tower, gram=gram)
-        else:
-            form = QuadraticForm(
-                tower, frobenius_terms=frobs, trace_square_terms=trsqs
-            )
-        analysis = form.analysis
+        analysis = QuadraticForm(tower, **terms).analysis
     except (MixedFieldError, ValueError) as e:  # ParameterError, ZeroFormError
         raise ConfigError("form", str(e)) from e
     return CodeSpec(analysis=analysis, variant=Variant(cfg["variant"]))
@@ -258,7 +269,7 @@ def _cwe_to_json(cwe) -> list:
     return [[list(comp), mult] for comp, mult in cwe.items()]
 
 
-def _run_wd(spec: CodeSpec, disagreements: list) -> dict:
+def _run_wd(spec: CodeSpec, reference: dict, disagreements: list) -> dict:
     wd_b = weight_distribution_brute(spec)
     wd_p = weight_distribution_predicted(spec)
     agree = wd_b == wd_p
@@ -268,7 +279,7 @@ def _run_wd(spec: CodeSpec, disagreements: list) -> dict:
     d = wd_b.min_nonzero()
     gries = griesmer_check(n, k, d, q)
     ab = ab_minimality(wd_b, q)
-    return {
+    out = {
         "params": [n, k, d, q],
         "brute": _wd_to_json(wd_b),
         "predicted": _wd_to_json(wd_p),
@@ -283,6 +294,16 @@ def _run_wd(spec: CodeSpec, disagreements: list) -> dict:
             "verdict": ab.verdict,
         },
     }
+    ref_params = reference.get("params")
+    if ref_params is not None and len(ref_params) > 2 and d != ref_params[2]:
+        disagreements.append(f"minimum distance {d} != reference {ref_params[2]}")
+    ref_wd = reference.get("wd")
+    if ref_wd is not None:
+        want = {0: 1, **{int(w): f for w, f in ref_wd.items()}}
+        out["reference_agrees"] = wd_b.as_dict() == want
+        if not out["reference_agrees"]:
+            disagreements.append("weight distribution: reference mismatch")
+    return out
 
 
 def _run_cwe(spec: CodeSpec, reference: dict, disagreements: list) -> dict:
@@ -340,18 +361,18 @@ def _hierarchy_rows(rep, label: str, values: tuple, disagreements: list) -> list
     return rows
 
 
-def _run_descend(spec: CodeSpec, cfg: dict, disagreements: list) -> dict:
+def _run_descend(spec: CodeSpec, cfg: dict, reference: dict, disagreements: list) -> dict:
     dcfg = cfg["descent"]
     if dcfg is None:
         raise ConfigError("descent", "task 'descend' needs a descent object")
     tower = spec.tower
-    theta = dcfg.get("theta")
-    try:
-        theta_elem = elem_from_data(tower.Fq, theta) if theta is not None else None
-    except (MixedFieldError, ValueError) as e:
-        raise ConfigError("descent.theta", str(e)) from e
+    theta = dcfg["theta"]
+    theta_elem = _elem(tower.Fq, theta, "descent.theta") if theta is not None else None
     params = make_descent(tower, dcfg["N"], theta=theta_elem)
     code = descend(spec, params)
+    ref_params = reference.get("descended_params", {}).get(params.N)  # a preset's own N only
+    if ref_params is not None and tuple(ref_params) != (code.length, code.dimension):
+        disagreements.append("descended code parameters differ from reference")
     wts = psi_weight_table(params)
     nonzero_wts = sorted(set(wts[1:]))
     psi_ok = nonzero_wts == [params.column_weight]
@@ -375,7 +396,7 @@ def _run_descend(spec: CodeSpec, cfg: dict, disagreements: list) -> dict:
     ident_ok = sums_agree(*char_identity_checks(params, c, a))
     if not ident_ok:
         disagreements.append("coset character identities failed")
-    rep = descended_hierarchy(spec, params, r_max=dcfg.get("r_max"))
+    rep = descended_hierarchy(spec, params, r_max=dcfg["r_max"])
     rows = _hierarchy_rows(rep, "descended hierarchy", ("closed", "brute"), disagreements)
     return {
         "N": params.N,
@@ -454,27 +475,14 @@ def run_config(
                 disagreements.append("code parameters differ from reference")
         for task in cfg["tasks"]:
             if task == "wd":
-                bundle["wd"] = _run_wd(spec, disagreements)
-                if ref_params is not None and len(ref_params) > 2:
-                    if bundle["wd"]["params"][2] != ref_params[2]:
-                        disagreements.append(
-                            f"minimum distance {bundle['wd']['params'][2]} != "
-                            f"reference {ref_params[2]}"
-                        )
-                ref_wd = reference.get("wd")
-                if ref_wd is not None:
-                    want = {0: 1, **{int(w): f for w, f in ref_wd.items()}}
-                    got = {int(w): f for w, f in bundle["wd"]["brute"].items()}
-                    bundle["wd"]["reference_agrees"] = got == want
-                    if got != want:
-                        disagreements.append("weight distribution: reference mismatch")
+                bundle["wd"] = _run_wd(spec, reference, disagreements)
             elif task == "cwe":
                 bundle["cwe"] = _run_cwe(spec, reference, disagreements)
             elif task == "ghw":
                 bundle["ghw"] = _run_ghw(spec, cfg, reference, disagreements)
             elif task == "descend":
                 try:
-                    bundle["descend"] = _run_descend(spec, cfg, disagreements)
+                    bundle["descend"] = _run_descend(spec, cfg, reference, disagreements)
                 except ParameterError as e:
                     bundle["descend"] = {"error": str(e)}
                     errors.append(f"descend: {e}")
@@ -658,7 +666,11 @@ def _theta_token(text: str):
 
 
 def _load(args, tasks: list[str] | None) -> tuple[dict, dict]:
-    if bool(args.preset) == bool(args.config):
+    """The validated config and reference data of the run ``args`` describe:
+    a preset or a config file, with the flags laid over it and checked by the
+    same rules as the fields they set, then ``tasks`` (None keeps the
+    config's own)."""
+    if bool(args.preset) == bool(getattr(args, "config", None)):
         raise ConfigError("", "give exactly one of --preset or --config")
     if args.preset:
         cfg, reference = preset_config(args.preset)
@@ -689,7 +701,6 @@ def _load(args, tasks: list[str] | None) -> tuple[dict, dict]:
             "theta": _theta_token(theta) if theta is not None else None,
             "r_max": getattr(args, "ghw_r_max", None),
         }
-    # flags obey the same rules as the config fields they override
     cfg = validate_config(cfg)
     if tasks is not None:
         cfg["tasks"] = tasks
@@ -735,7 +746,7 @@ def build_parser() -> _Parser:
     _add_source_args(sp)
 
     sp = sub.add_parser("preset", help="list or run named presets")
-    sp.add_argument("name", nargs="?", help="preset to run")
+    sp.add_argument("preset", nargs="?", metavar="name", help="preset to run")
     sp.add_argument("--list", action="store_true", dest="list_presets")
     sp.add_argument("--format", choices=_FORMATS, default="text")
     sp.add_argument("--budget", type=int, default=None)
@@ -747,39 +758,21 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         if args.command == "field-info":
-            tower = build_tower(args.p, args.m, args.m1, args.m2)
+            tower = _build_tower(_tower({k: getattr(args, k) for k in ("p", "m", "m1", "m2")}))
             bundle = {"field_info": tower.describe()}
             bundle["field_info"]["canonical_generator_Fq"] = elem_to_data(
                 Elem(tower.Fq, tower.Fq.gen)
             )
             print(_render(bundle, args.format), end="")
             return 0
-        if args.command == "preset":
-            if args.list_presets or not args.name:
-                for name in sorted(PRESETS):
-                    print(f"{name:<22} {PRESETS[name].summary}")
-                return 0
-            cfg, reference = preset_config(args.name)
-            if args.budget is not None:
-                cfg["budget"] = args.budget
-            bundle, code = run_config(validate_config(cfg), reference)
-            print(_render(bundle, args.format), end="")
-            return code
-        if args.command == "verify":
-            cfg, reference = _load(args, ["verify-lemmas"])
-            suites = _SUITES if args.suite == "all" else (args.suite.replace("-", "_"),)
-            bundle, code = run_config(cfg, reference, suites)
-            print(_render(bundle, args.format), end="")
-            return code
-        task_of = {
-            "qf": [],
-            "code": ["wd"],
-            "cwe": ["cwe"],
-            "ghw": ["ghw"],
-            "descend": ["descend"],
-        }
-        cfg, reference = _load(args, task_of[args.command])
-        bundle, code = run_config(cfg, reference)
+        if args.command == "preset" and (args.list_presets or not args.preset):
+            for name in sorted(PRESETS):
+                print(f"{name:<22} {PRESETS[name].summary}")
+            return 0
+        cfg, reference = _load(args, _COMMAND_TASKS[args.command])
+        suite = getattr(args, "suite", "all")
+        suites = _SUITES if suite == "all" else (suite.replace("-", "_"),)
+        bundle, code = run_config(cfg, reference, suites)
         print(_render(bundle, args.format), end="")
         return code
     except (ConfigError, ParameterError) as e:

@@ -67,14 +67,7 @@ __all__ = [
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n > 1 and _prime_factors(n) == [n]
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -476,8 +469,10 @@ class PrimeField(FiniteField):
     """F_p for an odd prime p; indices are residues 0..p-1."""
 
     def __init__(self, p: int):
-        _charge_tables(p, 1)
-        if not _is_prime(p) or p % 2 == 0:
+        if p < 3 or p % 2 == 0:
+            raise ParameterError(f"p = {p} must be an odd prime")
+        _charge_tables(p, 1)  # also bounds the trial division below
+        if not _is_prime(p):
             raise ParameterError(f"p = {p} must be an odd prime")
         self.p = p
         self.order = p

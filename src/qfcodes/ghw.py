@@ -291,10 +291,11 @@ def scan(spec: CodeSpec, params, r: int) -> tuple[int, tuple]:
     annihilator U of dim u = k - r has mu(U) = q**(u - j) f(pi U) - z with
     j = dim pi U (Tsfasman-Vladut), and d_r = q**(k-d) n_f - max over j of
     q**(u-j) F_j, F_j the maximum of f over the j-dim subspaces of F**d, for
-    j from max(0, u - dim W) to min(d, u).  The witness is the RREF of the
-    quotient's first maximiser on pi's coordinates and the first r - d + j
-    unit vectors of W: its annihilator is the best j-dim subspace lifted,
-    plus the rest of W."""
+    j from max(0, u - dim W) to min(d, u).  The witness is the quotient's
+    first maximiser (reduced echelon) on pi's coordinates and the first
+    r - d + j unit vectors of W: its annihilator is the best j-dim subspace
+    lifted, plus the rest of W.  The two parts have disjoint supports, so
+    the rows sorted by their pivots are the RREF."""
     F, e, _ = _frame(spec, params)
     k, q = spec.dimension * e, F.order
     if not 1 <= r <= k:
@@ -311,7 +312,8 @@ def scan(spec: CodeSpec, params, r: int) -> tuple[int, tuple]:
     rows = np.zeros((r, k), dtype=np.int64)
     rows[: d - j, kept] = np.reshape(ms.best(d - j)[1], (d - j, d))
     rows[np.arange(d - j, r), W[: r - d + j]] = 1
-    return q ** len(W) * ms.n - defect[j], tuple(map(tuple, linalg.rref(F, rows)[0].tolist()))
+    rows = rows[np.argsort((rows != 0).argmax(axis=1), kind="stable")]
+    return q ** len(W) * ms.n - defect[j], tuple(map(tuple, rows.tolist()))
 
 
 @lru_cache(maxsize=None)

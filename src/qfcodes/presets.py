@@ -1,7 +1,10 @@
 """Named experiment presets: the six worked examples and descent fixtures.
 
-Each preset pins a tower, a form, a variant, and the externally printed
-reference values (parameters, weight data, hierarchies).  Reference
+A preset is a named config in the grammar of a ``--config`` file (tower,
+form, variant, descent, tasks; see ``cli.validate_config``) and the
+externally printed reference values a run compares with (parameters, weight
+data, hierarchies).  ``qfcodes preset NAME`` runs the config's own tasks;
+``--preset NAME`` loads the same config under another command.  Reference
 hierarchies carry a set of suspect entries where the printed value is known
 to disagree with both the closed form and brute force; runs report all three
 and let brute force arbitrate.
@@ -9,27 +12,19 @@ and let brute force arbitrate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .codes import CodeSpec, Variant
 from .errors import ConfigError
-from .fields import build_tower, elem_from_data
-from .quadform import FrobeniusTerm, QuadraticForm, TraceSquareTerm
 
-__all__ = ["Preset", "PRESETS", "preset_names", "get_preset", "build_spec"]
+__all__ = ["Preset", "PRESETS", "preset_names", "get_preset"]
 
 
 @dataclass(frozen=True)
 class Preset:
     name: str
     summary: str
-    tower: tuple[int, int, int, int]
-    frobenius: tuple = ()  # ((coeff token, power), ...)
-    trace_squares: tuple = ()  # ((scale token, coeff token), ...)
-    variant: str = "homogeneous"
-    descent_n: int | None = None
-    tasks: tuple[str, ...] = ("wd", "cwe", "ghw")
-    reference: dict = field(default_factory=dict)
+    config: dict  # never changed: a run validates it into a new dict
+    reference: dict
 
 
 PRESETS: dict[str, Preset] = {}
@@ -43,8 +38,10 @@ _add(
     Preset(
         name="example-3.1",
         summary="(q,m1,m2)=(3,4,3), Tr(x^2), homogeneous, rank 4",
-        tower=(3, 1, 4, 3),
-        frobenius=((1, 0),),
+        config={
+            "tower": {"p": 3, "m": 1, "m1": 4, "m2": 3},
+            "form": {"frobenius": [{"coeff": 1, "i": 0}]},
+        },
         reference={
             "params": (2186, 4, 1458),
             "wd": {1458: 78, 1620: 2},
@@ -58,9 +55,13 @@ _add(
     Preset(
         name="example-3.2",
         summary="(q,m1,m2)=(5,3,2), Tr(x^2) - (1/3)Tr(x)^2, homogeneous, rank 2",
-        tower=(5, 1, 3, 2),
-        frobenius=((1, 0),),
-        trace_squares=((3, 1),),  # -(1/3) = 3 mod 5
+        config={
+            "tower": {"p": 5, "m": 1, "m1": 3, "m2": 2},
+            "form": {
+                "frobenius": [{"coeff": 1, "i": 0}],
+                "trace_squares": [{"c": 3, "b": 1}],  # -(1/3) = 3 mod 5
+            },
+        },
         reference={
             "params": (3124, 3, 2500),
             "wd": {2500: 120, 3000: 4},
@@ -78,8 +79,10 @@ _add(
     Preset(
         name="example-3.3",
         summary="(q,m1,m2)=(9,3,2), Tr(g x^2) with g primitive, homogeneous, rank 3",
-        tower=(3, 2, 3, 2),
-        frobenius=(("g", 0),),
+        config={
+            "tower": {"p": 3, "m": 2, "m1": 3, "m2": 2},
+            "form": {"frobenius": [{"coeff": "g", "i": 0}]},
+        },
         reference={
             "params": (59048, 3, 52488),
             "wd": {52488: 728},
@@ -100,9 +103,13 @@ _add(
     Preset(
         name="example-3.4",
         summary="(q,m1,m2)=(5,2,3), Tr(x^2) - (1/2)Tr(x)^2, homogeneous, rank 1",
-        tower=(5, 1, 2, 3),
-        frobenius=((1, 0),),
-        trace_squares=((2, 1),),  # -(1/2) = 2 mod 5
+        config={
+            "tower": {"p": 5, "m": 1, "m1": 2, "m2": 3},
+            "form": {
+                "frobenius": [{"coeff": 1, "i": 0}],
+                "trace_squares": [{"c": 2, "b": 1}],  # -(1/2) = 2 mod 5
+            },
+        },
         reference={
             "params": (3124, 4, 2500),
             "wd": {2500: 624},
@@ -122,9 +129,11 @@ _add(
     Preset(
         name="example-3.5",
         summary="(q,m1,m2)=(3,5,3), Tr(2x^10 + x^2), affine, rank 4",
-        tower=(3, 1, 5, 3),
-        frobenius=((2, 2), (1, 0)),
-        variant="affine",
+        config={
+            "tower": {"p": 3, "m": 1, "m1": 5, "m2": 3},
+            "form": {"frobenius": [{"coeff": 2, "i": 2}, {"coeff": 1, "i": 0}]},
+            "variant": "affine",
+        },
         reference={
             "params": (6561, 5, 4131),
             "wd": {6561: 2, 4374: 234, 4860: 2, 4131: 4},
@@ -147,9 +156,11 @@ _add(
     Preset(
         name="example-3.6",
         summary="(q,m1,m2)=(3,3,4), Tr(g x^2) with g primitive, affine, rank 3",
-        tower=(3, 1, 3, 4),
-        frobenius=(("g", 0),),
-        variant="affine",
+        config={
+            "tower": {"p": 3, "m": 1, "m1": 3, "m2": 4},
+            "form": {"frobenius": [{"coeff": "g", "i": 0}]},
+            "variant": "affine",
+        },
         reference={
             "params": (2187, 6, 1215),
             "wd": {2187: 2, 1458: 722, 1701: 2, 1215: 2},
@@ -176,13 +187,15 @@ _add(
         summary="(p,m,m1,m2,N)=(5,2,1,1,2): q=25 descent fixture; N=2 fails "
         "the coprimality condition gcd(N,(q-1)/(p-1))=1, so construction "
         "reports a parameter error",
-        tower=(5, 2, 1, 1),
-        frobenius=((1, 0),),
-        descent_n=2,
-        tasks=("wd", "cwe", "ghw", "descend"),
+        config={
+            "tower": {"p": 5, "m": 2, "m1": 1, "m2": 1},
+            "form": {"frobenius": [{"coeff": 1, "i": 0}]},
+            "descent": {"N": 2},
+            "tasks": ["wd", "cwe", "ghw", "descend"],
+        },
         reference={
             "params": (624, 2, 600),
-            "descended_params": (7488, 4),
+            "descended_params": {2: (7488, 4)},  # N -> (length, dimension)
         },
     )
 )
@@ -191,13 +204,15 @@ _add(
     Preset(
         name="descent-7-2-1-1-3",
         summary="(p,m,m1,m2,N)=(7,2,1,1,3): q=49 admissible descent demo",
-        tower=(7, 2, 1, 1),
-        frobenius=((1, 0),),
-        descent_n=3,
-        tasks=("wd", "cwe", "ghw", "descend"),
+        config={
+            "tower": {"p": 7, "m": 2, "m1": 1, "m2": 1},
+            "form": {"frobenius": [{"coeff": 1, "i": 0}]},
+            "descent": {"N": 3},
+            "tasks": ["wd", "cwe", "ghw", "descend"],
+        },
         reference={
             "params": (2400, 2, 2352),
-            "descended_params": (38400, 4),
+            "descended_params": {3: (38400, 4)},
         },
     )
 )
@@ -215,16 +230,3 @@ def get_preset(name: str) -> Preset:
             "preset", f"unknown preset {name!r}; available: {', '.join(preset_names())}"
         ) from None
 
-
-def build_spec(preset: Preset) -> CodeSpec:
-    tower = build_tower(*preset.tower)
-    frobs = tuple(
-        FrobeniusTerm(elem_from_data(tower.Fq1, tok), i) for tok, i in preset.frobenius
-    )
-    trsqs = tuple(
-        TraceSquareTerm(elem_from_data(tower.Fq, c), elem_from_data(tower.Fq1, b))
-        for c, b in preset.trace_squares
-    )
-    form = QuadraticForm(tower, frobenius_terms=frobs, trace_square_terms=trsqs)
-    variant = Variant(preset.variant)
-    return CodeSpec(analysis=form.analysis, variant=variant)

@@ -1,17 +1,45 @@
-"""Shared fixtures: preset-backed code specs, cached per session."""
+"""Shared fixtures: preset-backed code specs, cached per session, and a
+fresh-process runner for the reach tests."""
 
 import itertools
+import json
+import os
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qfcodes import build_spec, get_preset
+import qfcodes
+from qfcodes.cli import preset_config, spec_from_config
+
+# appended to a fresh-process script: the child's own peak resident set in kB
+_PEAK = """
+with open("/proc/self/status") as _status:
+    print(next(line.split()[1] for line in _status if line.startswith("VmHWM:")))
+"""
+
+
+def run_fresh(script: str, *args: str) -> dict:
+    """Run ``script`` in a fresh Python process with ``src`` on PYTHONPATH and
+    return the JSON object it prints, with ``peak_mb`` the child's peak RSS
+    (``VmHWM``; its ``ru_maxrss`` would start at the parent's peak, which
+    Linux carries into the child at exec)."""
+    src = str(Path(qfcodes.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script + _PEAK, *args], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    *_, report, peak_kb = proc.stdout.splitlines()
+    return {**json.loads(report), "peak_mb": int(peak_kb) / 1024}
 
 
 @lru_cache(maxsize=None)
 def spec_for(name: str):
-    return build_spec(get_preset(name))
+    return spec_from_config(preset_config(name)[0])
 
 
 def batched(count, bases, batch=256):

@@ -12,7 +12,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # perfbench/ sits next to src/
 
 from perfbench import api, tracing, workloads  # noqa: E402
-from qfcodes import descent, fields, ghw  # noqa: E402
+from qfcodes import cli, descent, fields, ghw  # noqa: E402
 
 from conftest import spec_for  # noqa: E402
 
@@ -32,6 +32,16 @@ def _counting(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, wrapper)
     return calls
+
+
+def test_preset_reaches_the_tower_and_the_run_by_name(monkeypatch):
+    """``preset NAME`` builds its tower through ``cli.build_tower`` and runs
+    through ``cli.run_config``, as every other command does: the traced
+    ``fields.build`` and ``cli.self`` spans wrap those names."""
+    towers = _counting(monkeypatch, cli, "build_tower")
+    runs = _counting(monkeypatch, cli, "run_config")
+    assert api.run_cli(["preset", "example-3.1"])[0] == 0
+    assert len(towers) == len(runs) == 1
 
 
 def test_hierarchy_reaches_ghw_brute_by_name(monkeypatch):

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,10 +11,11 @@ from pathlib import Path
 import pytest
 
 import qfcodes
-from qfcodes import Variant, build_spec, get_preset
-from qfcodes.cli import build_parser, main, preset_config, run_config, validate_config
+from qfcodes import Variant
+from qfcodes.cli import (build_parser, main, preset_config, run_config, spec_from_config,
+                         validate_config)
 from qfcodes.errors import ConfigError
-from qfcodes.presets import preset_names
+from qfcodes.presets import PRESETS, preset_names
 
 
 def _run(capsys, *argv):
@@ -238,6 +241,45 @@ def test_run_config_bundles_reference():
     assert bundle["ghw"]["resolved"] == [2500, 3000, 3120]
 
 
+def test_descended_params_are_compared_with_the_reference(capsys, monkeypatch):
+    """A descent preset's reference (length, dimension) at its own N is
+    checked: a forged one exits 2 with one disagreement naming it."""
+    preset = PRESETS["descent-7-2-1-1-3"]
+    forged = {**preset.reference, "descended_params": {3: (38400, 5)}}
+    monkeypatch.setitem(PRESETS, preset.name, dataclasses.replace(preset, reference=forged))
+    code, out, _ = _run(capsys, "preset", preset.name, "--format", "json")
+    assert code == 2
+    assert json.loads(out)["disagreements"] == ["descended code parameters differ from reference"]
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_suspect_entries_are_the_rows_that_disagree(name):
+    """The hierarchy rows of a preset that disagree are exactly its
+    reference's suspect entries: r = 2 on examples 3.3 and 3.5, none elsewhere."""
+    cfg, reference = preset_config(name)
+    bundle, _ = run_config({**cfg, "tasks": ["ghw"]}, reference)
+    wrong = tuple(row["r"] for row in bundle["ghw"]["rows"] if not row["agree"])
+    assert wrong == reference.get("suspect", ())
+    assert wrong == ((2,) if name in ("example-3.3", "example-3.5") else ())
+
+
+def test_flags_leave_the_preset_config_unchanged(capsys):
+    """A flag laid over a preset changes that run only: after ``descend
+    --N 1`` on a preset, the preset's own report in the same process equals
+    a fresh process's (the benchmark runs every preset job in one process)."""
+    name = "descent-7-2-1-1-3"
+    before = copy.deepcopy(PRESETS[name].config)
+    assert _run(capsys, "descend", "--preset", name, "--N", "1")[0] == 0
+    argv = ["preset", name, "--format", "json"]
+    fresh = subprocess.run(
+        [sys.executable, "-m", "qfcodes.cli", *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(qfcodes.__file__).resolve().parents[1])},
+        timeout=120,
+    )
+    assert _run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert PRESETS[name].config == before
+
+
 def test_descend_cli_flags(capsys):
     code, out, _ = _run(
         capsys, "descend", "--preset", "descent-7-2-1-1-3", "--ghw-r-max", "2"
@@ -297,6 +339,14 @@ def test_theta_override_flag(capsys):
         (["code", "--config", '{"form": {"frobenius": [{"coeff": "g^1.5", "i": 0}]}}'], "form"),
         (["descend", "--preset", "descent-7-2-1-1-3", "--theta-override", '"g^x"'],
          "descent.theta"),
+        (["code", "--config", '{"tower": {"p": 3, "m": 1, "m1": 0, "m2": 1}}'], "tower.m1"),
+        (["code", "--config", '{"tower": {"p": 4, "m": 1, "m1": 2, "m2": 1}}'], "tower"),
+        (["code", "--config", '{"tower": {"p": -3, "m": 1, "m1": 2, "m2": 1}}'], "tower.p"),
+        (["code", "--config", '{"tower": {"p": 3, "m": 1, "m1": 40, "m2": 1}}'], "tower"),
+        (["field-info", "-p", "3", "--m1", "0"], "tower.m1"),
+        (["field-info", "-p", "3", "-m", "0", "--m1", "1"], "tower.m"),
+        (["field-info", "-p", "9", "--m1", "1"], "tower"),
+        (["field-info", "-p", "100000000", "--m1", "1"], "tower"),
     ],
 )
 def test_malformed_inputs_exit_one(tmp_path, capsys, argv, field):
@@ -349,7 +399,7 @@ def test_no_production_path_builds_the_generator_matrix(capsys, monkeypatch, nam
         patch.setattr(ghw._Multiset, "__init__", spy)
         guarded = run()
     assert guarded == run()
-    spec = build_spec(get_preset(name))
+    spec = spec_from_config(preset_config(name)[0])
     assert cells and max(cells) <= spec.tower.q ** (2 if spec.variant is Variant.AFFINE else 1)
 
 
@@ -422,7 +472,7 @@ def test_verify_lemmas_check_every_cell(suite, name, capsys, monkeypatch):
 def test_internal_key_error_propagates(monkeypatch):
     """A KeyError is a bug, not a usage error: main must not swallow it."""
 
-    def broken(cfg, reference=None):
+    def broken(cfg, reference=None, suites=()):
         raise KeyError("missing")
 
     monkeypatch.setattr("qfcodes.cli.run_config", broken)

@@ -1,18 +1,12 @@
 import itertools
 import json
-import os
 import random
-import subprocess
-import sys
 import textwrap
 import tracemalloc
 from collections import Counter
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
-
-import qfcodes
 
 from qfcodes import (
     CWE,
@@ -32,7 +26,7 @@ from qfcodes.codes import apply_symbol_permutation, eta_matching_permutation
 from qfcodes.errors import BudgetError, budget
 from qfcodes.presets import preset_names
 
-from conftest import spec_for, EXAMPLE_NAMES
+from conftest import run_fresh, spec_for, EXAMPLE_NAMES
 
 
 def _reference(name):
@@ -426,7 +420,7 @@ def test_odd_rank_homogeneous_min_distance(ex33, ex34):
 
 _REACH_SCRIPT = textwrap.dedent(
     """
-    import json, resource, time
+    import json, time
     from qfcodes import (CodeSpec, Elem, FrobeniusTerm, QuadraticForm, TraceSquareTerm,
                          Variant, build_tower, cwe_brute, cwe_predicted)
     start = time.perf_counter()
@@ -442,7 +436,6 @@ _REACH_SCRIPT = textwrap.dedent(
     print(json.dumps({
         "equal": equal,
         "seconds": time.perf_counter() - start,
-        "peak_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }))
     """
 )
@@ -453,13 +446,7 @@ def test_exhaustive_cwe_at_f_3_12():
     """The affine F_{3^12} x F_{3^3} code (531,441-element F_{q^m1}): the
     exhaustive CWE equals the closed form, in a fresh process, in under 2 s
     and 300 MB."""
-    src = str(Path(qfcodes.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run(
-        [sys.executable, "-c", _REACH_SCRIPT], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    run = json.loads(proc.stdout)
+    run = run_fresh(_REACH_SCRIPT)
     assert run["equal"]
     assert run["seconds"] < 2, run
     assert run["peak_mb"] < 300, run
@@ -467,7 +454,7 @@ def test_exhaustive_cwe_at_f_3_12():
 
 _TRACE_DP_REACH = textwrap.dedent(
     """
-    import contextlib, io, json, resource, sys, time
+    import contextlib, io, json, sys, time
     from qfcodes.cli import main
     start, bundles = time.perf_counter(), {}
     for argv in (["code"], ["cwe"], ["ghw"], ["verify", "all"]):
@@ -478,7 +465,6 @@ _TRACE_DP_REACH = textwrap.dedent(
     print(json.dumps({
         "bundles": bundles,
         "seconds": time.perf_counter() - start,
-        "peak_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }))
     """
 )
@@ -493,14 +479,7 @@ def test_weight_data_and_hierarchy_at_f_3_30(tmp_path):
            "form": {"frobenius": [{"coeff": 1, "i": 0}]}, "variant": "affine"}
     path = tmp_path / "f_3_30.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
-    src = str(Path(qfcodes.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run(
-        [sys.executable, "-c", _TRACE_DP_REACH, str(path)], env=env, capture_output=True,
-        text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    run = json.loads(proc.stdout)
+    run = run_fresh(_TRACE_DP_REACH, str(path))
     for code, bundle in run["bundles"].values():
         assert code == 0 and bundle["disagreements"] == [], bundle
     rows = run["bundles"]["ghw"][1]["ghw"]["rows"]

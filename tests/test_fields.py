@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -36,6 +37,8 @@ from qfcodes import (
 )
 from qfcodes import FrobeniusTerm, QuadraticForm, fields, quadform
 from qfcodes.cli import main
+
+from conftest import run_fresh
 
 
 def _trial_division_irreducible(base, coeffs):
@@ -78,6 +81,26 @@ def test_build_tower_rejects_bad_p():
         build_tower(9, 1, 1, 1)
     with pytest.raises(ParameterError):
         build_tower(2, 1, 1, 1)
+
+
+def test_prime_field_refuses_what_is_not_an_odd_prime_before_charging():
+    """F_p exists for exactly the odd primes p, and an even p is refused as
+    one before its tables are charged: at a budget of 1 step, GF(10^8) is a
+    ParameterError, not a BudgetError; a large odd p still pays its charge."""
+    make = fields.prime_field.__wrapped__
+    odd_primes = set(primefactors(math.prod(range(2, 60)))) - {2}
+    for p in range(-3, 60):
+        try:
+            make(p)
+        except ParameterError as e:
+            assert str(e) == f"p = {p} must be an odd prime" and p not in odd_primes, p
+        else:
+            assert p in odd_primes, p
+    with budget(1):
+        with pytest.raises(ParameterError, match="p = 100000000 must be an odd prime"):
+            make(10**8)
+        with pytest.raises(BudgetError, match=r"building GF\(100000001\)"):
+            make(10**8 + 1)
 
 
 def test_smallest_irreducible_pinned():
@@ -685,14 +708,13 @@ def test_exp_build_of_f_3_12_stays_near_what_the_field_holds():
 
 _F_3_14_SCRIPT = textwrap.dedent(
     """
-    import json, resource, time
+    import json, time
     from qfcodes import extension_field, prime_field
     start = time.perf_counter()
     omega = extension_field(prime_field(3), 14).omega
     print(json.dumps({
         "size": len(omega),
         "seconds": time.perf_counter() - start,
-        "peak_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }))
     """
 )
@@ -703,16 +725,7 @@ def test_f_3_14_tables_fit_the_default_budget():
     """F_{3^14}'s tables cost 3^14 * (14 + 6) = 95 659 380 steps, inside the
     default budget: omega is built in a fresh process in seconds, under
     200 MB (about 1.9 s and 141 MB on a 2-vCPU host)."""
-    src = str(Path(fields.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", _F_3_14_SCRIPT],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    run = json.loads(proc.stdout)
+    run = run_fresh(_F_3_14_SCRIPT)
     assert run["size"] == 3**14, run
     assert run["seconds"] < 8 and run["peak_mb"] < 200, run
 

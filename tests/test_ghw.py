@@ -1,17 +1,11 @@
-import json
-import os
-import subprocess
-import sys
 import textwrap
 import tracemalloc
 from functools import lru_cache, partial
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import qfcodes
 from qfcodes import (
     BudgetError,
     CodeSpec,
@@ -46,7 +40,7 @@ from qfcodes import linalg
 from qfcodes.errors import DEFAULT_BUDGET, budget
 from qfcodes.fields import _min_dtype
 
-from conftest import batched, spec_for, reference_scan, EXAMPLE_NAMES
+from conftest import batched, run_fresh, spec_for, reference_scan, EXAMPLE_NAMES
 
 
 def test_subspace_counts():
@@ -387,7 +381,7 @@ def test_generator_matrix_is_the_stacked_codeword_lists(name, descended):
     of the unit messages (psi-expanded for the descended code)."""
     spec = spec_for(name)
     tw = spec.tower
-    params = make_descent(tw, get_preset(name).descent_n) if descended else None
+    params = make_descent(tw, get_preset(name).config["descent"]["N"]) if descended else None
     encode = descend(spec, params).codeword if descended else partial(codeword, spec)
     affine = spec.variant is Variant.AFFINE
     rows = []
@@ -530,7 +524,7 @@ def test_quotient_scan_is_the_full_space_scan(data):
 
 _HIERARCHY_REACH = textwrap.dedent(
     """
-    import json, resource, time
+    import json, time
     from qfcodes import (CodeSpec, FrobeniusTerm, QuadraticForm, Variant, build_tower,
                          hierarchy)
     start = time.perf_counter()
@@ -540,7 +534,6 @@ _HIERARCHY_REACH = textwrap.dedent(
     print(json.dumps({
         "rows": [[row.r, row.d_brute, row.d_closed] for row in rows],
         "seconds": time.perf_counter() - start,
-        "peak_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }))
     """
 )
@@ -551,14 +544,7 @@ def test_hierarchy_at_f_3_13():
     """The affine Tr(x**2) code over F_{3^13} x F_{3^3} (n = 43,046,721): the
     scan gives every d_r, equal to the closed form, in a fresh process, under
     200 MB; the multiset comes from the value histogram, not from a 5 x n G."""
-    src = str(Path(qfcodes.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run(
-        [sys.executable, "-c", _HIERARCHY_REACH], env=env, capture_output=True, text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    run = json.loads(proc.stdout)
+    run = run_fresh(_HIERARCHY_REACH)
     assert [r for r, _, _ in run["rows"]] == [1, 2, 3, 4, 5]
     assert all(brute == closed for _, brute, closed in run["rows"]), run
     assert run["seconds"] < 4, run
@@ -567,7 +553,7 @@ def test_hierarchy_at_f_3_13():
 
 _STREAM_REACH = textwrap.dedent(
     """
-    import json, resource, time
+    import json, time
     from qfcodes import (CodeSpec, Elem, FrobeniusTerm, QuadraticForm, Variant, build_tower,
                          count_solutions, count_solutions_brute, cwe_brute, cwe_predicted,
                          hierarchy)
@@ -585,7 +571,6 @@ _STREAM_REACH = textwrap.dedent(
         "rows": [[row.r, row.d_brute, row.d_closed] for row in rows],
         "zeros": int(form.value_histogram[0]),
         "seconds": time.perf_counter() - start,
-        "peak_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }))
     """
 )
@@ -597,14 +582,7 @@ def test_cwe_and_hierarchy_at_f_3_16():
     is streamed without any F_{3^16} table (N(0) = 3^15 - 2 * 3^7), the CWE,
     every d_r and the solution count at all 18 cells (a, class of b, beta)
     equal the closed forms, in a fresh process, in under 10 s and 200 MB."""
-    src = str(Path(qfcodes.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run(
-        [sys.executable, "-c", _STREAM_REACH], env=env, capture_output=True, text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    run = json.loads(proc.stdout)
+    run = run_fresh(_STREAM_REACH)
     assert run["cwe_equal"] and run["zeros"] == 3**15 - 2 * 3**7
     assert run["counts_equal"] == [True] * 18, run
     assert [r for r, _, _ in run["rows"]] == [1, 2, 3, 4, 5]
