@@ -136,6 +136,8 @@ def validate_config(data: dict) -> dict:
         isinstance(gram, list) and all(isinstance(row, list) for row in gram)
     ):
         raise ConfigError("form.gram", "must be a list of lists")
+    if gram is not None and (frobs or trsqs):
+        raise ConfigError("form", "supply either terms or a Gram matrix, not both")
     out["form"] = {"frobenius": frobs, "trace_squares": trsqs, "gram": gram}
 
     variant = data.get("variant", "homogeneous")
@@ -190,7 +192,10 @@ def _r_max(value, path: str):
 
 
 def _objects(items, path: str):
-    """Yield ``(path[i], item)`` for a config list whose items are objects."""
+    """Yield ``(path[i], item)`` for a config list (absent: empty) whose
+    items are objects."""
+    if items is not None and not isinstance(items, list):
+        raise ConfigError(path, "must be a list")
     for i, item in enumerate(items or []):
         if not isinstance(item, dict):
             raise ConfigError(f"{path}[{i}]", "must be an object")
@@ -678,7 +683,7 @@ def _load(args, tasks: list[str] | None) -> tuple[dict, dict]:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise ConfigError("", f"cannot read config: {e}") from e
         except json.JSONDecodeError as e:
             raise ConfigError("", f"invalid JSON at line {e.lineno}: {e.msg}") from e

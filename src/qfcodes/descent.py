@@ -33,7 +33,7 @@ from .codes import CodeSpec, Variant, WeightDistribution, cwe_brute, codeword, \
     weight_distribution_predicted
 from .cyclotomic import CycInt, _etas, cyc_from_trace_counts, eta_twisted_sum_brute
 from .errors import ParameterError
-from .fields import Elem, FieldTower
+from .fields import Elem, FieldTower, digits
 from .ghw import GhwReport, _quotient, closed_defect, closed_ghw, message_dim, point_count
 from .ghw import scan, tabulate
 
@@ -175,7 +175,7 @@ def descend(spec: CodeSpec, params: DescentParams) -> DescendedCode:
         raise ParameterError("descent parameters built for a different tower")
     n_p, Fp = message_dim(spec, params), spec.tower.Fp
     f = _quotient(spec, params)
-    support = np.flatnonzero(f.mu)[:, None] // Fp.order ** np.arange(f.k) % Fp.order
+    support = digits(np.flatnonzero(f.mu), Fp.order, f.k)
     rank = linalg.rank(Fp, support) + n_p - f.k
     if rank != n_p:
         raise ArithmeticError(

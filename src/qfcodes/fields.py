@@ -1,13 +1,22 @@
 """Finite-field towers F_p < F_q < F_{q^s} with exact arithmetic.
 
-Every field stores its elements as dense integer indices 0 .. order-1.  A
-prime field indexes an element by its least nonnegative residue.  An
-extension of degree d over a base of order B indexes the coefficient vector
-(c_0, ..., c_{d-1}) (lowest degree first) as sum(idx(c_i) * B**i), so index 0
-is always zero and index 1 is always one, in every field of the tower.
+The index format, which other modules decode only through ``digits``:
 
-Because the digits nest, the base-p digits of any index are the element's
-F_p coordinates, and addition is digitwise mod p in every field of the tower.
+* every field stores its elements as dense integer indices 0 .. order-1, a
+  prime field's by their least nonnegative residue;
+* an extension of degree d over a base of order B indexes the coefficient
+  vector (c_0, ..., c_{d-1}) (lowest degree first) as sum(c_k * B**k), so
+  its coefficients are the d base-B digits of the index (``coeffs``,
+  ``from_coeffs``), index 0 is zero and index 1 is one in every field;
+* the digits nest, so an element of a subfield S keeps its index in every
+  field above S (``embed_from`` returns it unchanged), an index i lies in S
+  iff i < |S| (``demote_to``), the rational integer k is k % p everywhere
+  (``from_int``), and the ``dim`` base-p digits of an index are the
+  element's F_p coordinates;
+* ``digits(x, base, count)`` is the one decoder of indices, and of vectors
+  over a field numbered by their encoding sum_t x_t |F|**t, into digits.
+
+Addition is digitwise mod p in every field of the tower.
 
 Multiplication, inversion and powering run through discrete log/exp tables
 for the canonical generator; addition reads no table.  A prime field adds,
@@ -63,6 +72,7 @@ __all__ = [
     "enumerate_field",
     "elem_to_data",
     "elem_from_data",
+    "digits",
 ]
 
 
@@ -88,17 +98,10 @@ def _min_dtype(order: int):
     return np.int16 if order < 2**15 else np.int32
 
 
-def _digit_count(order: int, base: int) -> int:
-    """d with base**d == order."""
-    d, size = 0, 1
-    while size < order:
-        d, size = d + 1, size * base
-    return d
-
-
-def _p_digits(indices, p: int, d: int) -> np.ndarray:
-    """The d base-p digits of each index, lowest first."""
-    return np.asarray(indices, dtype=np.int64)[:, None] // p ** np.arange(d) % p
+def digits(x, base: int, count: int) -> np.ndarray:
+    """The ``count`` base-``base`` digits of every entry of ``x`` (any
+    shape), lowest first: shape (*shape, count), int64."""
+    return np.asarray(x, dtype=np.int64)[..., None] // base ** np.arange(count) % base
 
 
 # Tables of |F| entries a field holds: omega (exp is a view of it), log, a
@@ -126,6 +129,7 @@ class FiniteField:
     p: int
     order: int
     degree: int
+    dim: int  # base-p digits per index: [self : F_p]
     base: "FiniteField | None"
     modulus: tuple[int, ...] | None
 
@@ -190,7 +194,7 @@ class FiniteField:
         tested in growing chunks.  Column 0 of M_c**e is the digit row of
         c**e * 1, so c**e = 1 iff it is the digit row of 1; no table is read.
         Factoring n1 by trial division is charged isqrt(n1) steps."""
-        n1, p, dim = self.order - 1, self.p, len(self._mul_basis)
+        n1, p, dim = self.order - 1, self.p, self.dim
         charge(math.isqrt(n1), f"the generator search of GF({self.order})")
         assert dim * (p - 1) ** 2 < 2**63  # int64 matrix products are exact
         factors, one = _prime_factors(n1), np.eye(1, dim, dtype=np.int64)
@@ -212,15 +216,21 @@ class FiniteField:
         return self._log.item(i)
 
     def coeffs(self, i: int) -> tuple[int, ...]:
-        """Coefficient vector over the immediate base, lowest degree first."""
-        raise NotImplementedError
+        """Coefficient vector over the immediate base, lowest degree first:
+        the ``degree`` base-|base| digits of i (a prime field's one
+        coefficient is its residue)."""
+        return tuple(digits(i, (self.base or self).order, self.degree).tolist())
 
-    def from_coeffs(self, digits) -> int:
-        raise NotImplementedError
+    def from_coeffs(self, cs) -> int:
+        """Index of the coefficient vector ``cs``, each reduced mod |base|."""
+        cs, B = tuple(cs), (self.base or self).order
+        if len(cs) != self.degree:
+            raise MixedFieldError(f"{self} expects {self.degree} coefficients, got {len(cs)}")
+        return sum(c % B * B**k for k, c in enumerate(cs))
 
     def from_int(self, k: int) -> int:
         """Image of the rational integer k (a prime-subfield constant)."""
-        raise NotImplementedError
+        return k % self.p
 
     def eta(self, i: int) -> int:
         """Quadratic character: 0 at zero, +1 on squares, -1 otherwise."""
@@ -265,31 +275,24 @@ class FiniteField:
         return any(f is other for f in self.subfield_chain())
 
     def embed_from(self, sub: "FiniteField", i: int) -> int:
-        """Index of the element of ``sub`` with index i, viewed in self."""
-        if sub is self:
-            return i
-        if self.base is None or not self.base.contains_field(sub):
+        """Index of the element of ``sub`` with index i, viewed in self: i."""
+        if not self.contains_field(sub):
             raise MixedFieldError(f"{sub} is not below {self}")
-        return self.base.embed_from(sub, i)  # low digit only
+        return i
 
     def demote_to(self, i: int, sub: "FiniteField") -> int:
         """Inverse of embed_from; raises if the element is not in ``sub``."""
-        if sub is self:
-            return i
-        if self.base is None:
+        if not self.contains_field(sub):
             raise MixedFieldError(f"{sub} is not below {self}")
-        digits = self.coeffs(i)
-        if any(d != 0 for d in digits[1:]):
-            raise MixedFieldError(
-                f"element {i} of {self} does not lie in {sub}"
-            )
-        return self.base.demote_to(digits[0], sub)
+        if i >= sub.order:
+            raise MixedFieldError(f"element {i} of {self} does not lie in {sub}")
+        return i
 
     def degree_over(self, sub: "FiniteField") -> int:
         """[self : sub]; raises unless ``sub`` is a field of the chain below."""
         if not self.contains_field(sub):
             raise MixedFieldError(f"{sub} is not a subfield of {self}")
-        return _digit_count(self.order, sub.order)
+        return self.dim // sub.dim
 
     def frobenius_powers(self, target: "FiniteField") -> np.ndarray:
         """The (s, d, d) stack of x -> x**(|target|**j), j < s = [self :
@@ -298,9 +301,9 @@ class FiniteField:
         cache = self.__dict__.setdefault("_frobenius_powers", {})
         if target not in cache:
             s, p = self.degree_over(target), self.p
-            out = [np.eye(len(self._mul_basis), dtype=np.int64)]
+            out = [np.eye(self.dim, dtype=np.int64)]
             if s > 1:
-                step = _mat_pow(self.frobenius_matrix[None], _digit_count(target.order, p), p)[0]
+                step = _mat_pow(self.frobenius_matrix[None], target.dim, p)[0]
                 while len(out) < s:
                     out.append(out[-1] @ step % p)
             cache[target] = np.stack(out)
@@ -313,7 +316,7 @@ class FiniteField:
         which the trace lies.  Column l is the digit row of Tr(p**l)."""
         cache = self.__dict__.setdefault("_trace_matrices", {})
         if target not in cache:
-            t = _digit_count(target.order, self.p)
+            t = target.dim
             total = self.frobenius_powers(target).sum(axis=0) % self.p
             assert not total[t:].any()  # Tr(x) lies in target
             cache[target] = total[:t]
@@ -324,7 +327,7 @@ class FiniteField:
         """Tr_{self/target} of each index, as indices of ``target``: the
         ``trace_matrix`` on their base-p digits."""
         T = self.trace_matrix(target)
-        return _p_digits(indices, self.p, T.shape[1]) @ T.T % self.p @ self.p ** np.arange(len(T))
+        return digits(indices, self.p, T.shape[1]) @ T.T % self.p @ self.p ** np.arange(len(T))
 
     def trace_table(self, target: "FiniteField") -> np.ndarray:
         """``traces`` of every element (read-only, kept per target), in blocks
@@ -332,7 +335,7 @@ class FiniteField:
         field's tables are."""
         tables = self.__dict__.setdefault("_trace_tables", {})
         if target not in tables:
-            _charge_tables(self.order, len(self._mul_basis))
+            _charge_tables(self.order, self.dim)
             tab = np.empty(self.order, dtype=_min_dtype(target.order))
             for start in range(0, self.order, _DIGIT_BLOCK):
                 block = np.arange(start, min(start + _DIGIT_BLOCK, self.order))
@@ -367,7 +370,7 @@ class FiniteField:
                 tab = np.where((i == 0) | (j == 0), 0, exp[(log[i] + log[j]) % n1])
             else:
                 p, sign = self.p, 1 if op == "add" else -1
-                weights = p ** np.arange(len(self._mul_basis))
+                weights = p ** np.arange(self.dim)
                 tab = sum((i // w + sign * (j // w)) % p * w for w in weights)
             tab.setflags(write=False)
             tables[op] = tab
@@ -383,8 +386,8 @@ class FiniteField:
         multiplication basis (E[l] multiplies by the index p**l), so a whole
         batch of elements is one matrix product.
         """
-        E, dim = self._mul_basis, len(self._mul_basis)
-        return (_p_digits(cs, self.p, dim) @ E.reshape(dim, -1)).reshape(-1, dim, dim) % self.p
+        E, dim = self._mul_basis, self.dim
+        return (digits(cs, self.p, dim) @ E.reshape(dim, -1)).reshape(-1, dim, dim) % self.p
 
     @cached_property
     def frobenius_matrix(self) -> np.ndarray:
@@ -396,7 +399,7 @@ class FiniteField:
 
     def _finish_init(self):
         """Log/exp tables and omega ordering from the generator ``gen``."""
-        n1, p, dim = self.order - 1, self.p, len(self._mul_basis)
+        n1, p, dim = self.order - 1, self.p, self.dim
         _charge_tables(self.order, dim)
         gen, one = self.gen, np.eye(1, dim, dtype=np.int64)
         # exp[k] = g**k.  The digit rows of g**0 .. g**s come from doubling
@@ -447,8 +450,7 @@ def _extension_mul_basis(base: FiniteField, modulus: tuple[int, ...]) -> np.ndar
     by t, shifts coefficient k to k + 1 and folds t**d back through the
     monic modulus: t**d = -(f_0 + f_1 t + ... + f_(d-1) t**(d-1)).
     """
-    p, base_E, d = base.p, base._mul_basis, len(modulus) - 1
-    m = len(base_E)
+    p, base_E, d, m = base.p, base._mul_basis, len(modulus) - 1, base.dim
     dim = d * m
     assert dim * (p - 1) ** 2 < 2**63  # int64 matrix products are exact
     T = np.zeros((dim, dim), dtype=np.int64)
@@ -476,7 +478,7 @@ class PrimeField(FiniteField):
             raise ParameterError(f"p = {p} must be an odd prime")
         self.p = p
         self.order = p
-        self.degree = 1
+        self.degree = self.dim = 1
         self.base = None
         self.modulus = None
         self._mul_basis = np.ones((1, 1, 1), dtype=np.int64)
@@ -493,16 +495,6 @@ class PrimeField(FiniteField):
 
     def mul(self, i, j):
         return (i * j) % self.p
-
-    def coeffs(self, i):
-        return (i,)
-
-    def from_coeffs(self, digits):
-        (d,) = digits
-        return d % self.p
-
-    def from_int(self, k):
-        return k % self.p
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -526,33 +518,17 @@ class ExtField(FiniteField):
         self.base = base
         self.degree = degree
         self.order = base.order**degree
+        self.dim = base.dim * degree
         self.var = var
         if modulus is None:
             modulus = smallest_irreducible(base, degree)
         self.modulus = modulus
-        B = base.order
-        self._powers = tuple(B**k for k in range(degree))
         self._mul_basis = _extension_mul_basis(base, modulus)
-
-    def coeffs(self, i):
-        B = self.base.order
-        return tuple(int(i) // w % B for w in self._powers)
-
-    def from_coeffs(self, digits):
-        digits = tuple(digits)
-        if len(digits) != self.degree:
-            raise MixedFieldError(
-                f"{self} expects {self.degree} coefficients, got {len(digits)}"
-            )
-        return sum((d % self.base.order) * self._powers[k] for k, d in enumerate(digits))
-
-    def from_int(self, k):
-        return self.base.from_int(k)  # low digit; index is unchanged
 
     @property
     def t(self) -> int:
         """Index of the extension generator (the class of the variable)."""
-        return self._powers[1]
+        return self.base.order
 
     def __repr__(self):
         return f"GF({self.order})"
@@ -835,12 +811,7 @@ class FieldTower:
         def mod_of(field):
             if field.modulus is None:
                 return None
-            return [coeff_to_data(field.base, c) for c in field.modulus]
-
-        def coeff_to_data(base, c):
-            if base.base is None:
-                return c
-            return [coeff_to_data(base.base, d) for d in base.coeffs(c)]
+            return [elem_to_data(Elem(field.base, c)) for c in field.modulus]
 
         return {
             "p": self.p,

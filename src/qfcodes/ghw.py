@@ -36,7 +36,7 @@ from . import linalg
 from .codes import CodeSpec, Variant, _codeword_array
 from .cyclotomic import cyc_from_trace_counts
 from .errors import BudgetError, ParameterError, charge
-from .fields import Elem, FiniteField, _min_dtype
+from .fields import Elem, FiniteField, _min_dtype, digits
 
 __all__ = [
     "gaussian_binomial",
@@ -79,8 +79,9 @@ def subspace_bases(n: int, r: int, field: FiniteField):
 
 def row_to_message(spec: CodeSpec, row, field: FiniteField | None = None) -> tuple[int, int, int]:
     """Row of F_q indices (or of F_p digits, ``field`` = F_p) -> message
-    (a, b, c) indices.  Indices nest, so the base-q digits of the encoding
-    sum_t row_t |field|**t are a, the F_q coordinates of b, and c."""
+    (a, b, c) indices: the encoding sum_t row_t |field|**t read in base q
+    (the index format of ``fields``) is a, then b's F_q coefficients, then
+    c."""
     q, m2 = spec.tower.q, spec.tower.m2
     base = (field or spec.tower.Fq).order
     enc = sum(int(d) * base**t for t, d in enumerate(row))
@@ -153,7 +154,7 @@ def _dot_table(F: FiniteField, s: int, lines: bool) -> np.ndarray:
     field's op tables; read-only, in the smallest index dtype."""
     q = F.order
     add, mul = F.op_table("add"), F.op_table("mul")
-    v = np.arange(q**s)[:, None] // q ** np.arange(s) % q
+    v = digits(np.arange(q**s), q, s)
     w = v[_line_reps(q, s)] if lines else v
     table = np.zeros((len(v), len(w)), dtype=np.int64)
     for i in range(s):
@@ -183,11 +184,6 @@ def _free_cells(k: int, pivots) -> list[tuple[int, int]]:
     return [(i, c) for i in range(len(pivots)) for c in range(pivots[i] + 1, k) if c not in pivots]
 
 
-def _free_digits(q: int, f: int, t: np.ndarray) -> np.ndarray:
-    """(len(t), f): the f free entries numbered t, the last one fastest."""
-    return t[:, None] // q ** np.arange(f)[::-1] % q
-
-
 def _basis(k: int, pivots, values) -> tuple:
     """The RREF basis (tuple of row tuples) with these pivots and the free
     entries ``values``, in ``_free_cells`` order."""
@@ -201,9 +197,9 @@ def _basis(k: int, pivots, values) -> tuple:
 
 def _span_sums(F: FiniteField, k: int, r: int, table: np.ndarray):
     """Yield ``(pivots, t, S)`` chunk by chunk, in ``subspace_bases`` order:
-    the free entries numbered t (``_free_digits``) give RREF bases of r-dim
-    subspaces D of F**k, and S the sums of ``table`` over one nonzero vector
-    per line of the annihilator of D.
+    the free entries numbered t (its base-q digits, the last entry fastest)
+    give RREF bases of r-dim subspaces D of F**k, and S the sums of
+    ``table`` over one nonzero vector per line of the annihilator of D.
 
     The vector with coefficients lam (a line representative) is lam on the
     free columns and v_c . lam on each pivot column c, with v_c the row of R
@@ -212,7 +208,7 @@ def _span_sums(F: FiniteField, k: int, r: int, table: np.ndarray):
     q = F.order
     s = k - r
     step = max(1, _CHUNK // q**s)
-    lam = _line_reps(q, s)[:, None] // q ** np.arange(s) % q  # (L, s)
+    lam = digits(_line_reps(q, s), q, s)  # (L, s)
     neg = F.op_table("sub")[0]
     for pivots in itertools.combinations(range(k), r):
         free = _free_cells(k, pivots)
@@ -224,7 +220,7 @@ def _span_sums(F: FiniteField, k: int, r: int, table: np.ndarray):
             to_v[n, i] = q ** rest.index(c)
         for lo in range(0, q ** len(free), step):
             t = np.arange(lo, min(lo + step, q ** len(free)))
-            V = neg[_free_digits(q, len(free), t)] @ to_v
+            V = neg[digits(t, q, len(free))[:, ::-1]] @ to_v
             enc = base + columns @ _dots(F, V, s, max(1, k // 2))
             yield pivots, t, table[enc].sum(axis=1)
 
@@ -246,9 +242,7 @@ class _Multiset:
         (g the field's generator), so mu* sums q - 1 gathers of mu."""
         q, k = self.F.order, self.k
         times_g = self.F.op_table("mul")[self.F.gen]
-        perm = np.zeros(q**k, dtype=np.int64)
-        for t in range(k):
-            perm += q**t * times_g[np.arange(q**k) // q**t % q]
+        perm = times_g[digits(np.arange(q**k), q, k)] @ q ** np.arange(k)
         star, cur = self.mu.copy(), self.mu
         for _ in range(q - 2):
             cur = cur[perm]  # cur(v) = mu(g**j v)
@@ -272,7 +266,7 @@ def _max_defect(ms: _Multiset, r: int) -> tuple[int, tuple]:
     for pivots, t, S in _span_sums(ms.F, k, r, ms.star):
         i = int(S.argmax())
         if S[i] > best:
-            values = _free_digits(ms.F.order, len(_free_cells(k, pivots)), t[i : i + 1])[0]
+            values = digits(t[i], ms.F.order, len(_free_cells(k, pivots)))[::-1]
             best, witness = int(S[i]), _basis(k, pivots, values.tolist())
     return ms.n - int(ms.mu[0]) - best, witness
 
@@ -335,9 +329,9 @@ def _quotient(spec: CodeSpec, params) -> _Multiset:
     if params is not None:  # push f forward through every D_i
         beta = spec.tower.p ** np.arange(spec.tower.m)
         D = params.columns[Fq.op_table("mul")[beta]].astype(np.int64)  # (j, g, i)
-        D, v = np.tensordot(beta, D, axes=1), np.arange(q**d)  # D[g, i] = D_i[g]
+        D = np.tensordot(beta, D, axes=1)  # D[g, i] = D_i[g]
         H, f = f, np.zeros(q**d, dtype=np.int64)
-        np.add.at(f, sum(q**s * D[v // q**s % q] for s in range(d)), H[:, None])
+        np.add.at(f, q ** np.arange(d) @ D[digits(np.arange(q**d), q, d)], H[:, None])
     return _Multiset(F, d * e, f)
 
 

@@ -1,15 +1,11 @@
 """Linear algebra over F_q on dense element indices.
 
-An index of F_q is a base-p number whose digits are the element's
-coordinates over F_p: the fields nest, so w**l has index p**l and addition
-is digit-wise mod p.  An F_q-linear map is therefore F_p-linear on digits,
-and ``expand`` writes an F_q matrix as the F_p matrix of the same map.
-Products and spans are then integer matmul mod p, one code path for prime
-and non-prime q.  Elimination (``rref``, ``nullspace``, ``rank``) works on
-whole rows through the q x q operation tables of the field.
-
-Vectors of F_q**k are also numbered by their encoding sum_t x_t q**t, which
-is the base-p number of their k*e digits.
+The base-p digits of an index are the element's F_p coordinates (the index
+format of ``fields``), so an F_q-linear map is F_p-linear on digits, and
+``expand`` writes an F_q matrix as the F_p matrix of the same map.  Products
+and spans are then integer matmul mod p, one code path for prime and
+non-prime q.  Elimination (``rref``, ``nullspace``, ``rank``) works on whole
+rows through the q x q operation tables of the field.
 """
 
 from __future__ import annotations
@@ -18,35 +14,30 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import fields
 from .fields import FiniteField
 
 __all__ = ["digits", "expand", "span", "annihilator", "rref", "nullspace", "rank"]
 
 
-@lru_cache(maxsize=None)
-def _degree(F: FiniteField) -> int:
-    """e = [F : F_p]."""
-    return F.degree_over(F.subfield_chain()[-1])
-
-
 def digits(F: FiniteField, X) -> np.ndarray:
     """The F_p digits of every entry, lowest first: (..., b) -> (..., b*e)."""
     X = np.asarray(X, dtype=np.int64)
-    d = X[..., None] // F.p ** np.arange(_degree(F)) % F.p
-    return d.reshape(*X.shape[:-1], X.shape[-1] * d.shape[-1])
+    return fields.digits(X, F.p, F.dim).reshape(*X.shape[:-1], X.shape[-1] * F.dim)
 
 
 def expand(F: FiniteField, X) -> np.ndarray:
     """The F_p matrix of x -> x X on digits: (..., a, b) -> (..., a*e, b*e).
 
-    Entry [(i, l), (t, j)] is digit j of w**l * X[i, t], so
+    Entry [(i, l), (t, j)] is digit j of p**l * X[i, t], that is M_c[j, l]
+    for c = X[i, t] (``FiniteField.mul_matrices``), so
     ``digits(x) @ expand(X) % p`` are the digits of the product x X.
     """
     X = np.asarray(X, dtype=np.int64)
-    e, p = _degree(F), F.p
-    basis = p ** np.arange(e)  # w**l has index p**l
-    d = F.op_table("mul")[X[..., None], basis][..., None] // basis % p  # (..., i, t, l, j)
-    return d.swapaxes(-3, -2).reshape(*X.shape[:-2], X.shape[-2] * e, X.shape[-1] * e)
+    e = F.dim
+    M = F.mul_matrices(X.reshape(-1)).reshape(*X.shape, e, e)  # (..., i, t, j, l)
+    d = M.swapaxes(-1, -2).swapaxes(-3, -2)  # (..., i, l, t, j)
+    return d.reshape(*X.shape[:-2], X.shape[-2] * e, X.shape[-1] * e)
 
 
 def span(F: FiniteField, rows) -> np.ndarray:
@@ -54,7 +45,7 @@ def span(F: FiniteField, rows) -> np.ndarray:
     (..., q**s); position c holds the combination whose coefficient vector
     has encoding c, so dependent rows repeat elements."""
     rows = np.asarray(rows, dtype=np.int64)
-    d = _coefficients(F.p, rows.shape[-2] * _degree(F)) @ expand(F, rows)
+    d = _coefficients(F.p, rows.shape[-2] * F.dim) @ expand(F, rows)
     np.remainder(d, F.p, out=d)
     return d @ F.p ** np.arange(d.shape[-1])
 
@@ -62,7 +53,7 @@ def span(F: FiniteField, rows) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _coefficients(p: int, d: int) -> np.ndarray:
     """Every vector of F_p**d, row c holding the base-p digits of c."""
-    table = np.arange(p**d)[:, None] // p ** np.arange(d) % p
+    table = fields.digits(np.arange(p**d), p, d)
     table.setflags(write=False)
     return table
 
@@ -75,7 +66,7 @@ def annihilator(F: FiniteField, R, pivots) -> np.ndarray:
     k, p = R.shape[-1], F.p
     pivots = list(pivots)
     free = [c for c in range(k) if c not in pivots]
-    e = _degree(F)
+    e = F.dim
     neg = (-digits(F, R[..., free])) % p  # (..., r, f*e)
     neg = neg.reshape(*neg.shape[:-1], len(free), e) @ p ** np.arange(e)
     out = np.zeros(R.shape[:-2] + (len(free), k), dtype=np.int64)

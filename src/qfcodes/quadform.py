@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import MixedFieldError, ZeroFormError, charge
-from .fields import Elem, FieldTower
+from .fields import Elem, FieldTower, digits
 from .linalg import _coefficients, nullspace
 
 __all__ = [
@@ -75,10 +75,6 @@ def _digit_rows(p: int, d: int) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=None)
 def _weights(p: int, m: int) -> np.ndarray:
     return p ** np.arange(m)  # F_q index of a digit row
-
-
-def _digits(i: int, p: int, d: int) -> list[int]:
-    return [i // p**l % p for l in range(d)]
 
 
 @lru_cache(maxsize=None)
@@ -161,7 +157,7 @@ class QuadraticForm:
         if x.field is not Fq1:
             raise MixedFieldError("argument must lie in F_{q^m1}")
         if self._gram_input is not None:
-            xb = _digits(x.idx, Fq.order, tower.m1)  # F_q coordinates
+            xb = digits(x.idx, Fq.order, tower.m1).tolist()  # F_q coordinates
             acc = 0
             for i, xi in enumerate(xb):
                 if xi == 0:
@@ -189,17 +185,17 @@ class QuadraticForm:
         dim, (_, Y, K) = m * m1, _linear_maps(tower)
         K = K.reshape(m, -1)
         if self._gram_input is not None:
-            S = np.dot([_digits(g, p, m) for g in np.ravel(self._gram_input)], K) % p
+            S = digits(np.ravel(self._gram_input), p, m) @ K % p
             return S.reshape(m1, m1, m, m, m).transpose(2, 0, 3, 1, 4).reshape(m, dim, dim)
         S = np.zeros(m * dim * dim, dtype=np.int64)
         for t in self.frobenius_terms:
             if t.coeff:
-                S = (S + np.dot(_digits(t.coeff.idx, p, dim), _frobenius_form(tower, t.power))) % p
+                S = (S + digits(t.coeff.idx, p, dim) @ _frobenius_form(tower, t.power)) % p
         S = S.reshape(m, dim, dim)
         for t in self.trace_square_terms:
             if t.scale and t.coeff:
-                U = Y[0] @ _digits(t.coeff.idx, p, dim) % p  # Tr(b p**c) at [k, c]
-                Kc = np.dot(_digits(t.scale.idx, p, m), K).reshape(m, m, m) % p
+                U = Y[0] @ digits(t.coeff.idx, p, dim) % p  # Tr(b p**c) at [k, c]
+                Kc = (digits(t.scale.idx, p, m) @ K).reshape(m, m, m) % p
                 S = (S + U.T @ Kc % p @ U) % p
         return S
 

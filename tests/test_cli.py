@@ -347,14 +347,27 @@ def test_theta_override_flag(capsys):
         (["field-info", "-p", "3", "-m", "0", "--m1", "1"], "tower.m"),
         (["field-info", "-p", "9", "--m1", "1"], "tower"),
         (["field-info", "-p", "100000000", "--m1", "1"], "tower"),
+        (["code", "--config",
+          '{"form": {"frobenius": [{"coeff": 1, "i": 0}], "gram": [[1, 0], [0, 0]]}}'], "form"),
+        (["code", "--config", '{"form": {"trace_squares": [{}], "gram": [[1, 0], [0, 0]]}}'],
+         "form"),
+        (["code", "--config",
+          '{"form": {"terms": [{"kind": "trsq"}], "gram": [[0, 1], [1, 0]]}}'], "form"),
+        (["code", "--config", '{"form": {"frobenius": 5}}'], "form.frobenius"),
+        (["code", "--config", '{"form": {"terms": true}}'], "form.terms"),
+        (["code", "--config", '{"form": {"trace_squares": 3.5}}'], "form.trace_squares"),
+        (["code", "--config", '{"form": {"frobenius": {"coeff": 1, "i": 0}}}'],
+         "form.frobenius"),
+        (["code", "--config", '{"comment": "\u00e9"}'], ""),
     ],
 )
 def test_malformed_inputs_exit_one(tmp_path, capsys, argv, field):
     """Bad flag values and config keys end in exit 1 with a one-line message.
 
     A ``--config`` argument given as JSON names the keys that a small valid
-    config gains before it is written to a file.  A malformed "g^k" token
-    is named as one."""
+    config gains before it is written to a file, in Latin-1, so a non-ASCII
+    character makes a file that is not UTF-8.  A malformed "g^k" token is
+    named as one."""
     bad_token = any("g^" in arg for arg in argv)
     if "--config" in argv:
         i = argv.index("--config") + 1
@@ -364,13 +377,38 @@ def test_malformed_inputs_exit_one(tmp_path, capsys, argv, field):
             **json.loads(argv[i]),
         }
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(cfg), encoding="utf-8")
+        path.write_text(json.dumps(cfg, ensure_ascii=False), encoding="latin-1")
         argv = [*argv[:i], str(path), *argv[i + 1:]]
     code, out, err = _run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and f"config field '{field}'" in err
     assert '"' not in err
     assert ("unrecognized element token 'g^" in err) == bad_token
+
+
+@pytest.mark.parametrize(
+    "form,line",
+    [
+        ({"frobenius": [{"coeff": 1, "i": 0}], "gram": [[1, 0], [0, 0]]},
+         "config field 'form': supply either terms or a Gram matrix, not both"),
+        ({"terms": 5}, "config field 'form.terms': must be a list"),
+        ({"frobenius": {"coeff": 1, "i": 0}}, "config field 'form.frobenius': must be a list"),
+    ],
+)
+def test_form_config_errors_name_the_rule(tmp_path, capsys, form, line):
+    """A Gram matrix beside terms is refused, not silently preferred, and a
+    term list that is not a list is named as such."""
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps({"tower": {"p": 3, "m": 1, "m1": 2, "m2": 1}, "form": form}))
+    assert _run(capsys, "code", "--config", str(path)) == (1, "", f"qfcodes: error: {line}\n")
+
+
+def test_config_that_is_not_utf8_is_a_read_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"comment": "\xe9"}')
+    code, out, err = _run(capsys, "code", "--config", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("qfcodes: error: config field '': cannot read config: 'utf-8' codec")
 
 
 @pytest.mark.parametrize("name", ["example-3.6", "descent-7-2-1-1-3"])

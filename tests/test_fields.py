@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -481,10 +482,10 @@ def test_frobenius_term_is_the_scalar_power(shape):
     F, p, q = tw.Fq1, tw.p, tw.q
     frob = quadform._linear_maps(tw)[0]
     dim = len(frob[0])
-    X = fields._p_digits(np.arange(F.order), p, dim)
+    X = fields.digits(np.arange(F.order), p, dim)
     monomials, tr = quadform._monomials(X, p), F.trace_table(tw.Fq)
     for i in range(tw.m1):
-        powers = fields._p_digits([F.pow(x, q**i) for x in range(F.order)], p, dim)
+        powers = fields.digits([F.pow(x, q**i) for x in range(F.order)], p, dim)
         assert (X @ frob[i].T % p).tolist() == powers.tolist()
         for a in (1, F.gen, F.order - 1):
             form = QuadraticForm(tw, (FrobeniusTerm(Elem(F, a), i),))
@@ -622,7 +623,7 @@ def test_scalar_ops_are_field_arithmetic_on_read_only_tables(p, degree, data):
             assert F.op_table(op)[x, y] == got[op]
     j, dim = e % degree, len(F.frobenius_matrix)  # x -> x**(p**j) on digits
     frob = fields._mat_pow(F.frobenius_matrix[None], j, p)[0]
-    digits = fields._p_digits([x, F.pow(x, p**j)], p, dim)
+    digits = fields.digits([x, F.pow(x, p**j)], p, dim)
     assert (frob @ digits[0] % p == digits[1]).all()
     assert F.add(got["add"], z) == F.add(x, F.add(y, z))
     assert F.mul(got["mul"], z) == F.mul(x, F.mul(y, z))
@@ -814,6 +815,67 @@ def test_trace_is_transitive_on_random_towers(p, m, m1, m2, data):
         for j in range(F.degree_over(Fp)):
             acc = acc + x ** (p**j)
         assert direct[x.idx] == F.demote_to(acc.idx, Fp)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    p=st.sampled_from([3, 5, 7]),
+    m=st.sampled_from([1, 2]),
+    m1=st.integers(1, 3),
+    m2=st.integers(1, 3),
+    data=st.data(),
+)
+def test_index_format_nests_on_random_towers(p, m, m1, m2, data):
+    """One rule in every field: the coefficients of i are its digits over the
+    base (sum c_k t**k == i in field arithmetic), k is k % p, and an element
+    of a subfield S keeps its index, so it lies in S iff i < |S|."""
+    tw = build_tower(p, m, m1, m2)
+    chain = {F: F.subfield_chain() for F in (tw.Fp, tw.Fq, tw.Fq1, tw.Fq2)}
+    for F, subs in chain.items():
+        i = data.draw(st.integers(0, F.order - 1), label="i")
+        cs = F.coeffs(i)
+        assert F.from_coeffs(cs) == i and len(cs) == F.degree
+        if F.base is not None:
+            t, lifted = Elem(F, F.t), (Elem(F, F.embed_from(F.base, c)) for c in cs)
+            assert sum((c * t**k for k, c in enumerate(lifted)), F.zero) == Elem(F, i)
+        with pytest.raises(MixedFieldError):
+            F.from_coeffs(cs + (0,))
+        k = data.draw(st.integers(-3 * p, 3 * p), label="k")
+        assert F.from_int(k) == k % p == sum([F.one] * (k % p), F.zero).idx
+        for S in subs:
+            j = data.draw(st.integers(0, S.order - 1), label="j")
+            assert F.demote_to(F.embed_from(S, j), S) == j
+            for x in {i, S.order - 1, min(S.order, F.order - 1)}:
+                if x < S.order:
+                    assert F.demote_to(x, S) == x
+                else:
+                    with pytest.raises(MixedFieldError):
+                        F.demote_to(x, S)
+        for other in chain:
+            if other not in subs:  # Fq2 in Fq1 when m1, m2 > 1; a larger field in a smaller
+                with pytest.raises(MixedFieldError):
+                    F.embed_from(other, 0)
+                with pytest.raises(MixedFieldError):
+                    F.demote_to(0, other)
+
+
+def test_the_index_format_is_written_once():
+    """No module but ``fields`` decodes digits, and no field class but
+    ``FiniteField`` defines the coefficient rules."""
+    decode = re.compile(r"//\s*\S+\s*\*\*\s*np\.arange\(")
+    hits = [
+        f"{path.name}:{n}"
+        for path in sorted(Path(fields.__file__).parent.glob("*.py"))
+        if path.name != "fields.py"
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if decode.search(line)
+    ]
+    assert hits == []
+    rules, classes, todo = {"coeffs", "from_coeffs", "from_int"}, [], [fields.FiniteField]
+    while todo:
+        classes.append(todo.pop())
+        todo += classes[-1].__subclasses__()
+    assert [c.__name__ for c in classes if rules & vars(c).keys()] == ["FiniteField"]
 
 
 def test_field_info_reaches_f_3_9(capsys):
