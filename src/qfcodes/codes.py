@@ -2,6 +2,13 @@
 
 A homogeneous code evaluates a*Q(x) + Tr(b*y) over all points (x, y) except
 the origin; the affine variant appends a constant c and keeps the origin.
+
+The message format: a message row holds a, then the m2 F_q coefficients of
+b, then (affine only) c; its encoding sum_t x_t q**t is an index in the format
+of ``fields``, and over F_p each coordinate is its e = m base-p digits, with
+the same encoding.  Only ``CodeSpec.blocks`` and ``CodeSpec.split`` know where
+the blocks sit.
+
 Weight distributions and complete weight enumerators are computed two ways:
 
 * ``brute``: exhaustive enumeration.  One numpy kernel computes the
@@ -30,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ParameterError, charge
-from .fields import Elem
+from .fields import Elem, digits
 from .quadform import QuadFormAnalysis, QuadraticForm
 
 __all__ = [
@@ -87,29 +94,58 @@ class CodeSpec:
         """(n, k, q); the distance comes from a weight distribution."""
         return (self.length, self.dimension, self.tower.q)
 
+    def blocks(self, e: int = 1) -> tuple[range, range, range]:
+        """The coordinates of a, b and c in a message row of e digits per
+        F_q coordinate; c's is empty for the homogeneous code."""
+        top = e * (1 + self.tower.m2)
+        return range(e), range(e, top), range(top, e * self.dimension)
+
+    def split(self, enc):
+        """(a, b, c) indices of the message with F_q encoding ``enc`` (an int
+        or an array); c = 0 for the homogeneous code."""
+        x, q = digits(enc, self.tower.q, self.dimension), self.tower.q
+        a, b, c = (x[..., blk] @ q ** np.arange(len(blk)) for blk in self.blocks())
+        return (int(a), int(b), int(c)) if np.ndim(enc) == 0 else (a, b, c)
+
 
 # ---------------------------------------------------------------------------
 # weight data containers
 # ---------------------------------------------------------------------------
 
 
-class WeightDistribution:
-    """Map weight -> frequency with arbitrary-precision frequencies."""
+class _Counts:
+    """Map key -> count with arbitrary-precision counts; zero counts are
+    dropped, and a container equals only one of its own type."""
 
-    def __init__(self, counts: dict[int, int]):
-        self._counts = {w: f for w, f in counts.items() if f}
+    def __init__(self, counts: dict):
+        self._counts = {key: f for key, f in counts.items() if f}
 
-    def __getitem__(self, w: int) -> int:
-        return self._counts.get(w, 0)
+    @classmethod
+    def summed(cls, pairs):
+        """The container of the (key, count) ``pairs``, equal keys added."""
+        counts: dict = {}
+        for key, f in pairs:
+            counts[key] = counts.get(key, 0) + f
+        return cls(counts)
+
+    def __getitem__(self, key) -> int:
+        return self._counts.get(key, 0)
 
     def items(self):
         return sorted(self._counts.items())
 
-    def as_dict(self) -> dict[int, int]:
+    def as_dict(self) -> dict:
         return dict(self._counts)
 
     def total(self) -> int:
         return sum(self._counts.values())
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._counts == other._counts
+
+
+class WeightDistribution(_Counts):
+    """Map weight -> frequency."""
 
     def nonzero_weights(self) -> list[int]:
         return sorted(w for w in self._counts if w > 0)
@@ -120,41 +156,19 @@ class WeightDistribution:
     def max_nonzero(self) -> int:
         return max(w for w in self._counts if w > 0)
 
-    def __eq__(self, other):
-        return isinstance(other, WeightDistribution) and self._counts == other._counts
-
     def __repr__(self):
         inner = ", ".join(f"{w}: {f}" for w, f in self.items())
         return f"WeightDistribution({{{inner}}})"
 
 
-class CWE:
+class CWE(_Counts):
     """Multiset of per-codeword composition vectors (counts of each symbol)."""
 
-    def __init__(self, counts: dict[tuple[int, ...], int]):
-        self._counts = {c: m for c, m in counts.items() if m}
-
-    def __getitem__(self, comp: tuple[int, ...]) -> int:
-        return self._counts.get(tuple(comp), 0)
-
-    def items(self):
-        return sorted(self._counts.items())
-
-    def as_dict(self) -> dict[tuple[int, ...], int]:
-        return dict(self._counts)
-
-    def total(self) -> int:
-        return sum(self._counts.values())
+    def __getitem__(self, comp) -> int:
+        return super().__getitem__(tuple(comp))
 
     def weight_marginal(self) -> WeightDistribution:
-        out: dict[int, int] = {}
-        for comp, mult in self._counts.items():
-            w = sum(comp[1:])
-            out[w] = out.get(w, 0) + mult
-        return WeightDistribution(out)
-
-    def __eq__(self, other):
-        return isinstance(other, CWE) and self._counts == other._counts
+        return WeightDistribution.summed((sum(comp[1:]), f) for comp, f in self._counts.items())
 
     def __repr__(self):
         return f"CWE({len(self._counts)} distinct compositions, total {self.total()})"
@@ -162,15 +176,14 @@ class CWE:
 
 def apply_symbol_permutation(cwe: CWE, perm: dict[int, int]) -> CWE:
     """Relabel nonzero symbol positions; perm maps source pos -> target pos."""
-    out: dict[tuple[int, ...], int] = {}
-    for comp, mult in cwe.items():
-        new = [0] * len(comp)
-        new[0] = comp[0]
+
+    def relabel(comp):
+        new = [comp[0]] + [0] * (len(comp) - 1)
         for rho in range(1, len(comp)):
             new[perm.get(rho, rho)] = comp[rho]
-        key = tuple(new)
-        out[key] = out.get(key, 0) + mult
-    return CWE(out)
+        return tuple(new)
+
+    return CWE.summed((relabel(comp), mult) for comp, mult in cwe.items())
 
 
 def eta_matching_permutation(our_pattern, target_pattern) -> dict[int, int]:
@@ -299,14 +312,10 @@ def cwe_brute(spec: CodeSpec, *, audit: bool = True) -> CWE:
     :func:`_exhaustive`."""
     _exhaustive(audit)
     sizes = (1, spec.tower.Fq2.order - 1)  # messages per (a, c) in each class
-    counts: dict[tuple[int, ...], int] = {}
-    for _, comp in _compositions(spec):
-        for by_class in comp.tolist():
-            for row, size in zip(by_class, sizes):
-                key = tuple(row)
-                counts[key] = counts.get(key, 0) + size
-    _refuse_zero_weight(counts.get((spec.length,) + (0,) * (spec.tower.q - 1), 0))
-    return CWE(counts)
+    cwe = CWE.summed((tuple(row), size) for _, comp in _compositions(spec)
+                     for by_class in comp.tolist() for row, size in zip(by_class, sizes))
+    _refuse_zero_weight(cwe[(spec.length,) + (0,) * (spec.tower.q - 1)])
+    return cwe
 
 
 def weight_distribution_brute(spec: CodeSpec, *, audit: bool = True) -> WeightDistribution:
@@ -362,11 +371,8 @@ def weight_distribution_predicted(spec: CodeSpec) -> WeightDistribution:
             rows.append(((q - 1) * qM1, q * q * (q**m2 - 1) + q - 1))
             rows.append(((q - 1) * qM1 - e, (q - 1) ** 2 // 2))
             rows.append(((q - 1) * qM1 + e, (q - 1) ** 2 // 2))
-    out: dict[int, int] = {}
-    for w, f in rows:
-        assert w >= 0, w
-        out[w] = out.get(w, 0) + f
-    return WeightDistribution(out)
+    assert min(w for w, _ in rows) >= 0, rows
+    return WeightDistribution.summed(rows)
 
 
 def cwe_predicted(spec: CodeSpec) -> CWE:
@@ -376,12 +382,11 @@ def cwe_predicted(spec: CodeSpec) -> CWE:
     Fq, q, M = tower.Fq, tower.q, tower.M
     qM1, e = _closed_terms(spec)
     omega = Fq.omega
-    counts: dict[tuple[int, ...], int] = {}
+    rows: list[tuple[tuple[int, ...], int]] = []
 
     def put(comp, mult):
         assert min(comp) >= 0, comp
-        comp = tuple(comp)
-        counts[comp] = counts.get(comp, 0) + mult
+        rows.append((tuple(comp), mult))
 
     if spec.variant is Variant.HOMOGENEOUS:
         put([spec.length] + [0] * (q - 1), 1)
@@ -408,7 +413,7 @@ def cwe_predicted(spec: CodeSpec) -> CWE:
                 etas = [Fq.eta(Fq.sub(omega[i], omega[rho])) for rho in range(q)]
                 for sign in (1, -1):
                     put([qM1 + sign * e * t for t in etas], (q - 1) // 2)
-    return CWE(counts)
+    return CWE.summed(rows)
 
 
 # ---------------------------------------------------------------------------

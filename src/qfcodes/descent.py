@@ -201,11 +201,10 @@ def descended_wd(
         raise ParameterError(f"unknown mode {mode!r}")
     wts = psi_weight_table(params)
     omega = spec.tower.Fq.omega
-    out: dict[int, int] = {}
-    for comp, mult in cwe_brute(spec).items():
-        w = sum(comp[j] * wts[omega[j]] for j in range(len(comp)))
-        out[w] = out.get(w, 0) + mult
-    return WeightDistribution(out)
+    return WeightDistribution.summed(
+        (sum(n * wts[omega[j]] for j, n in enumerate(comp)), mult)
+        for comp, mult in cwe_brute(spec).items()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -351,17 +350,16 @@ def _optimizer_attains(spec: CodeSpec, params: DescentParams, r: int, d_closed: 
     """For the affine case r > m(m2+1), even rank, build the optimizing
     subspace named in the proof and confirm its defect reaches
     length - d_closed."""
-    m, m2 = spec.tower.m, spec.tower.m2
-    top = m * (m2 + 1)
-    if spec.variant is not Variant.AFFINE or r <= top:
+    a, b, c = spec.blocks(spec.tower.m)
+    if spec.variant is not Variant.AFFINE or r <= c.start:
         return True
     eye = np.eye(message_dim(spec, params), dtype=np.int64)
-    extra = eye[top:r]  # r - top digits of c, whose block starts at top
+    extra = eye[c.start : r]  # the first r - m(m2+1) digits of c
     if spec.analysis.eps == 1:
-        rows = np.vstack([eye[:top], extra])  # the whole (a, b) block
+        rows = np.vstack([eye[a], eye[b], extra])  # the whole (a, b) block
     else:
         # the b block, the diagonal rows (a_i, 0, c_i), and the extra digits
-        rows = np.vstack([eye[m:top], eye[:m] + eye[top : top + m], extra])
+        rows = np.vstack([eye[b], eye[a] + eye[c], extra])
     n_v = descended_support_defect_closed(spec, params, rows)
     return spec.length * params.L - n_v == d_closed
 
@@ -371,7 +369,7 @@ def descended_hierarchy(
 ) -> GhwReport:
     """Closed vs brute table for the descended code."""
     n_p = message_dim(spec, params)
-    top = spec.tower.m * (spec.tower.m2 + 1)
+    top = spec.blocks(spec.tower.m)[1].stop  # the end of the b block
 
     def note(r: int, d_closed: int) -> str:
         if spec.variant is Variant.AFFINE and r > top and spec.analysis.r_q % 2 == 1:

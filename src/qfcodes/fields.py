@@ -76,22 +76,82 @@ __all__ = [
 ]
 
 
+# Trial divisors tried before Miller-Rabin and Pollard-Brent take over.
+_TRIAL = 1 << 10
+# Miller-Rabin with these bases is exact below 3.3 * 10**24.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n: int) -> bool:
-    return n > 1 and _prime_factors(n) == [n]
+    """Deterministic Miller-Rabin, exact for n < 3.3 * 10**24."""
+    if n < 2 or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2**s * odd
+    for b in _MR_BASES:
+        x = pow(b, (n - 1) >> s, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper factor of the odd composite n: Brent's cycle search for
+    x -> x**2 + c, the differences multiplied in batches of 128 per gcd."""
+    for c in itertools.count(1):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x, k = y, 0
+            for _ in range(r):
+                y = (y * y + c) % n
+            while k < r and g == 1:
+                ys, prod = y, 1
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    prod = prod * abs(x - y) % n
+                g, k = math.gcd(prod, n), k + 128
+            r *= 2
+        if g == n:  # the batch overshot: redo it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
+    """The distinct primes of n, ascending: trial division below _TRIAL,
+    then Miller-Rabin and Pollard-Brent on the cofactor, which has no
+    factor below _TRIAL, so a cofactor below _TRIAL**2 is prime."""
+    out, d = set(), 2
+    while d < _TRIAL and d * d <= n:
         if n % d == 0:
-            out.append(d)
+            out.add(d)
             while n % d == 0:
                 n //= d
         d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    todo = [n] if n > 1 else []
+    while todo:
+        m = todo.pop()
+        if m < _TRIAL**2 or _is_prime(m):
+            out.add(m)
+        else:
+            f = _pollard_brent(m)
+            todo += [f, m // f]
+    return sorted(out)
+
+
+def _factor_steps(n: int) -> int:
+    """The charge of ``_prime_factors(n)``: its trial divisors, then past
+    them about n**(1/4) iterations of Pollard-Brent."""
+    root = math.isqrt(n)
+    return min(root, _TRIAL) + (math.isqrt(root) if n >= _TRIAL**2 else 0)
 
 
 def _min_dtype(order: int):
@@ -193,9 +253,9 @@ class FiniteField:
         first c in dense order with c**(n1/ell) != 1 for every prime ell | n1,
         tested in growing chunks.  Column 0 of M_c**e is the digit row of
         c**e * 1, so c**e = 1 iff it is the digit row of 1; no table is read.
-        Factoring n1 by trial division is charged isqrt(n1) steps."""
+        Factoring n1 is charged ``_factor_steps(n1)``."""
         n1, p, dim = self.order - 1, self.p, self.dim
-        charge(math.isqrt(n1), f"the generator search of GF({self.order})")
+        charge(_factor_steps(n1), f"the generator search of GF({self.order})")
         assert dim * (p - 1) ** 2 < 2**63  # int64 matrix products are exact
         factors, one = _prime_factors(n1), np.eye(1, dim, dtype=np.int64)
         start, size = 1, 8
@@ -473,7 +533,7 @@ class PrimeField(FiniteField):
     def __init__(self, p: int):
         if p < 3 or p % 2 == 0:
             raise ParameterError(f"p = {p} must be an odd prime")
-        _charge_tables(p, 1)  # also bounds the trial division below
+        _charge_tables(p, 1)
         if not _is_prime(p):
             raise ParameterError(f"p = {p} must be an odd prime")
         self.p = p

@@ -3,9 +3,10 @@
 Subspaces of the message space are enumerated as reduced row-echelon bases
 (pivot columns ascending, unit pivots, zeros above and below), one canonical
 matrix per subspace, ordered lexicographically by pivot-column set and then
-by the free entries.  The support defect N(D) of a subspace D counts the
-coordinates where every codeword of D vanishes; the r-th generalized Hamming
-weight is the code length minus the maximum defect.
+by the free entries; a row is a message in the format of ``codes``
+(``CodeSpec.blocks``, ``CodeSpec.split``).  The support defect N(D) of a
+subspace D counts the coordinates where every codeword of D vanishes; the
+r-th generalized Hamming weight is the code length minus the maximum defect.
 
 Four routes compute N(D):
 * the scan (``ghw_brute``; production) sees only the field and the column
@@ -79,13 +80,9 @@ def subspace_bases(n: int, r: int, field: FiniteField):
 
 def row_to_message(spec: CodeSpec, row, field: FiniteField | None = None) -> tuple[int, int, int]:
     """Row of F_q indices (or of F_p digits, ``field`` = F_p) -> message
-    (a, b, c) indices: the encoding sum_t row_t |field|**t read in base q
-    (the index format of ``fields``) is a, then b's F_q coefficients, then
-    c."""
-    q, m2 = spec.tower.q, spec.tower.m2
+    (a, b, c) indices: ``CodeSpec.split`` of sum_t row_t |field|**t."""
     base = (field or spec.tower.Fq).order
-    enc = sum(int(d) * base**t for t, d in enumerate(row))
-    return enc % q, enc // q % q**m2, enc // q ** (1 + m2)
+    return spec.split(sum(int(d) * base**t for t, d in enumerate(row)))
 
 
 def generator_matrix(spec: CodeSpec, params=None) -> np.ndarray:
@@ -169,12 +166,12 @@ def _dots(F: FiniteField, V: np.ndarray, s: int, width: int) -> np.ndarray:
     ``width`` coordinates, so no table has more than q**(2 width) cells."""
     if s <= width:
         return _dot_table(F, s, True).take(V, axis=0)
-    q, reps = F.order, _line_reps(F.order, s)
+    n, base = -(-s // width), F.order**width
+    Vs, reps = digits(V, base, n), digits(_line_reps(F.order, s), base, n)
     out = 0
-    for lo in range(0, s, width):
-        b = min(width, s - lo)
-        part = _dot_table(F, b, False).take(V // q**lo % q**b, axis=0)
-        out = F.op_table("add")[out, part[..., reps // q**lo % q**b]]
+    for i in range(n):
+        part = _dot_table(F, min(width, s - i * width), False).take(Vs[..., i], axis=0)
+        out = F.op_table("add")[out, part[..., reps[:, i]]]
     return out
 
 
@@ -271,13 +268,6 @@ def _max_defect(ms: _Multiset, r: int) -> tuple[int, tuple]:
     return ms.n - int(ms.mu[0]) - best, witness
 
 
-def _blocks(spec: CodeSpec, e: int) -> tuple[list[int], list[int]]:
-    """(kept, W) for message blocks of e digits: the coordinates of a and, for
-    the affine code, c, which pi keeps, and those of the y block b."""
-    W = range(e, e * (1 + spec.tower.m2))
-    return [c for c in range(e * spec.dimension) if c not in W], list(W)
-
-
 def scan(spec: CodeSpec, params, r: int) -> tuple[int, tuple]:
     """(d_r, witness) of the F_q code, or of its descent under ``params``.
 
@@ -294,7 +284,8 @@ def scan(spec: CodeSpec, params, r: int) -> tuple[int, tuple]:
     k, q = spec.dimension * e, F.order
     if not 1 <= r <= k:
         raise ParameterError(f"need 1 <= r <= {k}")
-    kept, W = _blocks(spec, e)
+    a, W, c = spec.blocks(e)
+    kept, W = [*a, *c], list(W)  # pi keeps a and c; W is the y block b
     d, u = len(kept), k - r
     js = range(max(0, u - len(W)), min(d, u) + 1)
     count = sum(gaussian_binomial(d, j, q) for j in js)
@@ -312,7 +303,7 @@ def scan(spec: CodeSpec, params, r: int) -> tuple[int, tuple]:
 
 @lru_cache(maxsize=None)
 def _quotient(spec: CodeSpec, params) -> _Multiset:
-    """f over F**d, the column multiset of the quotient by W (``_blocks``).
+    """f over F**d, the column multiset of the quotient by the y block W.
 
     The column at (x, y) is (Q(x), Tr(e_t y) for the basis e_t of index
     q**(t-1), 1 for the affine code), and y -> (Tr(e_t y))_t is a bijection
@@ -377,22 +368,22 @@ def b_part_zero_span(spec: CodeSpec, rows, F: FiniteField) -> list[tuple[int, in
     only the others are spanned: at most q**2 elements."""
     if len(rows) == 0:
         return [(0, 0)]
-    q, m2 = spec.tower.q, spec.tower.m2
-    kept, W = _blocks(spec, len(rows[0]) // spec.dimension)  # e digits
-    R, pivots = linalg.rref(F, np.asarray(rows, dtype=np.int64)[:, W + kept])
-    R = R[[i for i, c in enumerate(pivots) if c >= len(W)]][:, np.argsort(W + kept)]
-    enc = linalg.span(F, R) if len(R) else np.zeros(1, dtype=np.int64)
-    return list(zip((enc % q).tolist(), (enc // q ** (1 + m2)).tolist()))
+    a, b, c = spec.blocks(len(rows[0]) // spec.dimension)  # e digits
+    order = [*b, *a, *c]
+    R, pivots = linalg.rref(F, np.asarray(rows, dtype=np.int64)[:, order])
+    R = R[[i for i, col in enumerate(pivots) if col >= len(b)]][:, np.argsort(order)]
+    a, _, c = spec.split(linalg.span(F, R) if len(R) else np.zeros(1, dtype=np.int64))
+    return list(zip(a.tolist(), c.tolist()))
 
 
 def support_defect_char(spec: CodeSpec, rows) -> int:
     """Audit route: recompute N(H) from the additive-character identity
     q**r * (N + [homogeneous]) = sum over H and all points of zeta**Tr(...).
 
-    Rows are combined and decoded with scalar field arithmetic, and the
-    values come from the form's value histogram and trace rows."""
+    Rows are combined with scalar field arithmetic and ``CodeSpec.split``;
+    the values come from the form's value histogram and trace rows."""
     tower = spec.tower
-    Fq, Fq2, m2, p = tower.Fq, tower.Fq2, tower.m2, tower.p
+    Fq, Fq2, p = tower.Fq, tower.Fq2, tower.p
     trp = Fq.trace_table(Fq.subfield_chain()[-1])
     hq = spec.analysis.form.value_histogram
     add, mul = Fq.op_table("add"), Fq.op_table("mul")
@@ -402,10 +393,9 @@ def support_defect_char(spec: CodeSpec, rows) -> int:
         row = [0] * spec.dimension
         for li, ri in zip(coeffs, rows):
             row = [Fq.add(x, Fq.mul(li, y)) for x, y in zip(row, ri)]
-        b = Fq2.from_coeffs(row[1 : 1 + m2]) if m2 > 1 else row[1]
-        c = row[1 + m2] if spec.variant is Variant.AFFINE else 0
+        a, b, c = spec.split(sum(x * Fq.order**t for t, x in enumerate(row)))
         hb = np.bincount(add[Fq2.trace_row(b, Fq), c], minlength=Fq.order)  # Tr(b y) + c
-        values = add[mul[row[0]][:, None], np.arange(Fq.order)]  # a Q(x) + Tr(b y) + c
+        values = add[mul[a][:, None], np.arange(Fq.order)]  # a Q(x) + Tr(b y) + c
         np.add.at(counts, trp[values], np.outer(hq, hb))
     n, rest = divmod(cyc_from_trace_counts(p, counts.tolist()).as_int(), Fq.order**r)
     assert rest == 0
@@ -465,18 +455,18 @@ def closed_ghw(spec: CodeSpec, params, r: int) -> int:
     F, e, N = _frame(spec, params)
     if not 1 <= r <= spec.dimension * e:
         raise ParameterError(f"need 1 <= r <= {spec.dimension * e}")
-    q, M, m2, p = spec.tower.q, spec.tower.M, spec.tower.m2, F.order
-    an = spec.analysis
+    q, M, p = spec.tower.q, spec.tower.M, F.order
+    an, W = spec.analysis, spec.blocks(e)[1]
     r_q, eps, h, pr = an.r_q, an.eps, an.r_q // 2, p**r
     if spec.variant is Variant.HOMOGENEOUS:
         base = (pr - 1) * q**h
         if r_q % 2 == 0 and eps == 1:
             base = (pr - 1) * (q**h - 1) if r <= e else base - (q - 1)
-        elif r_q % 2 == 0 and r > e * m2:
-            base += p ** (r - e * m2) - 1
+        elif r_q % 2 == 0 and r > len(W):
+            base += p ** (r - len(W)) - 1
         base *= q - 1
     else:
-        top = e * (m2 + 1)
+        top = W.stop  # the end of the b block
         u = q - 1 if r_q % 2 == 0 and eps == 1 else 1  # numerator of the q**-h term
         if r <= e:
             base = (pr - 1) * ((q - 1) * q**h - u)

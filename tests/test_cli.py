@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from functools import lru_cache
 from pathlib import Path
@@ -642,6 +643,27 @@ def test_config_budget_reaches_the_value_stream():
     assert [row["r"] for row in rows] == [1, 2, 3]
     assert all(row["brute"] == row["closed"] for row in rows), rows
     assert bundle["verify"] == {"lemma_basic": True, "lemma_gauss": True, "counts": True}
+
+
+@pytest.mark.reach
+def test_generator_token_reaches_f_3_37(tmp_path):
+    """A "g" coefficient on (3,1,37,1) needs the primes of 3^37 - 1 =
+    2 * 13097927 * 17189128703, which Pollard-Brent finds inside the default
+    budget (trial division alone was charged 671 031 970 steps and refused):
+    ``qf`` exits 0 in a fresh process in under 2 s."""
+    cfg = {"tower": {"p": 3, "m": 1, "m1": 37, "m2": 1},
+           "form": {"frobenius": [{"coeff": "g", "i": 0}]}}
+    path = tmp_path / "g37.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    src = str(Path(qfcodes.__file__).resolve().parents[1])
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "qfcodes.cli", "qf", "--config", str(path)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    seconds = time.perf_counter() - start
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    assert "all routes agree" in proc.stdout and seconds < 2, (seconds, proc.stdout)
 
 
 def test_ghw_reaches_k_20(tmp_path, capsys):

@@ -5,6 +5,7 @@ import textwrap
 import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -414,6 +415,39 @@ def test_odd_rank_homogeneous_min_distance(ex33, ex34):
         tw = spec.tower
         wd = weight_distribution_brute(spec)
         assert wd.min_nonzero() == tw.q ** (tw.M - 1) * (tw.q - 1)
+
+
+# -- the message format ----------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    p=st.sampled_from([3, 5, 7]), m=st.integers(1, 2), m1=st.integers(1, 2),
+    m2=st.integers(1, 4), variant=st.sampled_from(Variant), per_digit=st.booleans(),
+)
+def test_blocks_and_split_are_the_message_format(p, m, m1, m2, variant, per_digit):
+    """``blocks(e)`` cuts a row of e digits per coordinate into a, b (m2
+    coordinates) and c (none for the homogeneous code), in that order;
+    ``split`` inverts the encoding a + q b + q**(1 + m2) c on every message
+    when q**k <= 10**4; and the unit row of each digit decodes to that
+    digit's unit in its own block and zero elsewhere."""
+    from qfcodes import CodeSpec, FrobeniusTerm, QuadraticForm, build_tower
+
+    tw = build_tower(p, m, m1, m2)
+    spec = CodeSpec(QuadraticForm(tw, (FrobeniusTerm(tw.Fq1.one, 0),), ()).analysis, variant)
+    q, k = tw.q, spec.dimension
+    e, base = (m, p) if per_digit else (1, q)
+    a, b, c = spec.blocks(e)
+    assert [*a, *b, *c] == list(range(e * k)) and (len(a), len(b)) == (e, e * m2)
+    assert (len(c) == 0) == (variant is Variant.HOMOGENEOUS)
+    if q**k <= 10**4:
+        msgs = np.array(list(itertools.product(range(q), range(q**m2), range(q if c else 1))))
+        enc = msgs @ np.array([1, q, q ** (1 + m2)])
+        assert np.array_equal(np.stack(spec.split(enc), axis=1), msgs)
+        assert spec.split(int(enc[-1])) == tuple(msgs[-1].tolist())
+    for t in range(e * k):
+        unit = [base ** (t - blk.start) if t in blk else 0 for blk in (a, b, c)]
+        assert spec.split(base**t) == tuple(unit)
 
 
 # -- reach -----------------------------------------------------------------------

@@ -567,7 +567,10 @@ def test_oversized_field_tables_are_refused_before_allocation():
 def test_generator_search_builds_no_table():
     """``gen`` is the batched search alone: over F_{3^16} it builds no table,
     and a "g^k" token is column 0 of M_g**k.  Factoring |F| - 1 is charged
-    isqrt(|F| - 1) steps of trial division, so F_{11^17} is refused at once."""
+    its trial divisors plus (|F| - 1)**(1/4) steps of Pollard-Brent, so the
+    generator of F_{11^17} is found at the default budget (a generator:
+    g**((|F| - 1)/l) != 1 for every prime l | |F| - 1, read through M_g) and
+    refused one step below that charge."""
     F16 = extension_field(prime_field(3), 16)
     g = F16.gen
     assert elem_from_data(F16, "g").idx == g and elem_from_data(F16, "g^0").idx == 1
@@ -576,8 +579,20 @@ def test_generator_search_builds_no_table():
     assert elem_from_data(F16, f"g^{F16.order + 1}").idx == g2  # exponents mod |F| - 1
     assert not {"_log", "_exp", "_omega"} & set(F16.__dict__)
     F = extension_field(prime_field(11), 17)
-    with pytest.raises(BudgetError, match=r"the generator search of GF\(505447028499293771\) needs 710947978 "):
+    with budget(27686), pytest.raises(
+        BudgetError, match=r"the generator search of GF\(505447028499293771\) needs 27687 "
+    ):
         F.gen
+    n1, M_g = F.order - 1, F.mul_matrices([F.gen])[0]
+    assert primefactors(n1) == [2, 5, 50544702849929377]
+    for ell in primefactors(n1):
+        col = np.eye(F.dim, 1, dtype=np.int64)[:, 0]
+        power, e = M_g, n1 // ell
+        while e:  # col = M_g**(n1 / ell) applied to the digit row of 1
+            if e & 1:
+                col = power @ col % 11
+            power, e = power @ power % 11, e >> 1
+        assert col.tolist() != [1] + [0] * (F.dim - 1), ell
 
 
 @pytest.mark.parametrize("degree", [2, 4, 7])
@@ -859,16 +874,47 @@ def test_index_format_nests_on_random_towers(p, m, m1, m2, data):
                     F.demote_to(0, other)
 
 
+def _digit_cut(line: str) -> bool:
+    """Whether ``line`` decodes digits by hand: a floor division by powers
+    ``// x ** np.arange(``, a floor division by a named power followed by
+    ``%`` (``enc // q % q**m2``, ``V // q**lo % q**b``), or ``enc % q``
+    beside ``enc // q ** ...``."""
+    if re.search(r"//\s*\S+\s*\*\*\s*np\.arange\(", line):
+        return True
+    if re.search(r"//\s*[A-Za-z_][\w.]*(\s*\*\*\s*\(?[\w.+\- ]+\)?)?\s*%", line):
+        return True
+    return any(
+        re.search(rf"\b{re.escape(x)}\s*//\s*{re.escape(q)}\s*\*\*", line)
+        for x, q in re.findall(r"\b(\w+)\s*%\s*(\w+)\b", line)
+    )
+
+
+def test_digit_cut_guard_catches_the_hand_decoders():
+    """The guard's patterns match the hand-written decoders that ``fields.digits``
+    and ``CodeSpec.split`` replaced, and not the modular arithmetic beside them."""
+    cuts = [
+        "return enc % q, enc // q % q**m2, enc // q ** (1 + m2)",
+        "part = table.take(V // q**lo % q**b, axis=0)",
+        "return list(zip((enc % q).tolist(), (enc // q ** (1 + m2)).tolist()))",
+        "x = np.asarray(x)[..., None] // base ** np.arange(count) % base",
+    ]
+    fine = [
+        "return p if (p - 1) // 2 % 2 == 0 else -p",
+        "B = (S + S.T)[:, ::m, ::m] * ((p + 1) // 2) % p",
+        "x = pow(b, (n - 1) >> s, n) % n",
+    ]
+    assert [_digit_cut(line) for line in cuts + fine] == [True] * len(cuts) + [False] * len(fine)
+
+
 def test_the_index_format_is_written_once():
-    """No module but ``fields`` decodes digits, and no field class but
-    ``FiniteField`` defines the coefficient rules."""
-    decode = re.compile(r"//\s*\S+\s*\*\*\s*np\.arange\(")
+    """No module but ``fields`` decodes digits (``_digit_cut``), and no field
+    class but ``FiniteField`` defines the coefficient rules."""
     hits = [
         f"{path.name}:{n}"
         for path in sorted(Path(fields.__file__).parent.glob("*.py"))
         if path.name != "fields.py"
         for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-        if decode.search(line)
+        if _digit_cut(line)
     ]
     assert hits == []
     rules, classes, todo = {"coeffs", "from_coeffs", "from_int"}, [], [fields.FiniteField]

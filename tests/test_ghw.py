@@ -426,7 +426,8 @@ def _assert_multisets_are_bincounts(spec):
     for params in _admissible(tw):
         F, G = (tw.Fq, ghw.generator_matrix(spec)) if params is None else (
             tw.Fp, ghw.generator_matrix(spec, params))
-        kept, W = ghw._blocks(spec, len(G) // spec.dimension)
+        a, W, c = spec.blocks(len(G) // spec.dimension)
+        kept, W = [*a, *c], list(W)
         f = ghw._quotient(spec, params)
         q, k = F.order, len(G)
         z = 0 if spec.variant is Variant.AFFINE else 1 if params is None else params.L
