@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -100,12 +100,19 @@ class CodeSpec:
         top = e * (1 + self.tower.m2)
         return range(e), range(e, top), range(top, e * self.dimension)
 
+    @cached_property
+    def _block_weights(self) -> np.ndarray:
+        """Column s: q**(offset in block s) on block s of ``blocks()``."""
+        W = np.zeros((self.dimension, 3), dtype=np.int64)
+        for s, blk in enumerate(self.blocks()):
+            W[blk, s] = self.tower.q ** np.arange(len(blk))
+        return W
+
     def split(self, enc):
         """(a, b, c) indices of the message with F_q encoding ``enc`` (an int
-        or an array); c = 0 for the homogeneous code."""
-        x, q = digits(enc, self.tower.q, self.dimension), self.tower.q
-        a, b, c = (x[..., blk] @ q ** np.arange(len(blk)) for blk in self.blocks())
-        return (int(a), int(b), int(c)) if np.ndim(enc) == 0 else (a, b, c)
+        or a 1-D array); c = 0 for the homogeneous code."""
+        abc = digits(enc, self.tower.q, self.dimension) @ self._block_weights
+        return tuple(abc.tolist()) if abc.ndim == 1 else tuple(abc.T)
 
 
 # ---------------------------------------------------------------------------

@@ -652,52 +652,34 @@ def _poly_gcd(base, a, b):
 
 
 def _is_irreducible(base: FiniteField, poly: tuple[int, ...]) -> bool:
-    """Monic poly of degree n irreducible over base (of order B), by Rabin's
-    test: x**(B**n) = x mod poly, and gcd(x**(B**d) - x, poly) = 1 for each
-    d = n/ell, ell a prime dividing n (M. O. Rabin, "Probabilistic algorithms
-    in finite fields", SIAM J. Comput. 9(2), 1980).
+    """Monic poly of degree n irreducible over base (of order B), by Ben-Or's
+    test: poly has no factor of degree i <= n/2, that is gcd(x**(B**i) - x,
+    poly) = 1 for each such i (M. Ben-Or, "Probabilistic algorithms in finite
+    fields", FOCS 1981).
 
-    d = 1 is checked first, by Horner evaluation at every element of base
-    (poly has a root there iff gcd(x**B - x, poly) != 1), which rejects most
-    reducible candidates before any power of x is taken.  The powers
-    h_d = x**(B**d) mod poly are one Frobenius chain: c**B = c on base, so
-    h**B = sum of h_j * (x**B)**j, and with the powers (x**B)**j, j < n,
-    computed once, each link is one matrix-vector product over base.
+    Round i = 1 is Horner evaluation at every element of base (poly has a
+    root there iff gcd(x**B - x, poly) != 1), which rejects most reducible
+    candidates before any power of x is taken; round i raises the previous
+    round's x**(B**(i-1)) to the power B modulo poly.
     """
     n = len(poly) - 1
     if n == 1:
         return True
-    if poly[0] == 0:  # divisible by x
-        return False
     add, mul = base.add, base.mul
-    for a in range(1, base.order):
+    for a in range(base.order):
         v = 1
         for c in poly[-2::-1]:
             v = add(mul(v, a), c)
         if v == 0:  # a is a root
             return False
-
-    def coprime(h):  # gcd(h - x, poly) == 1
-        g = h + [0] * (2 - len(h))
-        g[1] = base.sub(g[1], 1)
-        return len(_poly_gcd(base, poly, _poly_trim(g))) == 1
-
-    x_B = _poly_powmod(base, [0, 1], base.order, poly)
-    cols = [[1], x_B]
-    while len(cols) < n:
-        cols.append(_poly_mulmod(base, cols[-1], x_B, poly))
-    checks, h = {n // ell for ell in _prime_factors(n)}, x_B
-    for d in range(2, n + 1):
-        nxt = [0] * n
-        for hj, col in zip(h, cols):
-            if hj:
-                for k, c in enumerate(col):
-                    if c:
-                        nxt[k] = add(nxt[k], mul(hj, c))
-        h = _poly_trim(nxt)
-        if d in checks and not coprime(h):
+    h = [0, 1]
+    for i in range(1, n // 2 + 1):
+        h = _poly_powmod(base, h, base.order, poly)  # x**(B**i) mod poly
+        # h - x: h is not a constant c, as x**(B**i) = c mod poly would make c a root
+        h_x = _poly_trim([h[0], base.sub(h[1], 1), *h[2:]])
+        if i > 1 and len(_poly_gcd(base, poly, h_x)) != 1:
             return False
-    return h == [0, 1]
+    return True
 
 
 @lru_cache(maxsize=None)

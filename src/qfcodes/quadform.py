@@ -7,9 +7,9 @@ A form is a sum of two kinds of terms:
 
 This grammar covers the usual constructions; a raw Gram matrix over F_q can
 also be supplied directly.  The analysis diagonalizes the Gram matrix of the
-polarization by symmetric congruence and reports the rank, the discriminant
-(product of the nonzero diagonal entries), its quadratic character, and the
-derived sign constant that drives all downstream character-sum formulas.
+polarization by Schur complements and reports the rank, the discriminant
+(product of the pivots), its quadratic character, and the derived sign
+constant that drives all downstream character-sum formulas.
 
 Q is F_p-quadratic on base-p digits, digit k of Q(x) being x^T S[k] x mod p
 (``_digit_form``, from the fields' F_p algebra, reading no table of
@@ -286,59 +286,40 @@ class QuadFormAnalysis:
 
 
 def analyze(form: QuadraticForm) -> QuadFormAnalysis:
-    """Diagonalize the Gram matrix by symmetric congruence.
+    """Diagonalize the Gram matrix by symmetric congruence, one Schur
+    complement per pivot: with the pivot d moved to the front of the
+    remaining block A, the block becomes A[1:, 1:] - A[1:, 0] d**-1 A[0, 1:].
 
-    Pivot rule (deterministic): first nonzero diagonal entry; if the whole
-    remaining diagonal vanishes, the first nonzero off-diagonal (i, j) is
+    Pivot rule (deterministic): first nonzero diagonal entry of the block;
+    if the whole diagonal vanishes, the first nonzero off-diagonal (i, j) is
     repaired by adding row/column j to i, which lands 2*A[i][j] != 0 on the
-    diagonal (odd characteristic).
+    diagonal (odd characteristic).  delta_q is the product of the pivots.
     """
     tower = form.tower
-    Fq, m1 = tower.Fq, tower.m1
-    A = [list(row) for row in form.gram]
-
-    for k in range(m1):
-        piv = next((i for i in range(k, m1) if A[i][i] != 0), None)
+    Fq = tower.Fq
+    A, r_q, delta = [list(row) for row in form.gram], 0, 1
+    while A:
+        piv = next((i for i, row in enumerate(A) if row[i]), None)
         if piv is None:
-            off = next(
-                (
-                    (i, j)
-                    for i in range(k, m1)
-                    for j in range(i + 1, m1)
-                    if A[i][j] != 0
-                ),
-                None,
-            )
+            off = next(((i, j) for i, row in enumerate(A) for j in range(i + 1, len(row)) if row[j]),
+                       None)
             if off is None:
                 break
-            i, j = off
-            for c in range(m1):
-                A[i][c] = Fq.add(A[i][c], A[j][c])
-            for r in range(m1):
-                A[r][i] = Fq.add(A[r][i], A[r][j])
-            piv = i
-        if piv != k:
-            A[k], A[piv] = A[piv], A[k]
-            for r in range(m1):
-                A[r][k], A[r][piv] = A[r][piv], A[r][k]
-        akk = A[k][k]
-        for r in range(k + 1, m1):
-            if A[r][k] == 0:
-                continue
-            f = Fq.div(A[r][k], akk)
-            for c in range(m1):
-                A[r][c] = Fq.sub(A[r][c], Fq.mul(f, A[k][c]))
-            for r2 in range(m1):
-                A[r2][r] = Fq.sub(A[r2][r], Fq.mul(f, A[r2][k]))
+            piv, j = off
+            A[piv] = [Fq.add(x, y) for x, y in zip(A[piv], A[j])]
+            for row in A:
+                row[piv] = Fq.add(row[piv], row[j])
+        A[0], A[piv] = A[piv], A[0]
+        for row in A:
+            row[0], row[piv] = row[piv], row[0]
+        (d, *top), block = A[0], []
+        for row in A[1:]:
+            f = Fq.div(row[0], d)
+            block.append([Fq.sub(x, Fq.mul(f, y)) for x, y in zip(row[1:], top)] if f else row[1:])
+        A, r_q, delta = block, r_q + 1, Fq.mul(delta, d)
 
-    diag = [A[i][i] for i in range(m1)]
-    nonzero = [d for d in diag if d != 0]
-    r_q = len(nonzero)
     if r_q == 0:
         raise ZeroFormError("form has rank 0 (identically zero)")
-    delta = 1
-    for d in nonzero:
-        delta = Fq.mul(delta, d)
     eps_q = Fq.eta(delta)
     eps = epsilon_sign(tower.p, tower.m, r_q, eps_q)
     return QuadFormAnalysis(

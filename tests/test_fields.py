@@ -160,10 +160,14 @@ def test_modulus_is_the_first_irreducible(p, m, max_degree):
 
 
 @pytest.mark.parametrize(
-    "p,m,degree", [(3, 1, 2), (3, 1, 4), (3, 1, 5), (5, 1, 4), (7, 1, 3), (3, 2, 2), (3, 2, 3)]
+    "p,m,degree",
+    [(3, 1, 2), (3, 1, 4), (3, 1, 5), (3, 1, 6), (5, 1, 4), (7, 1, 3), (7, 1, 4), (3, 2, 2),
+     (3, 2, 3)],
 )
 def test_irreducibility_test_agrees_with_trial_division(p, m, degree):
-    """Rabin's test, on every monic candidate of the degree."""
+    """Ben-Or's test, on every monic candidate of the degree; degrees 4 to 6
+    hold root-free products of quadratics and cubics, which only its rounds
+    i = 2 and i = 3 reject."""
     base = build_tower(p, m, 1, 1).Fq
     for cand in _modulus_scan(base, degree):
         assert fields._is_irreducible(base, cand) == _trial_division_irreducible(base, cand), cand

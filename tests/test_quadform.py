@@ -544,6 +544,43 @@ def test_analysis_is_invariant_under_congruence(data):
         assert after.delta_q.idx == Fq.mul(Fq.mul(det, det), before.delta_q.idx)
 
 
+# (tower, Gram input, (r_q, delta_q.idx, eps_q, eps)): the pivot rule fixes
+# delta_q exactly, not only its class, and every report prints it.  "later"
+# inputs are P^T (d + B) P with P = [[1, r], [0, I]], whose first Schur
+# complement is the zero-diagonal B.
+ANALYSIS_PINS = {
+    "F3-repaired-first": ((3, 1, 2, 1), ((0, 1), (1, 0)), (2, 2, -1, 1)),
+    "F3-repaired-later": ((3, 1, 3, 1), ((1, 1, 1), (1, 1, 2), (1, 2, 1)), (3, 2, -1, -1)),
+    "F3-zero-row": ((3, 1, 3, 1), ((2, 0, 1), (0, 0, 0), (1, 0, 1)), (2, 1, 1, -1)),
+    "F5-rank-1": ((5, 1, 3, 1), ((3, 1, 4), (1, 2, 3), (4, 3, 2)), (1, 3, -1, -1)),
+    "F5-full-rank": (
+        (5, 1, 4, 1), ((0, 1, 2, 3), (1, 0, 4, 1), (2, 4, 3, 0), (3, 1, 0, 2)), (4, 4, 1, 1)
+    ),
+    "F9-repaired-first": ((3, 2, 3, 1), ((0, 5, 7), (5, 0, 2), (7, 2, 0)), (3, 6, 1, 1)),
+    "F9-repaired-later": (
+        (3, 2, 4, 1), ((5, 7, 4, 1), (7, 5, 3, 2), (4, 3, 7, 6), (1, 2, 6, 7)), (4, 5, -1, -1)
+    ),
+    "F9-rank-1": ((3, 2, 3, 1), ((4, 0, 7), (0, 0, 0), (7, 0, 8)), (1, 4, -1, -1)),
+    "F9-zero-row": ((3, 2, 3, 1), ((0, 0, 0), (0, 5, 7), (0, 7, 3)), (2, 5, -1, -1)),
+    "F25-full-rank": ((5, 2, 3, 1), ((7, 13, 0), (13, 0, 21), (0, 21, 18)), (3, 7, 1, 1)),
+    "F25-repaired-first": ((5, 2, 2, 1), ((0, 17), (17, 0)), (2, 19, 1, 1)),
+    "F25-rank-1": ((5, 2, 3, 1), ((0, 0, 0), (0, 1, 11), (0, 11, 23)), (1, 1, 1, 1)),
+    "F25-repaired-later-then-zero": (
+        (5, 2, 4, 1), ((2, 1, 23, 19), (1, 3, 18, 22), (23, 18, 11, 4), (19, 22, 4, 14)),
+        (3, 22, 1, 1),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ANALYSIS_PINS)
+def test_analysis_is_pinned_exactly(name):
+    """r_q, delta_q, eps_q and eps of Gram inputs covering both repairs of a
+    zero diagonal, a zero row and column, rank 1 and full rank."""
+    tower, gram, pinned = ANALYSIS_PINS[name]
+    a = QuadraticForm(build_tower(*tower), gram=gram).analysis
+    assert (a.r_q, a.delta_q.idx, a.eps_q, a.eps) == pinned
+
+
 @pytest.mark.parametrize("m1", [5, 12])
 def test_value_stream_is_charged_to_the_run_budget(m1):
     """A fresh form's value histogram streams |F_{q^m1}| values, charged to
