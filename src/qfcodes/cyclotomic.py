@@ -2,8 +2,8 @@
 
 A cyclotomic integer is stored on the basis 1, zeta, ..., zeta**(p-2) with
 arbitrary-precision integer coordinates; zeta**(p-1) is rewritten through the
-minimal polynomial as -(1 + zeta + ... + zeta**(p-2)), which makes equality a
-coordinate comparison.
+minimal polynomial as -(1 + zeta + ... + zeta**(p-2)), in one place
+(``cyc_from_trace_counts``), which makes equality a coordinate comparison.
 
 Half-integer powers of p* = (-1)**((p-1)/2) * p are expressed through the
 prime-field quadratic Gauss sum g_p = sum(zeta**(x*x)), whose square is p*.
@@ -70,12 +70,9 @@ class CycInt:
 
     @classmethod
     def zeta(cls, p: int, k: int = 1) -> "CycInt":
-        k %= p
-        if k == p - 1:
-            return cls(p, (-1,) * (p - 1))
-        c = [0] * (p - 1)
-        c[k] = 1
-        return cls(p, c)
+        counts = [0] * p
+        counts[k % p] = 1
+        return cyc_from_trace_counts(p, counts)
 
     # ring operations
 
@@ -117,8 +114,7 @@ class CycInt:
             for j, b in enumerate(other.coords):
                 if b:
                     acc[(i + j) % p] += a * b
-        top = acc[p - 1]
-        return CycInt(p, (acc[k] - top for k in range(p - 1)))
+        return cyc_from_trace_counts(p, acc)
 
     __rmul__ = __mul__
 
@@ -162,11 +158,10 @@ def pstar(p: int) -> int:
 
 def gauss_sum(p: int) -> CycInt:
     """Prime-field quadratic Gauss sum; its square is p*."""
-    acc = [0] * p
+    counts = [0] * p
     for x in range(p):
-        acc[x * x % p] += 1
-    top = acc[p - 1]
-    return CycInt(p, (acc[k] - top for k in range(p - 1)))
+        counts[x * x % p] += 1
+    return cyc_from_trace_counts(p, counts)
 
 
 def upsilon(q: int, idx: int) -> int:
@@ -193,7 +188,7 @@ def _q_pow_pstar_neg_half(p: int, top_exp: int, j: int) -> CycInt:
 
 
 def cyc_from_trace_counts(p: int, counts) -> CycInt:
-    """sum(counts[t] * zeta**t) for F_p indices t."""
+    """sum(counts[t] * zeta**t) for F_p indices t, zeta**(p-1) folded."""
     acc = [0] * p
     for t, c in enumerate(counts):
         acc[t % p] += c
@@ -215,14 +210,6 @@ def additive_char_sum(field: FiniteField, func) -> CycInt:
         t = rel_trace(v, prime).idx if v.field is not prime else v.idx
         counts[t] += 1
     return cyc_from_trace_counts(p, counts)
-
-
-@lru_cache(maxsize=None)
-def _etas(Fq: FiniteField) -> np.ndarray:
-    """eta at every F_q index (read-only)."""
-    out = np.array([Fq.eta(v) for v in range(Fq.order)], dtype=np.int64)
-    out.setflags(write=False)
-    return out
 
 
 def sums_agree(counts, coords) -> bool:
@@ -255,7 +242,7 @@ def eta_twisted_sums_closed(Fq: FiniteField, k, b) -> np.ndarray:
     upsilon(b) for even k; the Gauss-sum expression, g_p once, for odd k."""
     k, b = np.broadcast_arrays(np.atleast_1d(k), np.atleast_1d(b))
     p, m = Fq.p, Fq.degree_over(Fq.subfield_chain()[-1])
-    odd = (-1) ** (m - 1) * _etas(Fq)[Fq.op_table("sub")[0, b]] * (k % 2)
+    odd = (-1) ** (m - 1) * Fq.etas[Fq.op_table("sub")[0, b]] * (k % 2)
     out = odd[:, None] * np.array(_q_pow_pstar_neg_half(p, m, m).coords, dtype=object)
     out[:, 0] += np.where(k % 2, 0, np.where(b == 0, Fq.order - 1, -1))
     return out
@@ -293,7 +280,7 @@ def qf_exp_sums_closed(analysis: QuadFormAnalysis, z) -> np.ndarray:
     if analysis.r_q % 2 == 0:
         out[:, 0] = analysis.eps * Fq.order ** (m1 - analysis.r_q // 2)
         return out
-    sign = (-1) ** (m - 1) * _etas(Fq)[Fq.op_table("sub")[0, z]] * analysis.eps_q
+    sign = (-1) ** (m - 1) * Fq.etas[Fq.op_table("sub")[0, z]] * analysis.eps_q
     base = _q_pow_pstar_neg_half(p, m * m1, m * analysis.r_q)
     return sign[:, None] * np.array(base.coords, dtype=object)
 
@@ -329,7 +316,7 @@ def closed_profile(analysis: QuadFormAnalysis) -> np.ndarray:
     if r_q % 2 == 0:
         t = np.array([upsilon(q, v) for v in range(q)], dtype=object)
     else:
-        t = _etas(Fq).astype(object)[Fq.op_table("mul")[Fq.op_table("sub")[0]]]  # eta(-a v)
+        t = Fq.etas.astype(object)[Fq.op_table("mul")[Fq.op_table("sub")[0]]]  # eta(-a v)
     C = np.empty((q, 2, q), dtype=object)
     C[:, 0] = q ** (M - 1) + analysis.eps * q ** (M - 1 - h) * t
     C[:, 1] = q ** (M - 1)

@@ -31,7 +31,7 @@ import numpy as np
 from . import linalg
 from .codes import CodeSpec, Variant, WeightDistribution, cwe_brute, codeword, \
     weight_distribution_predicted
-from .cyclotomic import CycInt, _etas, cyc_from_trace_counts, eta_twisted_sum_brute
+from .cyclotomic import CycInt, cyc_from_trace_counts, eta_twisted_sum_brute
 from .errors import ParameterError
 from .fields import Elem, FieldTower, digits
 from .ghw import GhwReport, _quotient, closed_defect, closed_ghw, message_dim, point_count
@@ -86,16 +86,24 @@ class DescentParams:
         return cols
 
     @cached_property
+    def orbit(self) -> np.ndarray:
+        """The (p - 1) L products o = lam * theta**i (lam in F_p*, i < L), as
+        F_q indices (read-only): F_p* and <theta> acting on F_q* at once."""
+        Fq, n1 = self.tower.Fq, self.tower.q - 1
+        thetas = Fq.omega[1 + np.arange(self.L) * Fq.log(self.theta.idx) % n1]  # theta**i
+        out = Fq.op_table("mul")[np.arange(1, self.tower.p)[:, None], thetas].reshape(-1)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
     def orbit_traces(self) -> np.ndarray:
-        """``K[c, s, t]``: how many o = lam * theta**i (lam in F_p*, i < L) have
-        Tr_{q/p}(o c) = t and eta(o) = 1 (s = 0) or -1 (s = 1), every c in F_q."""
-        Fq, Fp = self.tower.Fq, self.tower.Fp
-        mul, trace = Fq.op_table("mul"), Fq.trace_table(Fp)
-        K, rows = np.zeros((Fq.order, 2, Fp.order), dtype=np.int64), np.arange(Fq.order)
-        for lam in range(1, Fp.order):
-            for i in range(self.L):
-                o = Fq.mul(Fq.embed_from(Fp, lam), Fq.pow(self.theta.idx, i))
-                K[rows, int(Fq.eta(o) == -1), trace[mul[o]]] += 1  # one cell per row
+        """``K[c, s, t]``: how many o in ``orbit`` have Tr_{q/p}(o c) = t and
+        eta(o) = 1 (s = 0) or -1 (s = 1), every c in F_q: one count over the
+        flat cell index of (c, s, t)."""
+        Fq, p, o = self.tower.Fq, self.tower.p, self.orbit
+        t = Fq.trace_table(self.tower.Fp)[Fq.op_table("mul")[:, o]]
+        cells = (np.arange(Fq.order)[:, None] * 2 + (Fq.etas[o] < 0)) * p + t
+        K = np.bincount(cells.reshape(-1), minlength=Fq.order * 2 * p).reshape(Fq.order, 2, p)
         K.setflags(write=False)
         return K
 
@@ -228,46 +236,15 @@ class OrbitCheckResult:
 
 
 def orbit_check(params: DescentParams) -> OrbitCheckResult:
-    """Enumerate F_p* acting on the cosets of <theta> in F_q*."""
-    tower = params.tower
-    Fq, Fp = tower.Fq, tower.Fp
-    H = set()
-    v = 1
-    for _ in range(params.L):
-        H.add(v)
-        v = Fq.mul(v, params.theta.idx)
-    lambdas = [Fq.embed_from(Fp, i) for i in range(1, tower.p)]
-    stab = sum(1 for lam in lambdas if lam in H)
-    # cosets by exhaustive labelling
-    coset_of: dict[int, int] = {}
-    labels = 0
-    for x in range(1, Fq.order):
-        if x in coset_of:
-            continue
-        for h in H:
-            coset_of[Fq.mul(x, h)] = labels
-        labels += 1
-    seen = set()
-    orbits = 0
-    for x in range(1, Fq.order):
-        cl = coset_of[x]
-        if cl in seen:
-            continue
-        orbits += 1
-        stack = [x]
-        while stack:
-            y = stack.pop()
-            if coset_of[y] in seen:
-                continue
-            seen.add(coset_of[y])
-            for lam in lambdas:
-                z = Fq.mul(lam, y)
-                if coset_of[z] not in seen:
-                    stack.append(z)
+    """Enumerate F_p* acting on the cosets of <theta> in F_q*: lam fixes them
+    iff lam * theta**i = 1 for some i, and the orbits are the classes x G of
+    the group G = ``params.orbit``, each labelled by its least index."""
+    Fq, o = params.tower.Fq, params.orbit
+    labels = Fq.op_table("mul")[1:, o].min(axis=1)
     return OrbitCheckResult(
-        stabilizer_size=stab,
-        expected_stabilizer=(tower.p - 1) // params.N,
-        orbit_count=orbits,
+        stabilizer_size=int(np.count_nonzero(o == 1)),
+        expected_stabilizer=(params.tower.p - 1) // params.N,
+        orbit_count=int(np.count_nonzero(np.bincount(labels))),
     )
 
 
@@ -301,7 +278,7 @@ def char_identity_checks(params: DescentParams, c, a) -> tuple[np.ndarray, np.nd
     c, a = np.broadcast_arrays(np.atleast_1d(c), np.atleast_1d(a))
     if not (c.all() and a.all()):
         raise ParameterError("need c, a in F_q*")
-    K, eta = params.orbit_traces[c], _etas(Fq)
+    K, eta = params.orbit_traces[c], Fq.etas
     lhs = np.stack([K[:, 0] + K[:, 1], eta[a][:, None] * (K[:, 0] - K[:, 1])], axis=1)
     rhs = np.zeros((len(c), 2, p - 1), dtype=object)
     rhs[:, 0, 0] = -(p - 1) // N
@@ -372,7 +349,7 @@ def descended_hierarchy(
     top = spec.blocks(spec.tower.m)[1].stop  # the end of the b block
 
     def note(r: int, d_closed: int) -> str:
-        if spec.variant is Variant.AFFINE and r > top and spec.analysis.r_q % 2 == 1:
+        if spec.variant is Variant.AFFINE and top < r < n_p and spec.analysis.r_q % 2 == 1:
             return "case r > m(m2+1), odd rank: closed form needs brute confirmation"
         if not _optimizer_attains(spec, params, r, d_closed):
             return "optimizing subspace does not attain the closed value"

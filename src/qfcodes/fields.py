@@ -16,6 +16,12 @@ The index format, which other modules decode only through ``digits``:
 * ``digits(x, base, count)`` is the one decoder of indices, and of vectors
   over a field numbered by their encoding sum_t x_t |F|**t, into digits.
 
+A field is its (base, degree): ``extension_field`` keeps one object per
+pair, whatever role a tower gives it (F_25 is F_q of (5,2,1,1) and F_{q^m1}
+of (5,1,2,3) alike, and m1 == m2 makes F_{q^m1} and F_{q^m2} one field).
+It shows as ``GF(order)``, and an element as its config token
+(``elem_to_data``), e.g. ``[1, 2] in GF(25)``.
+
 Addition is digitwise mod p in every field of the tower.
 
 Multiplication, inversion and powering run through discrete log/exp tables
@@ -201,6 +207,9 @@ class FiniteField:
         self._finish_init()
         return self.__dict__[name]
 
+    def __repr__(self):
+        return f"GF({self.order})"
+
     # -- scalar index arithmetic ---------------------------------------
 
     def add(self, i: int, j: int) -> int:
@@ -297,6 +306,14 @@ class FiniteField:
         if i == 0:
             return 0
         return 1 if self._log.item(i) % 2 == 0 else -1
+
+    @cached_property
+    def etas(self) -> np.ndarray:
+        """``eta`` at every index (read-only): 1 - 2 (log % 2), 0 at zero."""
+        out = 1 - 2 * (self._log % 2)
+        out[0] = 0
+        out.setflags(write=False)
+        return out
 
     # canonical omega ordering -------------------------------------------
 
@@ -556,9 +573,6 @@ class PrimeField(FiniteField):
     def mul(self, i, j):
         return (i * j) % self.p
 
-    def __repr__(self):
-        return f"GF({self.p})"
-
 
 class ExtField(FiniteField):
     """Degree-d extension of ``base`` modulo a pinned irreducible polynomial.
@@ -568,8 +582,7 @@ class ExtField(FiniteField):
     construction is reproducible without external polynomial tables.
     """
 
-    def __init__(self, base: FiniteField, degree: int, var: str = "t",
-                 modulus: tuple[int, ...] | None = None):
+    def __init__(self, base: FiniteField, degree: int, modulus: tuple[int, ...] | None = None):
         if degree < 2:
             raise ParameterError("extension degree must be >= 2")
         if base.order**degree >= 2**63:  # indices and their digits are int64
@@ -579,7 +592,6 @@ class ExtField(FiniteField):
         self.degree = degree
         self.order = base.order**degree
         self.dim = base.dim * degree
-        self.var = var
         if modulus is None:
             modulus = smallest_irreducible(base, degree)
         self.modulus = modulus
@@ -589,9 +601,6 @@ class ExtField(FiniteField):
     def t(self) -> int:
         """Index of the extension generator (the class of the variable)."""
         return self.base.order
-
-    def __repr__(self):
-        return f"GF({self.order})"
 
 
 # ---------------------------------------------------------------------------
@@ -798,27 +807,8 @@ class Elem:
         return tuple(Elem(base, d) for d in self.field.coeffs(self.idx))
 
     def __repr__(self):
-        return f"{_elem_str(self.field, self.idx)} in {self.field}"
-
-
-def _elem_str(field: FiniteField, idx: int) -> str:
-    if field.base is None:
-        return str(idx)
-    var = getattr(field, "var", "t")
-    parts = []
-    for k, d in enumerate(field.coeffs(idx)):
-        if d == 0:
-            continue
-        c = _elem_str(field.base, d)
-        is_one = c == "1"
-        if field.base.base is not None and not is_one and k > 0:
-            c = f"({c})"
-        if k == 0:
-            parts.append(c)
-        else:
-            head = "" if is_one else f"{c}*"
-            parts.append(f"{head}{var}" + (f"^{k}" if k > 1 else ""))
-    return " + ".join(parts) if parts else "0"
+        """The element's config token (``elem_to_data``) and its field."""
+        return f"{elem_to_data(self)} in {self.field}"
 
 
 # ---------------------------------------------------------------------------
@@ -871,22 +861,23 @@ def prime_field(p: int) -> PrimeField:
     return PrimeField(p)
 
 
-def extension_field(base: FiniteField, degree: int, var: str = "t") -> FiniteField:
+def extension_field(base: FiniteField, degree: int) -> FiniteField:
     """Degree-d extension with the pinned modulus; degree 1 returns ``base``.
 
-    Cached on (base, degree, var), however the call spells them, so repeated
-    construction hands back the same immutable field object.
+    Cached on (base, degree), however the call spells them: a field is its
+    base and degree, so every tower and role that asks for the pair gets the
+    same immutable field object.
     """
     if degree < 1:
         raise ParameterError("degree must be >= 1")
     if degree == 1:
         return base
-    return _extension_field(base, degree, var)
+    return _extension_field(base, degree)
 
 
 @lru_cache(maxsize=None)
-def _extension_field(base: FiniteField, degree: int, var: str) -> ExtField:
-    return ExtField(base, degree, var=var)  # fields hash by identity
+def _extension_field(base: FiniteField, degree: int) -> ExtField:
+    return ExtField(base, degree)  # fields hash by identity
 
 
 @lru_cache(maxsize=None)
@@ -899,9 +890,9 @@ def build_tower(p: int, m: int, m1: int, m2: int) -> FieldTower:
     if m < 1 or m1 < 1 or m2 < 1:
         raise ParameterError("m, m1, m2 must all be >= 1")
     Fp = prime_field(p)
-    Fq = extension_field(Fp, m, var="w")
-    Fq1 = extension_field(Fq, m1, var="t")
-    Fq2 = extension_field(Fq, m2, var="u")
+    Fq = extension_field(Fp, m)
+    Fq1 = extension_field(Fq, m1)
+    Fq2 = extension_field(Fq, m2)
     return FieldTower(p=p, m=m, m1=m1, m2=m2, Fp=Fp, Fq=Fq, Fq1=Fq1, Fq2=Fq2)
 
 

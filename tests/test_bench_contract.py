@@ -100,7 +100,7 @@ def _swap_field(monkeypatch, shape, name):
     field whose tables get built; returns the record and the copy."""
     cached = fields.build_tower(*shape)
     old = getattr(cached, name)
-    fresh = fields.ExtField(old.base, old.degree, var=old.var, modulus=old.modulus)
+    fresh = fields.ExtField(old.base, old.degree, modulus=old.modulus)
     built, finish = [], fields.FiniteField._finish_init
 
     def recorded(field):

@@ -18,6 +18,8 @@ from qfcodes.cli import (build_parser, main, preset_config, run_config, spec_fro
 from qfcodes.errors import ConfigError
 from qfcodes.presets import PRESETS, preset_names
 
+from conftest import run_fresh
+
 
 def _run(capsys, *argv):
     code = main(list(argv))
@@ -699,7 +701,7 @@ def test_weight_data_reaches_f_3_16_without_its_tables(tmp_path, capsys, monkeyp
     from qfcodes import build_tower, fields
 
     cached = build_tower(3, 1, 2, 16)
-    fresh = {name: fields.ExtField(F.base, F.degree, var=F.var, modulus=F.modulus)
+    fresh = {name: fields.ExtField(F.base, F.degree, modulus=F.modulus)
              for name, F in (("Fq1", cached.Fq1), ("Fq2", cached.Fq2))}
     built, finish = [], fields.FiniteField._finish_init
 
@@ -744,3 +746,41 @@ def test_cli_import_leaves_out_fractions_and_decimal():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_every_preset_builds_each_extension_field_once(capsys, monkeypatch):
+    """A field is its (base, degree): every preset and its ``verify all``, run
+    from fresh caches, construct each extension field once, although F_25
+    is F_q of one preset's tower and F_{q^m1} of another's."""
+    from qfcodes import cli, fields
+
+    monkeypatch.setattr(fields, "prime_field", lru_cache(fields.prime_field.__wrapped__))
+    monkeypatch.setattr(fields, "_extension_field", lru_cache(fields._extension_field.__wrapped__))
+    monkeypatch.setattr(cli, "build_tower", fields.build_tower.__wrapped__)
+    built, init = [], fields.ExtField.__init__
+
+    def spy(self, base, degree, *args, **kwargs):
+        built.append((base.order, degree))
+        init(self, base, degree, *args, **kwargs)
+
+    monkeypatch.setattr(fields.ExtField, "__init__", spy)
+    for name in preset_names():
+        main(["preset", name, "--format", "json"])
+        main(["verify", "all", "--preset", name, "--format", "json"])
+    capsys.readouterr()
+    assert sorted(built) == sorted(set(built)) and (5, 2) in built, built
+
+
+def test_no_run_imports_numpy_ma():
+    """Every preset and its ``verify all`` run in a fresh process without
+    importing ``numpy.ma``, which a plain ``np.unique`` imports on its first call."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from qfcodes.cli import main\n"
+        "from qfcodes.presets import preset_names\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    for name in preset_names():\n"
+        "        main(['preset', name]), main(['verify', 'all', '--preset', name])\n"
+        "print(json.dumps({'ma': 'numpy.ma' in sys.modules}))\n"
+    )
+    assert run_fresh(script)["ma"] is False

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import json
 import os
@@ -219,6 +220,70 @@ def test_orbit_checks():
     assert orb.ok and orb.stabilizer_size == 2
 
 
+def _orbit_check_reference(params):
+    """(stabilizer, orbits) of F_p* on the cosets of <theta> in F_q*, one
+    scalar op at a time: the cosets labelled exhaustively, then a search
+    over F_p* multiples from each unvisited coset."""
+    tower = params.tower
+    Fq, Fp = tower.Fq, tower.Fp
+    H, v = set(), 1
+    for _ in range(params.L):
+        H.add(v)
+        v = Fq.mul(v, params.theta.idx)
+    lambdas = [Fq.embed_from(Fp, i) for i in range(1, tower.p)]
+    stab = sum(1 for lam in lambdas if lam in H)
+    coset_of, labels = {}, 0
+    for x in range(1, Fq.order):
+        if x not in coset_of:
+            for h in H:
+                coset_of[Fq.mul(x, h)] = labels
+            labels += 1
+    seen, orbits = set(), 0
+    for x in range(1, Fq.order):
+        if coset_of[x] in seen:
+            continue
+        orbits += 1
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            if coset_of[y] in seen:
+                continue
+            seen.add(coset_of[y])
+            stack += [z for z in (Fq.mul(lam, y) for lam in lambdas) if coset_of[z] not in seen]
+    return stab, orbits
+
+
+def _orbit_traces_reference(params):
+    """``orbit_traces`` by a double loop over lam in F_p* and i < L."""
+    Fq, Fp = params.tower.Fq, params.tower.Fp
+    mul, trace = Fq.op_table("mul"), Fq.trace_table(Fp)
+    K, rows = np.zeros((Fq.order, 2, Fp.order), dtype=np.int64), np.arange(Fq.order)
+    for lam in range(1, Fp.order):
+        for i in range(params.L):
+            o = Fq.mul(Fq.embed_from(Fp, lam), Fq.pow(params.theta.idx, i))
+            K[rows, int(Fq.eta(o) == -1), trace[mul[o]]] += 1  # one cell per row
+    return K
+
+
+def test_orbit_enumeration_matches_the_scalar_references():
+    """``orbit_check`` and ``orbit_traces`` equal their scalar references on
+    every admissible N of q in {9, 25, 49, 121, 27, 5, 7}, and on the forced
+    q = 25, N = 2, where F_p* is not transitive."""
+    cases = []
+    for p, m in [(3, 2), (5, 2), (7, 2), (11, 2), (3, 3), (5, 1), (7, 1)]:
+        tw = build_tower(p, m, 1, 1)
+        for N in range(1, p):
+            with contextlib.suppress(ParameterError):
+                cases.append(make_descent(tw, N))
+    tw = build_tower(5, 2, 1, 1)
+    cases.append(DescentParams(tower=tw, N=2, theta=Elem(tw.Fq, tw.Fq.pow(tw.Fq.gen, 2))))
+    for params in cases:
+        orb = orbit_check(params)
+        assert (orb.stabilizer_size, orb.orbit_count) == _orbit_check_reference(params), params
+        assert np.array_equal(params.orbit_traces, _orbit_traces_reference(params)), params
+    assert orb.orbit_count == 2 and len(cases) == 16
+
+
 def test_char_identities_exhaustive_small():
     tw = build_tower(5, 1, 1, 1)
     params = make_descent(tw, 2)
@@ -290,14 +355,18 @@ def test_descended_affine_small_all_r(coeff_token, variant):
 
 
 def test_descended_affine_odd_rank_case3_brute_confirms():
-    spec = _spec(5, 1, 1, 1, variant=Variant.AFFINE)
-    params = make_descent(spec.tower, 2)
-    rep = descended_hierarchy(spec, params)
-    top = spec.tower.m * (spec.tower.m2 + 1)
-    for row in rep.rows:
-        assert row.d_brute == row.d_closed
-        if row.r > top:
-            assert "brute confirmation" in row.note
+    """The odd-rank note sits on exactly the rows top < r < k: at r = k the
+    one subspace is the whole space and d_k = n needs no confirmation (m = 1
+    leaves no row between, m = 2 leaves one)."""
+    for shape, N in [((5, 1, 1, 1), 2), ((3, 2, 1, 1), 1), ((3, 2, 1, 2), 1)]:
+        spec = _spec(*shape, variant=Variant.AFFINE)
+        params = make_descent(spec.tower, N)
+        rep = descended_hierarchy(spec, params)
+        top, k = spec.tower.m * (spec.tower.m2 + 1), len(rep.rows)
+        assert rep.rows[-1].d_closed == spec.length * params.L
+        for row in rep.rows:
+            assert row.d_brute == row.d_closed
+            assert ("brute confirmation" in row.note) == (top < row.r < k), (shape, row)
 
 
 def test_descended_per_subspace_closed(fix7):

@@ -181,12 +181,39 @@ def test_construction_deterministic():
     assert a.describe()["modulus_Fq1"] == [[0, 1], [1, 0], [0, 0], [1, 0]]
     assert a.describe()["modulus_Fq2"] == [[1, 1], [0, 0], [1, 0]]
     # fields hash by identity, so the caches key on the field object itself
-    assert extension_field(a.Fq, 3, var="t") is a.Fq1
+    assert extension_field(a.Fq, 3) is a.Fq1
     F81 = extension_field(a.Fp, 4)
-    assert extension_field(a.Fp, 4, "t") is F81 and extension_field(a.Fp, 4, var="t") is F81
+    assert extension_field(a.Fp, degree=4) is F81 and extension_field(base=a.Fp, degree=4) is F81
     assert extension_field(a.Fp, 1) is a.Fp
     for sub in (a.Fq, a.Fp):
         assert a.Fq1.trace_table(sub) is a.Fq1.trace_table(sub)
+
+
+def test_a_field_is_its_base_and_degree():
+    """One object per (base, degree), whatever role a tower gives it and
+    however the call spells it: F_25 is F_q of (5,2,1,1), F_{q^m1} of
+    (5,1,2,3) and F_{q^m2} of (5,1,3,2), and m1 == m2 makes Fq1 Fq2."""
+    tw = build_tower(5, 1, 2, 2)
+    assert tw.Fq1 is tw.Fq2
+    F25 = build_tower(5, 2, 1, 1).Fq
+    assert F25 is build_tower(5, 1, 2, 3).Fq1 is build_tower(5, 1, 3, 2).Fq2
+    F5 = prime_field(5)
+    assert extension_field(F5, 2) is extension_field(F5, degree=2) is F25
+    assert extension_field(base=F5, degree=2) is F25
+
+
+def test_elem_repr_is_its_config_token():
+    """An element shows as its ``elem_to_data`` token in GF(order), and the
+    token reads back as the element."""
+    t = build_tower(3, 2, 3, 2)
+    assert repr(Elem(t.Fq, 7)) == "[1, 2] in GF(9)" and repr(t.Fp.one) == "1 in GF(3)"
+    rng = random.Random(11)
+    for F in (t.Fp, t.Fq, t.Fq1, t.Fq2):
+        for i in {0, 1, F.order - 1, *rng.sample(range(F.order), min(F.order, 20))}:
+            x = Elem(F, i)
+            token, name = repr(x).split(" in ")
+            assert name == f"GF({F.order})" and token == str(elem_to_data(x)), x
+            assert elem_from_data(F, json.loads(token)) == x
 
 
 def test_arith_basic_identities():
