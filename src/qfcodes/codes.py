@@ -230,10 +230,10 @@ def _codeword_array(spec: CodeSpec, a: Elem, b: Elem, c: Elem | None) -> np.ndar
         )
     if c is not None and c.field is not Fq:
         raise ParameterError("c must lie in F_q")
-    add, mul, omega = Fq.op_table("add"), Fq.op_table("mul"), Fq1.omega  # tables before Q's
-    qvals = spec.analysis.form.value_table[omega]
-    ax = add[mul[a.idx, qvals], c.idx if c is not None else 0]  # a Q(x) + c
-    word = add[ax[:, None], Fq2.trace_row(b.idx, Fq)].reshape(-1)
+    omega = Fq1.omega  # tables before Q's
+    qvals = spec.analysis.form.value_table[omega].astype(np.int64)
+    ax = Fq.add(Fq.mul(a.idx, qvals), c.idx if c is not None else 0)  # a Q(x) + c
+    word = Fq.add(ax[:, None], Fq2.trace_row(b.idx, Fq)).reshape(-1)
     if spec.variant is Variant.HOMOGENEOUS:
         word = word[1:]  # the origin (x, y) = (0, 0) comes first in omega order
     return word
@@ -268,15 +268,15 @@ def _value_profile(form: QuadraticForm) -> np.ndarray:
     Tr(y) for each c in F_p, T the trace matrix of F_{q^m2} over F_q."""
     tower = form.tower
     Fq, p, q = tower.Fq, tower.p, tower.q
-    sub = Fq.op_table("sub")
+    v = np.arange(q)
     ha = np.zeros((q, q), dtype=np.int64)
-    np.add.at(ha, (np.arange(q)[:, None], Fq.op_table("mul")), form.value_histogram)
+    np.add.at(ha, (v[:, None], Fq.mul(v[:, None], v)), form.value_histogram)
     hb = np.zeros((2, q), dtype=np.int64)
     hb[:, 0] = tower.Fq2.order, 1
     T = tower.Fq2.trace_matrix(Fq)
     for shift in np.arange(p)[:, None] * T.T[:, None, :] % p @ p ** np.arange(len(T)):
-        hb[1] = hb[1][sub[:, shift]].sum(axis=1)  # Hb'[w] = sum over c of Hb[w - c T[:, l]]
-    profile = np.einsum("au,juv->ajv", ha, hb[:, sub.T])
+        hb[1] = hb[1][Fq.sub(v[:, None], shift)].sum(axis=1)  # Hb'[w] = sum_c Hb[w - c T[:, l]]
+    profile = np.einsum("au,juv->ajv", ha, hb[:, Fq.sub(v, v[:, None])])
     profile.setflags(write=False)
     return profile
 
@@ -289,9 +289,8 @@ def _compositions(spec: CodeSpec):
     Fq = spec.tower.Fq
     affine = spec.variant is Variant.AFFINE
     profile = value_profile(spec.analysis.form, Fq.order if affine else 1)
-    sub, omega = Fq.op_table("sub"), Fq.omega
     for c in range(Fq.order) if affine else (0,):
-        comp = profile[:, :, sub[omega, c]]
+        comp = profile[:, :, Fq.sub(Fq.omega, c)]
         if not affine:
             comp[:, :, 0] -= 1  # the excluded origin always evaluates to zero
         yield c, comp

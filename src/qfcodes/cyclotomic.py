@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .codes import value_profile
-from .errors import MixedFieldError
+from .errors import MixedFieldError, charge
 from .fields import Elem, FiniteField, rel_trace
 from .quadform import QuadFormAnalysis, QuadraticForm
 
@@ -231,9 +231,10 @@ def _counts(rows: int, p: int, traces: np.ndarray, values) -> np.ndarray:
 def eta_twisted_sums_brute(Fq: FiniteField, k, b) -> np.ndarray:
     """Trace counts [i, t] of sum over z in F_q* of eta(z)**k_i zeta**Tr(z b_i)
     by enumeration, for the index arrays k and b: z runs over F_q* in omega
-    order, z = g**j, so eta(z) = (-1)**j."""
+    order, z = g**j, so eta(z) = (-1)**j.  Charged one step per (i, z)."""
     k, b = np.broadcast_arrays(np.atleast_1d(k), np.atleast_1d(b))
-    traces = Fq.trace_table(Fq.subfield_chain()[-1])[Fq.op_table("mul")[b[:, None], Fq.omega[1:]]]
+    charge(len(b) * (Fq.order - 1), "the eta-twisted sums by enumeration")
+    traces = Fq.trace_table(Fq.subfield_chain()[-1])[Fq.mul(b[:, None], Fq.omega[1:])]
     return _counts(len(b), Fq.p, traces, (-1) ** (k[:, None] % 2 * np.arange(Fq.order - 1)))
 
 
@@ -242,7 +243,7 @@ def eta_twisted_sums_closed(Fq: FiniteField, k, b) -> np.ndarray:
     upsilon(b) for even k; the Gauss-sum expression, g_p once, for odd k."""
     k, b = np.broadcast_arrays(np.atleast_1d(k), np.atleast_1d(b))
     p, m = Fq.p, Fq.degree_over(Fq.subfield_chain()[-1])
-    odd = (-1) ** (m - 1) * Fq.etas[Fq.op_table("sub")[0, b]] * (k % 2)
+    odd = (-1) ** (m - 1) * Fq.etas[Fq.neg(b)] * (k % 2)
     out = odd[:, None] * np.array(_q_pow_pstar_neg_half(p, m, m).coords, dtype=object)
     out[:, 0] += np.where(k % 2, 0, np.where(b == 0, Fq.order - 1, -1))
     return out
@@ -264,9 +265,11 @@ def eta_twisted_sum_closed(Fq: FiniteField, k: int, b: Elem) -> CycInt:
 
 def qf_exp_sums_brute(form: QuadraticForm, z) -> np.ndarray:
     """Trace counts [i, t] of sum over x in F_{q^m1} of zeta**(Tr_{q/p}(z_i
-    Q(x))), by enumeration: the value histogram at Tr(z_i v), v in F_q."""
+    Q(x))), by enumeration: the value histogram at Tr(z_i v), v in F_q,
+    charged one step per (i, v)."""
     tower, z = form.tower, np.atleast_1d(z)
-    traces = tower.Fq.trace_table(tower.Fp)[tower.Fq.op_table("mul")[z]]
+    charge(len(z) * tower.q, "the quadratic exponential sums by enumeration")
+    traces = tower.Fq.trace_table(tower.Fp)[tower.Fq.mul(z[:, None], np.arange(tower.q))]
     return _counts(len(z), tower.p, traces, form.value_histogram)
 
 
@@ -280,7 +283,7 @@ def qf_exp_sums_closed(analysis: QuadFormAnalysis, z) -> np.ndarray:
     if analysis.r_q % 2 == 0:
         out[:, 0] = analysis.eps * Fq.order ** (m1 - analysis.r_q // 2)
         return out
-    sign = (-1) ** (m - 1) * Fq.etas[Fq.op_table("sub")[0, z]] * analysis.eps_q
+    sign = (-1) ** (m - 1) * Fq.etas[Fq.neg(z)] * analysis.eps_q
     base = _q_pow_pstar_neg_half(p, m * m1, m * analysis.r_q)
     return sign[:, None] * np.array(base.coords, dtype=object)
 
@@ -309,14 +312,16 @@ def closed_profile(analysis: QuadFormAnalysis) -> np.ndarray:
     """``codes.value_profile`` in closed form, as exact Python ints (object
     dtype, read-only, cached): q**(M-1) (1 + eps t q**-h) at a != 0, b = 0,
     with t = upsilon(v) for rank 2h and eta(-a v) for rank 2h + 1; q**(M-1)
-    at b != 0; q**M at a = b = v = 0."""
+    at b != 0; q**M at a = b = v = 0.  Charged one step per cell."""
     tower, r_q = analysis.tower, analysis.r_q
     Fq, q, M, h = tower.Fq, tower.q, tower.M, r_q // 2
+    charge(2 * q * q, "the closed value profile")
     assert M - 1 - h >= 0, (M, r_q)  # r_q <= m1 <= M - 1
     if r_q % 2 == 0:
         t = np.array([upsilon(q, v) for v in range(q)], dtype=object)
     else:
-        t = Fq.etas.astype(object)[Fq.op_table("mul")[Fq.op_table("sub")[0]]]  # eta(-a v)
+        v = np.arange(q)
+        t = Fq.etas.astype(object)[Fq.mul(Fq.neg(v)[:, None], v)]  # eta(-a v)
     C = np.empty((q, 2, q), dtype=object)
     C[:, 0] = q ** (M - 1) + analysis.eps * q ** (M - 1 - h) * t
     C[:, 1] = q ** (M - 1)

@@ -32,7 +32,7 @@ from . import linalg
 from .codes import CodeSpec, Variant, WeightDistribution, cwe_brute, codeword, \
     weight_distribution_predicted
 from .cyclotomic import CycInt, cyc_from_trace_counts, eta_twisted_sum_brute
-from .errors import ParameterError
+from .errors import ParameterError, charge
 from .fields import Elem, FieldTower, digits
 from .ghw import GhwReport, _quotient, closed_defect, closed_ghw, message_dim, point_count
 from .ghw import scan, tabulate
@@ -77,8 +77,9 @@ class DescentParams:
     @cached_property
     def columns(self) -> np.ndarray:
         """psi of every F_q symbol g: row g holds the prime traces of
-        g * theta**i, i < L, as F_p indices."""
+        g * theta**i, i < L, as F_p indices; charged one step per cell."""
         Fq, th = self.tower.Fq, self.theta.idx
+        charge(Fq.order * self.L, "the trace columns psi")
         traces = [Fq.trace_row(Fq.pow(th, i), self.tower.Fp) for i in range(self.L)]
         cols = np.zeros((Fq.order, self.L), dtype=np.int16)
         cols[Fq.omega] = np.stack(traces, axis=1)  # rows in omega order
@@ -91,7 +92,7 @@ class DescentParams:
         F_q indices (read-only): F_p* and <theta> acting on F_q* at once."""
         Fq, n1 = self.tower.Fq, self.tower.q - 1
         thetas = Fq.omega[1 + np.arange(self.L) * Fq.log(self.theta.idx) % n1]  # theta**i
-        out = Fq.op_table("mul")[np.arange(1, self.tower.p)[:, None], thetas].reshape(-1)
+        out = Fq.mul(np.arange(1, self.tower.p)[:, None], thetas).reshape(-1)
         out.setflags(write=False)
         return out
 
@@ -99,9 +100,10 @@ class DescentParams:
     def orbit_traces(self) -> np.ndarray:
         """``K[c, s, t]``: how many o in ``orbit`` have Tr_{q/p}(o c) = t and
         eta(o) = 1 (s = 0) or -1 (s = 1), every c in F_q: one count over the
-        flat cell index of (c, s, t)."""
+        flat cell index of (c, s, t), charged one step per product o c."""
         Fq, p, o = self.tower.Fq, self.tower.p, self.orbit
-        t = Fq.trace_table(self.tower.Fp)[Fq.op_table("mul")[:, o]]
+        charge(Fq.order * len(o), "the orbit traces")
+        t = Fq.trace_table(self.tower.Fp)[Fq.mul(np.arange(Fq.order)[:, None], o)]
         cells = (np.arange(Fq.order)[:, None] * 2 + (Fq.etas[o] < 0)) * p + t
         K = np.bincount(cells.reshape(-1), minlength=Fq.order * 2 * p).reshape(Fq.order, 2, p)
         K.setflags(write=False)
@@ -238,9 +240,11 @@ class OrbitCheckResult:
 def orbit_check(params: DescentParams) -> OrbitCheckResult:
     """Enumerate F_p* acting on the cosets of <theta> in F_q*: lam fixes them
     iff lam * theta**i = 1 for some i, and the orbits are the classes x G of
-    the group G = ``params.orbit``, each labelled by its least index."""
+    the group G = ``params.orbit``, each labelled by its least index (one
+    step charged per product x o)."""
     Fq, o = params.tower.Fq, params.orbit
-    labels = Fq.op_table("mul")[1:, o].min(axis=1)
+    charge(Fq.order * len(o), "the orbit labels")
+    labels = Fq.mul(np.arange(1, Fq.order)[:, None], o).min(axis=1)
     return OrbitCheckResult(
         stabilizer_size=int(np.count_nonzero(o == 1)),
         expected_stabilizer=(params.tower.p - 1) // params.N,
@@ -283,7 +287,7 @@ def char_identity_checks(params: DescentParams, c, a) -> tuple[np.ndarray, np.nd
     rhs = np.zeros((len(c), 2, p - 1), dtype=object)
     rhs[:, 0, 0] = -(p - 1) // N
     g1 = np.array(eta_twisted_sum_brute(Fq, 1, Fq.one).coords, dtype=object)
-    rhs[:, 1] = (eta[Fq.op_table("mul")[a, c]] * (p - 1) // N).astype(object)[:, None] * g1
+    rhs[:, 1] = (eta[Fq.mul(a, c)] * (p - 1) // N).astype(object)[:, None] * g1
     return lhs, rhs
 
 

@@ -26,20 +26,21 @@ Addition is digitwise mod p in every field of the tower.
 
 Multiplication, inversion and powering run through discrete log/exp tables
 for the canonical generator; addition reads no table.  A prime field adds,
-negates and multiplies residues.
+negates and multiplies residues.  ``add``, ``sub``, ``neg`` and ``mul``
+take index arrays (broadcast) as well as ints, so the array kernels run the
+scalar arithmetic and no field keeps an |F|**2 table.
 
 Construction is the modulus search (``_is_irreducible``) and F_p linear
 algebra on base-p digits: E[l] is the matrix of x -> p**l * x
 (``mul_matrices``), and no scalar polynomial product is taken once the
 modulus is known.  A relative trace is one F_p matrix on digits
 (``trace_matrix``), so no trace needs the log/exp tables.  The tables
-(log/exp and omega; the q x q mul table of the F_q kernels reads them) are
-built on the first read of any of them, each held once as a read-only numpy
-array that scalar ops read with ``ndarray.item`` (so they return Python
-ints); two threads that build them build the same bytes.  Their cells are
-charged to the run's budget (``errors.charge``) before they are built, and a
-field of 2**63 elements or more is refused at construction.  The generator
-search alone builds no table.
+(log/exp and omega) are built on the first read of any of them, each held
+once as a read-only numpy array that scalar ops read with ``ndarray.item``
+(so ints give Python ints); two threads that build them build the same
+bytes.  Their cells are charged to the run's budget (``errors.charge``)
+before they are built, and a field of 2**63 elements or more is refused at
+construction.  The generator search alone builds no table.
 
 Two element orders coexist:
 
@@ -196,6 +197,7 @@ class FiniteField:
     order: int
     degree: int
     dim: int  # base-p digits per index: [self : F_p]
+    _weights: tuple[int, ...]  # p**l for l < dim, as Python ints: int operands give ints
     base: "FiniteField | None"
     modulus: tuple[int, ...] | None
 
@@ -210,30 +212,31 @@ class FiniteField:
     def __repr__(self):
         return f"GF({self.order})"
 
-    # -- scalar index arithmetic ---------------------------------------
+    # -- index arithmetic -------------------------------------------------
 
-    def add(self, i: int, j: int) -> int:
-        """Digit-wise mod p: the base-p digits of an index are its F_p
-        coordinates."""
-        p, out, w = self.p, 0, 1
-        while i or j:
-            out, i, j, w = out + (i + j) % p * w, i // p, j // p, w * p
-        return out
+    def add(self, i, j):
+        """i + j on indices or index arrays (broadcast): digit-wise mod p, as
+        the base-p digits of an index are its F_p coordinates."""
+        p = self.p
+        return sum((i // w + j // w) % p * w for w in self._weights)
 
-    def neg(self, i: int) -> int:
-        p, out, w = self.p, 0, 1
-        while i:
-            out, i, w = out + -i % p * w, i // p, w * p
-        return out
+    def neg(self, i):
+        p = self.p
+        return sum(-(i // w) % p * w for w in self._weights)
 
-    def sub(self, i: int, j: int) -> int:
-        return self.add(i, self.neg(j))
+    def sub(self, i, j):
+        p = self.p
+        return sum((i // w - j // w) % p * w for w in self._weights)
 
-    def mul(self, i: int, j: int) -> int:
+    def mul(self, i, j):
+        """i * j on indices, or on index arrays (broadcast) as one gather
+        from the exp table with the zero products masked."""
+        n1, log, exp = self.order - 1, self._log, self._exp
+        if isinstance(i, np.ndarray) or isinstance(j, np.ndarray):
+            return np.where((i == 0) | (j == 0), 0, exp[(log[i] + log[j]) % n1])
         if i == 0 or j == 0:
             return 0
-        n1 = self.order - 1
-        return self._exp.item((self._log.item(i) + self._log.item(j)) % n1)
+        return exp.item((log.item(i) + log.item(j)) % n1)
 
     def inv(self, i: int) -> int:
         if i == 0:
@@ -428,31 +431,6 @@ class FiniteField:
         ys = self._exp[(np.arange(n1) + self.log(b)) % n1] if b else np.zeros(n1, dtype=np.int64)
         return self.trace_table(target)[np.concatenate([[0], ys])]
 
-    def op_table(self, op: str) -> np.ndarray:
-        """``table[i, j] = op(i, j)`` (int64, read-only) for the scalar op
-        named ``op``: "add", "sub" or "mul".
-
-        |F|**2 cells, kept by the field: "add" and "sub" digit-wise on the
-        indices, so they build no other table, and "mul" gathered from the
-        log/exp tables.  Only the q x q kernels over F_q call it, and their
-        charges cover it.
-        """
-        if op not in ("add", "sub", "mul"):
-            raise ParameterError(f"no op table for {op!r}")
-        tables = self.__dict__.setdefault("_op_tables", {})
-        if op not in tables:
-            i, j = np.ogrid[: self.order, : self.order]
-            if op == "mul":
-                n1, log, exp = self.order - 1, self._log, self._exp
-                tab = np.where((i == 0) | (j == 0), 0, exp[(log[i] + log[j]) % n1])
-            else:
-                p, sign = self.p, 1 if op == "add" else -1
-                weights = p ** np.arange(self.dim)
-                tab = sum((i // w + sign * (j // w)) % p * w for w in weights)
-            tab.setflags(write=False)
-            tables[op] = tab
-        return tables[op]
-
     # -- F_p matrix algebra ---------------------------------------------------
 
     def mul_matrices(self, cs) -> np.ndarray:
@@ -556,6 +534,7 @@ class PrimeField(FiniteField):
         self.p = p
         self.order = p
         self.degree = self.dim = 1
+        self._weights = (1,)
         self.base = None
         self.modulus = None
         self._mul_basis = np.ones((1, 1, 1), dtype=np.int64)
@@ -592,6 +571,7 @@ class ExtField(FiniteField):
         self.degree = degree
         self.order = base.order**degree
         self.dim = base.dim * degree
+        self._weights = tuple(self.p**l for l in range(self.dim))
         if modulus is None:
             modulus = smallest_irreducible(base, degree)
         self.modulus = modulus

@@ -147,23 +147,22 @@ def _line_reps(q: int, s: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _dot_table(F: FiniteField, s: int, lines: bool) -> np.ndarray:
     """table[v, j] = the index of v . w_j for v in F**s (an encoding), w_j
-    the j-th of ``_line_reps`` (``lines``) or of all of F**s, summed from the
-    field's op tables; read-only, in the smallest index dtype."""
+    the j-th of ``_line_reps`` (``lines``) or of all of F**s, summed with the
+    field's array ops; read-only, in the smallest index dtype."""
     q = F.order
-    add, mul = F.op_table("add"), F.op_table("mul")
     v = digits(np.arange(q**s), q, s)
     w = v[_line_reps(q, s)] if lines else v
     table = np.zeros((len(v), len(w)), dtype=np.int64)
     for i in range(s):
-        table = add[table, mul[v[:, i, None], w[None, :, i]]]
+        table = F.add(table, F.mul(v[:, i, None], w[None, :, i]))
     return _frozen(table.astype(_min_dtype(q)))
 
 
 def _dots(F: FiniteField, V: np.ndarray, s: int, width: int) -> np.ndarray:
     """(..., L): the index of v . lam for each vector v in F**s of V (an
     encoding) and each lam of ``_line_reps``.  Past ``width`` coordinates the
-    dot product is summed through the add table over blocks of at most
-    ``width`` coordinates, so no table has more than q**(2 width) cells."""
+    dot product is summed over blocks of at most ``width`` coordinates, so no
+    table has more than q**(2 width) cells."""
     if s <= width:
         return _dot_table(F, s, True).take(V, axis=0)
     n, base = -(-s // width), F.order**width
@@ -171,7 +170,7 @@ def _dots(F: FiniteField, V: np.ndarray, s: int, width: int) -> np.ndarray:
     out = 0
     for i in range(n):
         part = _dot_table(F, min(width, s - i * width), False).take(Vs[..., i], axis=0)
-        out = F.op_table("add")[out, part[..., reps[:, i]]]
+        out = F.add(out, part[..., reps[:, i]])
     return out
 
 
@@ -206,7 +205,6 @@ def _span_sums(F: FiniteField, k: int, r: int, table: np.ndarray):
     s = k - r
     step = max(1, _CHUNK // q**s)
     lam = digits(_line_reps(q, s), q, s)  # (L, s)
-    neg = F.op_table("sub")[0]
     for pivots in itertools.combinations(range(k), r):
         free = _free_cells(k, pivots)
         rest = [c for c in range(k) if c not in pivots]
@@ -217,7 +215,7 @@ def _span_sums(F: FiniteField, k: int, r: int, table: np.ndarray):
             to_v[n, i] = q ** rest.index(c)
         for lo in range(0, q ** len(free), step):
             t = np.arange(lo, min(lo + step, q ** len(free)))
-            V = neg[digits(t, q, len(free))[:, ::-1]] @ to_v
+            V = F.neg(digits(t, q, len(free))[:, ::-1]) @ to_v
             enc = base + columns @ _dots(F, V, s, max(1, k // 2))
             yield pivots, t, table[enc].sum(axis=1)
 
@@ -235,15 +233,15 @@ class _Multiset:
 
     @cached_property
     def star(self) -> np.ndarray:
-        """mu*(v) = sum over a in F* of mu(a v): v -> g v permutes F**k
-        (g the field's generator), so mu* sums q - 1 gathers of mu."""
+        """mu*(v) = sum over a in F* of mu(a v), constant on lines: the sum of
+        mu over the line of each w of ``_line_reps``, set at every a w, and
+        (q - 1) mu(0) at 0."""
         q, k = self.F.order, self.k
-        times_g = self.F.op_table("mul")[self.F.gen]
-        perm = times_g[digits(np.arange(q**k), q, k)] @ q ** np.arange(k)
-        star, cur = self.mu.copy(), self.mu
-        for _ in range(q - 2):
-            cur = cur[perm]  # cur(v) = mu(g**j v)
-            star += cur
+        reps = digits(_line_reps(q, k), q, k)
+        lines = self.F.mul(np.arange(1, q)[:, None, None], reps) @ q ** np.arange(k)  # [a, w]
+        star = np.empty_like(self.mu)
+        star[0] = (q - 1) * self.mu[0]
+        star[lines] = self.mu[lines].sum(axis=0)
         return _frozen(star)
 
     def best(self, r: int) -> tuple[int, tuple]:
@@ -317,12 +315,11 @@ def _quotient(spec: CodeSpec, params) -> _Multiset:
     Fq, q, d = spec.tower.Fq, spec.tower.q, 2 if spec.variant is Variant.AFFINE else 1
     f = np.zeros(q**d, dtype=np.int64)
     f.reshape(-1, q)[d - 1] = spec.analysis.form.value_histogram  # [c, v0]
-    if params is not None:  # push f forward through every D_i
-        beta = spec.tower.p ** np.arange(spec.tower.m)
-        D = params.columns[Fq.op_table("mul")[beta]].astype(np.int64)  # (j, g, i)
-        D = np.tensordot(beta, D, axes=1)  # D[g, i] = D_i[g]
-        H, f = f, np.zeros(q**d, dtype=np.int64)
-        np.add.at(f, q ** np.arange(d) @ D[digits(np.arange(q**d), q, d)], H[:, None])
+    if params is not None:  # push f's support forward through every D_i: D[g, i] = D_i[g]
+        p, g = spec.tower.p, np.arange(q)
+        D = sum(p**j * params.columns[Fq.mul(p**j, g)].astype(np.int64) for j in range(e))
+        H, f, v = f, np.zeros(q**d, dtype=np.int64), np.flatnonzero(f)
+        np.add.at(f, q ** np.arange(d) @ D[digits(v, q, d)], H[v, None])
     return _Multiset(F, d * e, f)
 
 
@@ -361,18 +358,13 @@ def support_defect(spec: CodeSpec, rows) -> int:
 
 
 def b_part_zero_span(spec: CodeSpec, rows, F: FiniteField) -> list[tuple[int, int]]:
-    """Elements (a, c) of the span of ``rows`` whose b-part vanishes.
-
-    In the RREF of the rows with the b columns moved first, the rows with a
-    pivot in the b block have independent b-parts and the others none, so
-    only the others are spanned: at most q**2 elements."""
+    """Elements (a, c) of the span of the basis ``rows`` whose b-part
+    vanishes: the span of ``linalg.vanishing`` on the b columns, at most
+    q**2 elements."""
     if len(rows) == 0:
         return [(0, 0)]
-    a, b, c = spec.blocks(len(rows[0]) // spec.dimension)  # e digits
-    order = [*b, *a, *c]
-    R, pivots = linalg.rref(F, np.asarray(rows, dtype=np.int64)[:, order])
-    R = R[[i for i, col in enumerate(pivots) if col >= len(b)]][:, np.argsort(order)]
-    a, _, c = spec.split(linalg.span(F, R) if len(R) else np.zeros(1, dtype=np.int64))
+    b = spec.blocks(len(rows[0]) // spec.dimension)[1]  # e digits
+    a, _, c = spec.split(linalg.span(F, linalg.vanishing(F, rows, b)))
     return list(zip(a.tolist(), c.tolist()))
 
 
@@ -385,8 +377,7 @@ def support_defect_char(spec: CodeSpec, rows) -> int:
     tower = spec.tower
     Fq, Fq2, p = tower.Fq, tower.Fq2, tower.p
     trp = Fq.trace_table(Fq.subfield_chain()[-1])
-    hq = spec.analysis.form.value_histogram
-    add, mul = Fq.op_table("add"), Fq.op_table("mul")
+    hq, v = spec.analysis.form.value_histogram, np.arange(Fq.order)
     counts = np.zeros(p, dtype=np.int64)
     r = len(rows)
     for coeffs in itertools.product(range(Fq.order), repeat=r):
@@ -394,8 +385,8 @@ def support_defect_char(spec: CodeSpec, rows) -> int:
         for li, ri in zip(coeffs, rows):
             row = [Fq.add(x, Fq.mul(li, y)) for x, y in zip(row, ri)]
         a, b, c = spec.split(sum(x * Fq.order**t for t, x in enumerate(row)))
-        hb = np.bincount(add[Fq2.trace_row(b, Fq), c], minlength=Fq.order)  # Tr(b y) + c
-        values = add[mul[a][:, None], np.arange(Fq.order)]  # a Q(x) + Tr(b y) + c
+        hb = np.bincount(Fq.add(Fq2.trace_row(b, Fq), c), minlength=Fq.order)  # Tr(b y) + c
+        values = Fq.add(Fq.mul(a, v)[:, None], v)  # a Q(x) + Tr(b y) + c
         np.add.at(counts, trp[values], np.outer(hq, hb))
     n, rest = divmod(cyc_from_trace_counts(p, counts.tolist()).as_int(), Fq.order**r)
     assert rest == 0

@@ -4,8 +4,8 @@ The base-p digits of an index are the element's F_p coordinates (the index
 format of ``fields``), so an F_q-linear map is F_p-linear on digits, and
 ``expand`` writes an F_q matrix as the F_p matrix of the same map.  Products
 and spans are then integer matmul mod p, one code path for prime and
-non-prime q.  Elimination (``rref``, ``nullspace``, ``rank``) works on whole
-rows through the q x q operation tables of the field.
+non-prime q.  Elimination (``rref``, ``nullspace``, ``rank``, ``vanishing``)
+works on whole rows with the field's array ops.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from . import fields
 from .fields import FiniteField
 
-__all__ = ["digits", "expand", "span", "annihilator", "rref", "nullspace", "rank"]
+__all__ = ["digits", "expand", "span", "annihilator", "rref", "nullspace", "rank", "vanishing"]
 
 
 def digits(F: FiniteField, X) -> np.ndarray:
@@ -82,7 +82,6 @@ def rref(F: FiniteField, A) -> tuple[np.ndarray, list[int]]:
     there; the result does not depend on it, as the RREF is unique.
     """
     A = np.array(A, dtype=np.int64)
-    mul, sub = F.op_table("mul"), F.op_table("sub")
     pivots: list[int] = []
     for c in range(A.shape[1]):
         r = len(pivots)
@@ -92,10 +91,10 @@ def rref(F: FiniteField, A) -> tuple[np.ndarray, list[int]]:
         if not nz.size:
             continue
         A[[r, r + nz[0]]] = A[[r + nz[0], r]]
-        A[r] = mul[F.inv(int(A[r, c])), A[r]]
+        A[r] = F.mul(F.inv(int(A[r, c])), A[r])
         others = np.flatnonzero(A[:, c])
         others = others[others != r]
-        A[others] = sub[A[others], mul[A[others, c][:, None], A[r]]]
+        A[others] = F.sub(A[others], F.mul(A[others, c][:, None], A[r]))
         pivots.append(c)
     return A, pivots
 
@@ -108,3 +107,20 @@ def nullspace(F: FiniteField, A) -> list[tuple[int, ...]]:
 
 def rank(F: FiniteField, A) -> int:
     return len(rref(F, A)[1])
+
+
+def vanishing(F: FiniteField, rows, cols) -> np.ndarray:
+    """Basis of the subspace of the span of the independent ``rows`` where
+    every column of ``cols`` vanishes: forward elimination on those columns
+    alone, one pivot row per column, and the rows left below the pivots."""
+    A, r = np.array(rows, dtype=np.int64), 0
+    for c in cols:
+        nz = r + A[r:, c].nonzero()[0]
+        if nz.size:
+            i, rest = nz[0], nz[1:]
+            if rest.size:  # clear column c below the pivot row i
+                scale = F.mul(A[rest, c], F.inv(int(A[i, c])))
+                A[rest] = F.sub(A[rest], F.mul(scale[:, None], A[i]))
+            A[[r, i]] = A[[i, r]]
+            r += 1
+    return A[r:]

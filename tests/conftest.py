@@ -4,6 +4,7 @@ fresh-process runner for the reach tests."""
 import itertools
 import json
 import os
+import resource
 import subprocess
 import sys
 from functools import lru_cache
@@ -22,16 +23,31 @@ with open("/proc/self/status") as _status:
 """
 
 
+# the fresh processes' address space, set on the child alone: an oversized
+# allocation fails there instead of filling the host's memory
+_CHILD_AS = 3 * 10**9
+
+
+def _limit_child():
+    resource.setrlimit(resource.RLIMIT_AS, (_CHILD_AS, _CHILD_AS))
+
+
+def fresh_python(args, **kwargs) -> subprocess.CompletedProcess:
+    """Run python ``args`` in a fresh process on this checkout, under a 3 GB
+    address-space limit set on the child alone."""
+    src = str(Path(qfcodes.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, *args], env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, timeout=120, preexec_fn=_limit_child, **kwargs,
+    )
+
+
 def run_fresh(script: str, *args: str) -> dict:
-    """Run ``script`` in a fresh Python process with ``src`` on PYTHONPATH and
-    return the JSON object it prints, with ``peak_mb`` the child's peak RSS
+    """Run ``script`` in a fresh Python process (``fresh_python``) and return
+    the JSON object it prints, with ``peak_mb`` the child's peak RSS
     (``VmHWM``; its ``ru_maxrss`` would start at the parent's peak, which
     Linux carries into the child at exec)."""
-    src = str(Path(qfcodes.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", script + _PEAK, *args], env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True, timeout=120,
-    )
+    proc = fresh_python(["-c", script + _PEAK, *args])
     assert proc.returncode == 0, proc.stderr
     *_, report, peak_kb = proc.stdout.splitlines()
     return {**json.loads(report), "peak_mb": int(peak_kb) / 1024}

@@ -18,7 +18,7 @@ from qfcodes.cli import (build_parser, main, preset_config, run_config, spec_fro
 from qfcodes.errors import ConfigError
 from qfcodes.presets import PRESETS, preset_names
 
-from conftest import run_fresh
+from conftest import fresh_python, run_fresh
 
 
 def _run(capsys, *argv):
@@ -784,3 +784,53 @@ def test_no_run_imports_numpy_ma():
         "print(json.dumps({'ma': 'numpy.ma' in sys.modules}))\n"
     )
     assert run_fresh(script)["ma"] is False
+
+
+def _homogeneous_tr_x2(tmp_path, m, **extra):
+    """Config path of the homogeneous Tr(x**2) code on (3, m, 1, 1)."""
+    cfg = {"tower": {"p": 3, "m": m, "m1": 1, "m2": 1},
+           "form": {"frobenius": [{"coeff": 1, "i": 0}]}, **extra}
+    path = tmp_path / f"tr_x2_m{m}.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    return str(path)
+
+
+_GHW_REACH = """
+import contextlib, io, json, sys
+from qfcodes.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(["ghw", "--config", sys.argv[1], "--format", "json"])
+rows = json.loads(out.getvalue())["ghw"]["rows"]
+print(json.dumps({"code": code, "rows": [[row["r"], row["brute"], row["closed"]] for row in rows]}))
+"""
+
+
+@pytest.mark.reach
+@pytest.mark.parametrize("m", [9, 12])
+def test_ghw_reaches_f_3_12_without_square_tables(tmp_path, m):
+    """``ghw`` on homogeneous Tr(x**2) over (3, m, 1, 1), q = 3**m, k = 2:
+    exit 0 with brute == closed on both rows, in a fresh process, in under
+    3 s and 200 MB.  The F_q kernels keep no q x q table (3**18 int64 cells,
+    2.9 GB, at m = 9), and mu* is summed per line, not over q - 1 gathers."""
+    start = time.perf_counter()
+    run = run_fresh(_GHW_REACH, _homogeneous_tr_x2(tmp_path, m))
+    seconds = time.perf_counter() - start
+    assert run["code"] == 0 and [r for r, _, _ in run["rows"]] == [1, 2], run
+    assert all(brute == closed for _, brute, closed in run["rows"]), run
+    assert seconds < 3 and run["peak_mb"] < 200, (seconds, run)
+
+
+def test_verify_and_descend_refuse_q_squared_arrays(tmp_path):
+    """On (3,9,1,1), q = 3**9, ``verify all`` would sum 2q (q - 1) cells of
+    eta-twisted sums and ``descend`` with N = 1 would build q (q - 1) trace
+    columns: each exits 1 on one resource-error line, charged before any
+    array is made, in a fresh process, never with a traceback."""
+    path = _homogeneous_tr_x2(tmp_path, 9, descent={"N": 1})
+    refusals = {"verify": "the eta-twisted sums by enumeration needs 774801612 steps",
+                "descend": "the trace columns psi needs 387400806 steps"}
+    for argv in (["verify", "all"], ["descend"]):
+        proc = fresh_python(["-m", "qfcodes.cli", *argv, "--config", path])
+        assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+        assert proc.stderr.startswith(f"qfcodes: resource error: {refusals[argv[0]]}"), proc.stderr
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr, proc.stderr

@@ -1,20 +1,13 @@
 import contextlib
 import itertools
 import json
-import os
 import random
-import resource
-import subprocess
-import sys
 import textwrap
 import tracemalloc
 from functools import lru_cache, partial
-from pathlib import Path
 
 import numpy as np
 import pytest
-
-import qfcodes
 
 from qfcodes import (
     CodeSpec,
@@ -49,7 +42,7 @@ from qfcodes import ghw, linalg
 from qfcodes.ghw import _Multiset, generator_matrix, subspace_bases
 from qfcodes.errors import BudgetError, budget
 
-from conftest import batched, reference_scan, spec_for
+from conftest import batched, fresh_python, reference_scan, spec_for
 
 
 def _spec(p, m, m1, m2, variant=Variant.HOMOGENEOUS, coeff_token=1):
@@ -256,12 +249,13 @@ def _orbit_check_reference(params):
 def _orbit_traces_reference(params):
     """``orbit_traces`` by a double loop over lam in F_p* and i < L."""
     Fq, Fp = params.tower.Fq, params.tower.Fp
-    mul, trace = Fq.op_table("mul"), Fq.trace_table(Fp)
+    trace = Fq.trace_table(Fp)
     K, rows = np.zeros((Fq.order, 2, Fp.order), dtype=np.int64), np.arange(Fq.order)
     for lam in range(1, Fp.order):
         for i in range(params.L):
             o = Fq.mul(Fq.embed_from(Fp, lam), Fq.pow(params.theta.idx, i))
-            K[rows, int(Fq.eta(o) == -1), trace[mul[o]]] += 1  # one cell per row
+            oc = [Fq.mul(o, c) for c in range(Fq.order)]
+            K[rows, int(Fq.eta(o) == -1), trace[oc]] += 1  # one cell per row
     return K
 
 
@@ -482,18 +476,6 @@ def test_descended_scan_memory_stays_flat(fix7):
 # -- reach ---------------------------------------------------------------------
 
 
-def _fresh(args, limit_bytes=None, **kwargs):
-    """Run python ``args`` in a fresh process on this checkout, optionally
-    under an address-space limit set on the child alone."""
-    src = str(Path(qfcodes.__file__).resolve().parents[1])
-    limit = None if limit_bytes is None else (
-        lambda: resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes)))
-    return subprocess.run(
-        [sys.executable, *args], env={**os.environ, "PYTHONPATH": src}, capture_output=True,
-        text=True, timeout=120, preexec_fn=limit, **kwargs,
-    )
-
-
 def test_descend_m3_under_3_gb(tmp_path):
     """The affine Tr(x**2) descent on (3,3,2,4), N = 1, has k = 18 over F_3:
     ``descend --config`` exits 0 under a 3 GB address-space limit with all
@@ -504,8 +486,7 @@ def test_descend_m3_under_3_gb(tmp_path):
            "descent": {"N": 1}}
     path = tmp_path / "m3.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
-    proc = _fresh(["-m", "qfcodes.cli", "descend", "--config", str(path), "--format", "json"],
-                  limit_bytes=3 * 10**9)
+    proc = fresh_python(["-m", "qfcodes.cli", "descend", "--config", str(path), "--format", "json"])
     assert proc.returncode == 0, proc.stderr
     rows = json.loads(proc.stdout)["descend"]["hierarchy"]
     assert [row["r"] for row in rows] == list(range(1, 19))
@@ -535,7 +516,7 @@ def test_descended_hierarchy_7_2_1_1_3():
     """The affine descended hierarchy of (7,2,1,1), N = 3 (k = 6 over F_7,
     61.9 M subspaces over the message space): every d_r from the quotient
     F_7^4, equal to the closed form, in under 1 s in a fresh process."""
-    proc = _fresh(["-c", _DESCENT_REACH])
+    proc = fresh_python(["-c", _DESCENT_REACH])
     assert proc.returncode == 0, proc.stderr
     run = json.loads(proc.stdout)
     assert [r for r, _, _ in run["rows"]] == [1, 2, 3, 4, 5, 6]
@@ -590,7 +571,7 @@ def test_odd_rank_descent_sweep():
     q**(m1+m2) <= 3**16, the forms Tr(x**2), Tr(g x**2), Tr(x)**2 and
     g Tr(x)**2 of odd rank, every admissible N: 39 towers, 1784 rows, every
     one brute == closed, none refused."""
-    proc = _fresh(["-c", _ODD_RANK_SWEEP])
+    proc = fresh_python(["-c", _ODD_RANK_SWEEP])
     assert proc.returncode == 0, proc.stderr
     run = json.loads(proc.stdout)
     assert (run["towers"], run["rows"], run["bad"], run["refused"]) == (39, 1784, 0, 0), run

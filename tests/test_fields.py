@@ -400,10 +400,11 @@ def test_addition_against_coefficientwise_oracle(name):
     F = _oracle_field(name)
     base = F.base
     assert all(F.from_coeffs(F.coeffs(i)) == i for i in range(F.order))
-    assert (F.op_table("add") == _coefficientwise(F, base.add)).all()
-    assert (F.op_table("sub") == _coefficientwise(F, base.sub)).all()
-    for i in range(F.order):
-        assert F.neg(i) == F.from_coeffs([base.neg(c) for c in F.coeffs(i)])
+    i, j = np.ogrid[: F.order, : F.order]
+    assert (F.add(i, j) == _coefficientwise(F, base.add)).all()
+    assert (F.sub(i, j) == _coefficientwise(F, base.sub)).all()
+    negs = [F.from_coeffs([base.neg(c) for c in F.coeffs(i)]) for i in range(F.order)]
+    assert [F.neg(i) for i in range(F.order)] == F.neg(np.arange(F.order)).tolist() == negs
 
 
 def _gf_poly(F, i):
@@ -425,11 +426,11 @@ def test_multiplication_against_galoistools(name):
     modulus = list(reversed(F.modulus))  # galoistools: leading coefficient first
     assert gf_irreducible_p(modulus, p, ZZ)
     polys = [_gf_poly(F, i) for i in range(F.order)]
-    mul = F.op_table("mul")
+    mul = F.mul(*np.ogrid[: F.order, : F.order])
     for i in range(F.order):
         for j in range(F.order):
             product = gf_rem(gf_mul(polys[i], polys[j], p, ZZ), modulus, p, ZZ)
-            assert mul[i, j] == _gf_index(F, product)
+            assert mul[i, j] == F.mul(i, j) == _gf_index(F, product)
 
 
 @pytest.mark.parametrize("name", [*PRIME_BASE, "F3^7"])
@@ -459,15 +460,14 @@ MATRIX_FIELDS = [(3,), (5,), (3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (3, 2, 3), 
 @given(data=st.data())
 def test_mul_matrices_multiply_base_p_digits(chain, data):
     """M_c @ digits(b) = digits(c*b) and M_c M_b = M_(cb) mod p, with c*b
-    from the scalar op and, up to order 81, the mul op table."""
+    from the scalar op, which the array op repeats."""
     F = prime_field(chain[0])
     for degree in chain[1:]:
         F = extension_field(F, degree)
     p, dim = F.p, len(np.base_repr(F.order - 1, F.p))  # |F| = p**dim
     c, b = (data.draw(st.integers(0, F.order - 1), label=name) for name in "cb")
     cb = F.mul(c, b)
-    if F.order <= 81:
-        assert F.op_table("mul")[c, b] == cb
+    assert F.mul(np.array([c]), np.array([b])).tolist() == [cb]
 
     def digits(i):
         return np.array([i // p**l % p for l in range(dim)])
@@ -480,13 +480,14 @@ def test_mul_matrices_multiply_base_p_digits(chain, data):
 
 @pytest.mark.parametrize("shape", [(3, 2, 3, 2), (5, 1, 3, 2), (7, 2, 1, 1)])
 def test_kernel_tables_agree_with_scalar_ops(shape):
-    """The q x q op tables and the trace rows the kernels read."""
+    """The array ops on every pair of F_q, and the trace rows the kernels
+    read."""
     tw = build_tower(*shape)
     Fq, Fq2 = tw.Fq, tw.Fq2
     for op in ("add", "sub", "mul"):
         f, n = getattr(Fq, op), Fq.order
         expected = [[f(i, j) for j in range(n)] for i in range(n)]
-        assert Fq.op_table(op).tolist() == expected
+        assert f(*np.ogrid[:n, :n]).tolist() == expected
     tr = Fq2.trace_table(Fq)
     for b in range(Fq2.order):
         assert Fq2.trace_row(b, Fq).tolist() == [tr[Fq2.mul(b, y)] for y in Fq2.omega]
@@ -524,21 +525,10 @@ def test_frobenius_term_is_the_scalar_power(shape):
             assert got.tolist() == [tr[F.mul(a, F.pow(x, q**i + 1))] for x in range(F.order)]
 
 
-def test_op_tables_are_built_once_and_read_only():
-    Fq = build_tower(5, 2, 1, 1).Fq
-    for op in ("add", "sub", "mul"):
-        table = Fq.op_table(op)
-        assert Fq.op_table(op) is table
-        assert not table.flags.writeable
-
-
 def test_addition_builds_no_table(monkeypatch):
     """Addition is digit-wise on indices: on fresh F_9, F_{3^7} and F_625
-    over F_25, scalar add/sub/neg and the add/sub op tables build no table,
-    and multiplication builds the log/exp tables once.  F_{3^7} has no op
-    table, as in production: its three 2187 x 2187 tables would lift this
-    process's peak RSS, which the fresh processes of the reach tests inherit,
-    by about 150 MB."""
+    over F_25, scalar and array add/sub/neg build no table, and
+    multiplication builds the log/exp tables once."""
     fresh = [ExtField(prime_field(3), 2), ExtField(prime_field(3), 7),
              ExtField(ExtField(prime_field(5), 2), 2)]
     built, real = [], fields.FiniteField._finish_init
@@ -549,13 +539,14 @@ def test_addition_builds_no_table(monkeypatch):
 
     monkeypatch.setattr(fields.FiniteField, "_finish_init", spy)
     for F in fresh:
-        x, y, tables = F.order - 2, F.order // 3, F.order < 1000
+        x, y = F.order - 2, F.order // 3
         assert F.sub(F.add(x, y), y) == x and F.add(x, F.neg(x)) == 0
-        if tables:
-            assert F.op_table("add")[x, y] == F.add(x, y)
-            assert F.op_table("sub")[x, y] == F.sub(x, y)
+        xs = np.array([x, y, 0])
+        assert F.add(xs, y).tolist() == [F.add(x, y), F.add(y, y), y]
+        assert F.sub(xs, y).tolist() == [F.sub(x, y), 0, F.neg(y)]
+        assert F.neg(xs).tolist() == [F.neg(x), F.neg(y), 0]
         assert built == []
-        assert (F.op_table("mul")[x, 1] if tables else F.mul(x, 1)) == x
+        assert F.mul(xs, 1).tolist() == xs.tolist() and F.mul(x, 1) == x
         assert built == [F.order]
         built.clear()
 
@@ -651,7 +642,7 @@ PROPERTY_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2), (3, 4
 @settings(max_examples=30, deadline=None, database=None)
 @given(data=st.data())
 def test_scalar_ops_are_field_arithmetic_on_read_only_tables(p, degree, data):
-    """Scalar ops return Python ints, agree with the op tables and the
+    """Scalar ops return Python ints, agree with the array ops and the
     Frobenius matrix and satisfy the field axioms; eta is multiplicative; the tables they read
     are read-only arrays."""
     F = extension_field(prime_field(p), degree)
@@ -664,9 +655,11 @@ def test_scalar_ops_are_field_arithmetic_on_read_only_tables(p, degree, data):
         "eta": F.eta(x), "omega_pos": F.omega_pos(x),
     }
     assert all(type(v) is int for v in got.values()), got
-    if F.order <= 81:  # the q x q tables of the F_q kernels
-        for op in ("add", "sub", "mul"):
-            assert F.op_table(op)[x, y] == got[op]
+    for op in ("add", "sub", "mul"):  # the array ops, broadcast
+        f = getattr(F, op)
+        assert f(np.array([x, y]), np.array([[y], [x]])).tolist() == [[got[op], f(y, y)],
+                                                                       [f(x, x), f(y, x)]]
+    assert F.neg(np.array([x])).tolist() == [got["neg"]]
     j, dim = e % degree, len(F.frobenius_matrix)  # x -> x**(p**j) on digits
     frob = fields._mat_pow(F.frobenius_matrix[None], j, p)[0]
     digits = fields.digits([x, F.pow(x, p**j)], p, dim)

@@ -358,7 +358,7 @@ def test_dot_tables_are_cached_read_only_scalar_dot_products():
                 for t in range(s):
                     acc = F.add(acc, F.mul(v // q**t % q, w // q**t % q))
                 assert table[v, j] == acc
-    # blocks of one coordinate, summed through the add table, give the same dots
+    # blocks of one coordinate, summed with the array add, give the same dots
     V = np.arange(q**3).reshape(-1, 9)
     assert (ghw._dots(F, V, 3, 1) == ghw._dots(F, V, 3, 3)).all()
 
@@ -370,6 +370,21 @@ def test_multiset_tables_are_cached_and_read_only(ex36):
         table = getattr(ms, name)
         assert getattr(ms, name) is table and not table.flags.writeable
     assert ms.best(1) is ms.best(1)
+
+
+@pytest.mark.parametrize("p,degree,k", [(3, 1, 4), (5, 1, 3), (3, 2, 2), (5, 2, 1), (3, 3, 2)])
+def test_star_is_the_sum_over_nonzero_multiples(p, degree, k):
+    """mu*(v) = sum over a in F* of mu(a v), by scalar ops on every v, for a
+    random integer mu over F**k."""
+    F = extension_field(prime_field(p), degree)
+    q = F.order
+    mu = np.random.default_rng(q * k).integers(0, 1000, q**k)
+    expected = []
+    for v in range(q**k):
+        coords = [v // q**t % q for t in range(k)]
+        multiples = [sum(F.mul(a, x) * q**t for t, x in enumerate(coords)) for a in range(1, q)]
+        expected.append(sum(int(mu[w]) for w in multiples))
+    assert ghw._Multiset(F, k, mu).star.tolist() == expected
 
 
 @pytest.mark.parametrize(

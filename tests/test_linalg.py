@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
@@ -80,3 +80,22 @@ def test_rank_nullity_and_span_properties(q, data):
     span = linalg.span(F, A).tolist()
     assert len(set(span)) == q**rank
     assert set(span) == _brute_span(F, A)
+
+
+@pytest.mark.parametrize("q", sorted(FIELDS))
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_vanishing_spans_the_elements_zero_on_the_columns(q, data):
+    """The span of ``vanishing`` is the set of elements of the span of
+    independent rows that are zero on ``cols``, and its rows are a basis."""
+    F = FIELDS[q]
+    n = data.draw(st.integers(1, 4))
+    m = data.draw(st.integers(1, max(r for r in (1, 2, 3) if q**r <= 729 and r <= n)))
+    entry = st.integers(0, q - 1)
+    A = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    assume(linalg.rank(F, A) == m)
+    cols = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+    V = linalg.vanishing(F, A, cols)
+    expected = {x for x in _brute_span(F, A) if all(x // q**c % q == 0 for c in cols)}
+    assert q ** len(V) == len(expected)
+    assert set(linalg.span(F, V).tolist()) == expected
